@@ -32,6 +32,7 @@ from .featmap import (
     feature_vector,
     gram_approx,
     gram_exact,
+    gram_norms,
     real_feature_matrix,
     real_feature_vector,
     relative_errors,
@@ -79,6 +80,7 @@ __all__ = [
     "feature_vector",
     "gram_approx",
     "gram_exact",
+    "gram_norms",
     "halton",
     "lattice",
     "mc_uniform",

@@ -12,15 +12,17 @@ from scipy.linalg import solve_triangular
 
 from .densities import FrequencySet
 from .discrepancy import (
+    _exclusive_products,
+    _sinc_factor,
     assemble_H_v,
     gaussian_discrepancy_terms,
+    gaussian_mean_norm_sq,
     gaussian_point_factors,
-    _sinc_factor,
+    gaussian_point_slopes,
+    gaussian_value_and_grad,
 )
 from .ioutil import NumericalError
 
-_SQRT_2PI = math.sqrt(2.0 * math.pi)
-_SQRT_2_OVER_PI = math.sqrt(2.0 / math.pi)
 _MIN_STEP = 1e-16
 
 
@@ -29,8 +31,6 @@ class OptimizerOptions:
     """Knobs for the nonlinear conjugate gradient loop.
 
     ``restart_period`` defaults to the number of variables when left None.
-    ``seed`` is reserved for stochastic variants; the deterministic CG
-    ignores it.
     """
 
     max_iters: int = 50
@@ -38,7 +38,6 @@ class OptimizerOptions:
     armijo_c: float = 1e-4
     backtrack_factor: float = 0.5
     restart_period: int = None
-    seed: int = 0
 
     def __post_init__(self):
         if self.max_iters < 0:
@@ -88,67 +87,18 @@ class OptTrace:
         return out
 
 
-def _sincp(z):
-    """Derivative of sin(z)/z with sinc'(0) = 0; series below |z| = 1e-3."""
-    z = np.asarray(z, dtype=float)
-    small = np.abs(z) < 1e-3
-    zs = np.where(small, z, 0.0)
-    series = zs * (-1.0 / 3.0 + zs * zs * (1.0 / 30.0 - zs * zs / 840.0))
-    safe = np.where(small, 1.0, z)
-    exact = np.cos(safe) / safe - np.sin(safe) / (safe * safe)
-    return np.where(small, series, exact)
-
-
 def discrepancy_gradient(freqs, density, box):
     """Gradient of the squared box discrepancy with respect to every frequency.
 
-    Entry (l, j) combines the pairwise sinc derivatives against all other
-    points with the derivative of the cross term's per-dimension factor:
-
-        (2/s^2) sum_{m != l} b_j^2/pi sinc'(b_j (w_lj - w_mj))
-                             prod_{q != j} sinc-factor_q(w_lq - w_mq)
-        - (2/s) g_j'(w_lj) prod_{q != j} g_q(w_lq)
-
-    with g_j'(x) = -sigma_j^2 x g_j(x)
-                   + sqrt(2/pi) c_j sigma_j exp(-b_j^2/(2 sigma_j^2)) sin(b_j x).
+    The gradient half of `gaussian_value_and_grad`, which documents the
+    formula.
     """
     if density.kind != "gaussian":
         raise ValueError("discrepancy_gradient requires the gaussian density")
     W = freqs.points
-    s, d = W.shape
-    if not (d == density.d == box.d):
+    if not (W.shape[1] == density.d == box.d):
         raise ValueError("dimension mismatch between frequencies, density and box")
-    sigma = density.scale
-    b = box.b
-
-    # Per-dimension pairwise factors and their derivatives.
-    factors = []
-    dfactors = []
-    for j in range(d):
-        delta = W[:, j][:, None] - W[:, j][None, :]
-        factors.append(_sinc_factor(b[j], delta))
-        dfactors.append((b[j] * b[j] / math.pi) * _sincp(b[j] * delta))
-
-    grad = np.zeros((s, d))
-    for j in range(d):
-        rest = np.ones((s, s))
-        for q in range(d):
-            if q != j:
-                rest *= factors[q]
-        # sinc'(0) = 0 zeroes the diagonal, so the m != l restriction is free.
-        grad[:, j] = (2.0 / (s * s)) * (dfactors[j] * rest).sum(axis=1)
-
-    G = gaussian_point_factors(density, box, W)
-    c = sigma / _SQRT_2PI
-    edge = _SQRT_2_OVER_PI * c * sigma * np.exp(-b * b / (2.0 * sigma * sigma))
-    Gprime = -(sigma * sigma)[None, :] * W * G + edge[None, :] * np.sin(b[None, :] * W)
-    for j in range(d):
-        rest = np.ones(s)
-        for q in range(d):
-            if q != j:
-                rest *= G[:, q]
-        grad[:, j] -= (2.0 / s) * Gprime[:, j] * rest
-    return grad
+    return gaussian_value_and_grad(W, density, box)[1]
 
 
 def nonlinear_cg(objective, gradient, x0, opts):
@@ -254,6 +204,10 @@ def optimize_greedy(t_points, density, box, init_freqs, opts):
     ``init_freqs`` (a transformed low-discrepancy stream).  The line
     search guarantees the optimized point is no worse than its start.
     ``objective_values`` records the discrepancy after each append.
+
+    The fixed points enter only through two running sums, their pairwise
+    sinc-kernel sum and their cross-term sum, so one evaluation costs
+    O(t d) and evaluates the erf at the candidate's d coordinates only.
     """
     if t_points < 1:
         raise ValueError(f"optimize_greedy requires t_points >= 1, got {t_points}")
@@ -262,79 +216,55 @@ def optimize_greedy(t_points, density, box, init_freqs, opts):
             f"init_freqs provides {init_freqs.s} starting points, need {t_points}"
         )
     d = init_freqs.d
-    current = np.empty((0, d))
+    b = box.b
+    self_pair = float(np.prod(b / math.pi))  # sinc kernel at zero lag
+    term3 = gaussian_mean_norm_sq(density, box)
+    points = np.empty((t_points, d))
+    pair_sum = cross_sum = 0.0
     trace = OptTrace(x=np.empty(0))
     for t in range(t_points):
-        fixed = current
+        fixed = points[:t]
+        s = t + 1
+
+        def new_sums(w):
+            # Sinc kernel of w against the fixed points, and w's cross term.
+            pairs = float(np.prod(_sinc_factor(b, w - fixed), axis=1).sum())
+            return pairs, float(np.prod(gaussian_point_factors(density, box, w[None, :])))
 
         def objective(w):
-            W = np.vstack([fixed, w.reshape(1, d)])
-            return sum(gaussian_discrepancy_terms(W, density, box))
+            pairs, cross = new_sums(w)
+            term1 = (pair_sum + 2.0 * pairs + self_pair) / (s * s)
+            term2 = -2.0 / s * (cross_sum + cross)
+            return term1 + term2 + term3
 
         def gradient(w):
-            W = np.vstack([fixed, w.reshape(1, d)])
-            fs = FrequencySet(points=W, provenance={})
-            return discrepancy_gradient(fs, density, box)[-1]
+            f, df = _sinc_factor(b, w - fixed, slope=True)
+            W = w[None, :]
+            G = gaussian_point_factors(density, box, W)
+            Gprime = gaussian_point_slopes(density, box, W, G)
+            return ((2.0 / (s * s)) * (df * _exclusive_products(f)).sum(axis=0)
+                    - (2.0 / s) * (Gprime * _exclusive_products(G))[0])
 
         inner = nonlinear_cg(objective, gradient, init_freqs.points[t], opts)
-        current = np.vstack([fixed, inner.x.reshape(1, d)])
+        pairs, cross = new_sums(inner.x)
+        pair_sum += 2.0 * pairs + self_pair
+        cross_sum += cross
+        points[t] = inner.x
         trace.objective_values.append(inner.objective_values[-1])
         trace.grad_norms.append(inner.grad_norms[-1])
         trace.n_iters += inner.n_iters
-    trace.x = current.ravel()
+    trace.x = points.ravel()
     trace.freqs = FrequencySet(
-        points=current,
+        points=points,
         provenance={"source": "greedy-adaptive", "init": init_freqs.provenance},
     )
     return trace
 
 
-def _nnls(A, rhs, max_outer=None):
-    """Lawson-Hanson active-set nonnegative least squares."""
-    n = A.shape[1]
-    if max_outer is None:
-        max_outer = 3 * n + 10
-    x = np.zeros(n)
-    passive = np.zeros(n, dtype=bool)
-    w = A.T @ rhs
-    tol = 1e-12 * max(1.0, float(np.abs(w).max(initial=0.0)))
-    for _ in range(max_outer):
-        free = ~passive
-        if not free.any() or float(w[free].max(initial=-np.inf)) <= tol:
-            break
-        j = int(np.flatnonzero(free)[np.argmax(w[free])])
-        passive[j] = True
-        while True:
-            cols = np.flatnonzero(passive)
-            sol, *_ = np.linalg.lstsq(A[:, cols], rhs, rcond=None)
-            z = np.zeros(n)
-            z[cols] = sol
-            if sol.min(initial=1.0) > 0.0:
-                x = z
-                break
-            blocking = passive & (z <= 0.0)
-            movers = blocking & (x - z > 0.0)
-            if not movers.any():
-                # Degenerate corner: drop the nonpositive columns and retry.
-                passive &= z > 0.0
-                x = np.where(passive, x, 0.0)
-                if not passive.any():
-                    x = np.zeros(n)
-                    break
-                continue
-            alpha = float((x[movers] / (x[movers] - z[movers])).min())
-            x = x + alpha * (z - x)
-            drop = passive & (x <= 1e-14 * max(1.0, float(np.abs(x).max(initial=0.0))))
-            passive &= ~drop
-            x[drop] = 0.0
-        w = A.T @ (rhs - A @ x)
-    return x
-
-
 def optimize_weights(freqs, density, box, kkt_tol=1e-8):
     """Nonnegative weights minimizing xi.H.xi - 2 v.xi.
 
-    Solves the convex quadratic program through Lawson-Hanson NNLS on the
+    Solves the convex quadratic program through scipy's NNLS on the
     Cholesky factor of H (jittered by 1e-12 trace(H)/s on the diagonal for
     clustered point sets).  Returns the weights and the max-norm KKT
     residual max(||min(xi,0)||, ||min(Hxi-v,0)|| on xi=0, ||Hxi-v|| on xi>0).
@@ -349,8 +279,11 @@ def optimize_weights(freqs, density, box, kkt_tol=1e-8):
             "sinc Gram matrix could not be factorized even with jitter; "
             "the frequency set may contain many coincident points"
         ) from exc
+    # Imported here: scipy.optimize is slow to import and only this solve uses it.
+    from scipy.optimize import nnls
+
     rhs = solve_triangular(L, v, lower=True)
-    xi = _nnls(L.T, rhs)
+    xi, _ = nnls(L.T, rhs)
 
     grad_half = H @ xi - v
     zero = xi <= 0.0

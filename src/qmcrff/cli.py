@@ -30,6 +30,7 @@ from .featmap import (
     WeightedFeatureMap,
     gram_approx,
     gram_exact,
+    gram_norms,
     real_feature_matrix,
     relative_errors,
     summarize_gram_errors,
@@ -231,8 +232,9 @@ def _frequency_maps_for_cell(cfg, density, box, seq, s, d):
     raise ValueError(f"unknown sequence {seq!r}")
 
 
-def _gram_cell(cfg, density, box, X, K, seq, s, with_discrepancy=False):
-    """Gram errors, optional discrepancies, for one (sequence, s) cell."""
+def _gram_cell(cfg, density, box, X, K, K_norms, seq, s, with_discrepancy=False):
+    """Gram errors, optional discrepancies, for one (sequence, s) cell;
+    ``K_norms`` is ``gram_norms(K)``."""
     pairs = []
     discrepancies = []
     maps = _frequency_maps_for_cell(cfg, density, box, seq, s, X.shape[1])
@@ -240,7 +242,7 @@ def _gram_cell(cfg, density, box, X, K, seq, s, with_discrepancy=False):
     for freqs, weights in maps:
         fmap = WeightedFeatureMap(freqs=freqs, weights=weights)
         fmaps.append(fmap)
-        pairs.append(relative_errors(K, gram_approx(fmap, X)))
+        pairs.append(relative_errors(K, gram_approx(fmap, X), K_norms))
         if with_discrepancy and density.kind == "gaussian":
             if weights is None:
                 discrepancies.append(
@@ -268,10 +270,11 @@ def run_gram_experiment(cfg, ds):
     density = ProductDensity.for_kernel(cfg.kernel, cfg.sigma, work.d)
     box = estimate_box(work, cfg.box_scale)
     K = gram_exact(density, work.X)
+    K_norms = gram_norms(K)
     cells = []
     for seq in cfg.sequences:
         for s in cfg.s_grid:
-            cell, _ = _gram_cell(cfg, density, box, work.X, K, seq, s)
+            cell, _ = _gram_cell(cfg, density, box, work.X, K, K_norms, seq, s)
             cells.append(cell)
     return cells
 
@@ -320,12 +323,13 @@ def run_pipeline(cfg, ds, workers=1):
     density = ProductDensity.for_kernel(cfg.kernel, cfg.sigma, work.d)
     box = estimate_box(work, cfg.box_scale)
     K = gram_exact(density, work.X)
+    K_norms = gram_norms(K)
     if work.y is not None:
         train_idx, test_idx = _split_indices(work.n, cfg.split, cfg.seed)
 
     def run_cell(args):
         seq, s = args
-        cell, fmaps = _gram_cell(cfg, density, box, work.X, K, seq, s,
+        cell, fmaps = _gram_cell(cfg, density, box, work.X, K, K_norms, seq, s,
                                  with_discrepancy=True)
         if work.y is not None:
             errs = []
@@ -379,11 +383,15 @@ def _emit(payload, out):
             fh.write(text + "\n")
 
 
-def _density_from_args(args, d):
+def _sigma_from_args(args, d):
     sigma = args.sigma if len(args.sigma) > 1 else (args.sigma[0],) * d
     if len(sigma) != d:
         raise DataError(f"--sigma needs 1 or {d} values, got {len(args.sigma)}")
-    return ProductDensity.for_kernel(args.kernel, sigma, d)
+    return sigma
+
+
+def _density_from_args(args, d):
+    return ProductDensity.for_kernel(args.kernel, _sigma_from_args(args, d), d)
 
 
 def _box_from_args(args, d):
@@ -500,6 +508,7 @@ def _config_from_args(args, sequences, s_grid):
 
 def _cmd_gram_error(args):
     ds = _load_dataset(args, has_target=False)
+    _sigma_from_args(args, ds.d)
     cfg = _config_from_args(args, args.seq, args.s)
     _emit({"cells": run_gram_experiment(cfg, ds)}, args.out)
     return 0
@@ -507,10 +516,7 @@ def _cmd_gram_error(args):
 
 def _cmd_krr(args):
     ds = _load_dataset(args, has_target=True)
-    density = ProductDensity.for_kernel(
-        args.kernel,
-        args.sigma if len(args.sigma) > 1 else (args.sigma[0],) * ds.d,
-        ds.d)
+    density = _density_from_args(args, ds.d)
     train_idx, test_idx = _split_indices(ds.n, args.split, args.seed)
     pts = make_pointset(args.seq, args.s, ds.d, seed=args.seed)
     fmap = WeightedFeatureMap(freqs=transform(pts, density))
@@ -545,6 +551,7 @@ def _cmd_avgcase_check(args):
 
 def _cmd_pipeline(args):
     ds = _load_dataset(args, has_target=args.target)
+    _sigma_from_args(args, ds.d)
     cfg = _config_from_args(args, args.seq, args.s)
     _emit(run_pipeline(cfg, ds, workers=args.workers), args.out)
     return 0

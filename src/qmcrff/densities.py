@@ -69,6 +69,8 @@ def _expand_scale(sigma, d):
     arr = np.atleast_1d(np.asarray(sigma, dtype=float))
     if d is not None and arr.size == 1:
         arr = np.full(d, arr[0])
+    if d is not None and arr.size != d:
+        raise ValueError(f"sigma needs 1 or {d} values, got {arr.size}")
     return arr
 
 

@@ -28,6 +28,11 @@ from .specfun import re_erf_damped_grid
 _SQRT_2 = math.sqrt(2.0)
 _SQRT_PI = math.sqrt(math.pi)
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
+_SQRT_2_OVER_PI = math.sqrt(2.0 / math.pi)
+
+# Rows per block of the pairwise sweep are chosen so that one block's
+# per-dimension factor arrays hold about this many entries each.
+_BLOCK_ENTRIES = 1 << 14
 
 
 @dataclass
@@ -75,18 +80,36 @@ class DiscrepancyReport:
         }
 
 
-def _sinc_factor(b, t):
+def _sinc_factor(b, t, slope=False):
     """sin(b*t) / (pi*t) with the diagonal convention sin(b*0)/0 = b.
 
     A short even series takes over for |b*t| < 1e-6; this keeps the later
-    gradient free of cancellation near coincident coordinates.
+    gradient free of cancellation near coincident coordinates.  With
+    ``slope`` the derivative in t, (b^2/pi) sinc'(b*t), comes back as well,
+    from the same sine and with its odd series below |b*t| = 1e-3.  ``b``
+    may be a vector that broadcasts against ``t``.
     """
     t = np.asarray(t, dtype=float)
-    bt = b * t
-    small = np.abs(bt) < 1e-6
-    safe_t = np.where(small, 1.0, t)
-    series = (b / np.pi) * (1.0 - bt * bt / 6.0)
-    return np.where(small, series, np.sin(bt) / (np.pi * safe_t))
+    bt = np.asarray(b * t)
+    sin_bt = np.sin(bt)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        factor = np.asarray(sin_bt / (np.pi * t))
+        if slope:
+            dfactor = np.asarray((np.cos(bt) / bt - sin_bt / (bt * bt)) * (b * b / np.pi))
+    abs_bt = np.abs(bt)
+    small = abs_bt < 1e-6
+    if small.any():
+        z = bt[small]
+        bs = np.broadcast_to(b, bt.shape)[small]
+        factor[small] = (bs / np.pi) * (1.0 - z * z / 6.0)
+    if not slope:
+        return factor
+    tiny = abs_bt < 1e-3
+    if tiny.any():
+        z = bt[tiny]
+        bs = np.broadcast_to(b, bt.shape)[tiny]
+        dfactor[tiny] = (bs * bs / np.pi) * (z * (-1.0 / 3.0 + z * z * (1.0 / 30.0 - z * z / 840.0)))
+    return factor, dfactor
 
 
 def sinc_kernel(box, u, v):
@@ -95,10 +118,7 @@ def sinc_kernel(box, u, v):
     v = np.asarray(v, dtype=float)
     if u.shape != (box.d,) or v.shape != (box.d,):
         raise ValueError(f"u and v must have shape ({box.d},)")
-    out = 1.0
-    for j in range(box.d):
-        out *= float(_sinc_factor(box.b[j], u[j] - v[j]))
-    return out
+    return float(np.prod(_sinc_factor(box.b, u - v)))
 
 
 def sinc_gram(box, W, V=None):
@@ -116,10 +136,17 @@ def gaussian_point_factors(density, box, W):
     sigma = density.scale
     c = sigma / _SQRT_2PI
     a = box.b / (sigma * _SQRT_2)
-    out = np.empty_like(W)
-    for j in range(W.shape[1]):
-        out[:, j] = c[j] * re_erf_damped_grid(a[j], sigma[j] * W[:, j] / _SQRT_2)
-    return out
+    return c * re_erf_damped_grid(a, sigma * W / _SQRT_2)
+
+
+def gaussian_point_slopes(density, box, W, G):
+    """Derivatives g_j'(w_lj) of the cross factors G = gaussian_point_factors(density, box, W):
+
+        g_j'(x) = -sigma_j^2 x g_j(x) + sqrt(2/pi) c_j sigma_j exp(-b_j^2/(2 sigma_j^2)) sin(b_j x).
+    """
+    sigma, b = density.scale, box.b
+    edge = _SQRT_2_OVER_PI * (sigma / _SQRT_2PI) * sigma * np.exp(-b * b / (2.0 * sigma * sigma))
+    return -(sigma * sigma) * W * G + edge * np.sin(b * W)
 
 
 def gaussian_mean_norm_sq(density, box):
@@ -143,13 +170,84 @@ def _check_dims(freqs_d, density, box):
         )
 
 
+def _exclusive_products(F):
+    """Row-wise products over all columns but one: out[:, j] = prod_{q != j} F[:, q]."""
+    out = np.ones_like(F)
+    out[:, 1:] = np.cumprod(F[:, :-1], axis=1)
+    out[:, :-1] *= np.cumprod(F[:, :0:-1], axis=1)[:, ::-1]
+    return out
+
+
+def _gaussian_pass(W, density, box, with_grad):
+    """Closed-form (term1, term2, term3) and, when ``with_grad``, the s x d
+    gradient of their sum, from one sweep over row blocks.
+
+    Each block builds the per-dimension sinc factors against all points
+    once.  The pairwise gradient needs prod_{q != j} of those factors; it
+    comes from running prefix and suffix products, so a block costs O(d)
+    array operations rather than O(d^2).  Memory stays O(d * block * s).
+    """
+    W = np.asarray(W, dtype=float)
+    s, d = W.shape
+    b = box.b
+    rows = max(1, _BLOCK_ENTRIES // s)
+    pair_sum = 0.0
+    grad = np.zeros((s, d)) if with_grad else None
+    for r0 in range(0, s, rows):
+        block = W[r0:r0 + rows]
+        prod = None
+        # lead[j] = d/dw_lj of factor j times the factors before it.
+        lead, factors = [], []
+        for j in range(d):
+            delta = block[:, j, None] - W[None, :, j]
+            if with_grad:
+                f, df = _sinc_factor(b[j], delta, slope=True)
+                lead.append(df if prod is None else df * prod)
+                factors.append(f)
+            else:
+                f = _sinc_factor(b[j], delta)
+            if prod is None:
+                prod = f.copy() if with_grad else f
+            else:
+                prod *= f
+        pair_sum += float(prod.sum())
+        if with_grad:
+            trail = None
+            for j in range(d - 1, -1, -1):
+                # sinc'(0) = 0 zeroes the diagonal, so the m != l restriction is free.
+                grad[r0:r0 + rows, j] = (lead[j].sum(axis=1) if trail is None
+                                         else np.einsum("ij,ij->i", lead[j], trail))
+                trail = factors[j] if trail is None else trail * factors[j]
+
+    G = gaussian_point_factors(density, box, W)
+    term1 = pair_sum / (s * s)
+    term2 = -2.0 / s * float(np.prod(G, axis=1).sum())
+    term3 = gaussian_mean_norm_sq(density, box)
+    if not with_grad:
+        return (term1, term2, term3), None
+
+    grad *= 2.0 / (s * s)
+    grad -= (2.0 / s) * gaussian_point_slopes(density, box, W, G) * _exclusive_products(G)
+    return (term1, term2, term3), grad
+
+
 def gaussian_discrepancy_terms(W, density, box):
     """Closed-form (term1, term2, term3) for a raw s x d frequency array."""
-    s = W.shape[0]
-    term1 = float(sinc_gram(box, W).sum()) / (s * s)
-    term2 = -2.0 / s * float(np.prod(gaussian_point_factors(density, box, W), axis=1).sum())
-    term3 = gaussian_mean_norm_sq(density, box)
-    return term1, term2, term3
+    return _gaussian_pass(W, density, box, with_grad=False)[0]
+
+
+def gaussian_value_and_grad(W, density, box):
+    """Squared discrepancy of a raw s x d frequency array and its s x d
+    gradient, from the same pass that gives `gaussian_discrepancy_terms`.
+
+    Entry (l, j) of the gradient is
+
+        (2/s^2) sum_{m != l} b_j^2/pi sinc'(b_j (w_lj - w_mj))
+                             prod_{q != j} sinc-factor_q(w_lq - w_mq)
+        - (2/s) g_j'(w_lj) prod_{q != j} g_q(w_lq).
+    """
+    terms, grad = _gaussian_pass(W, density, box, with_grad=True)
+    return sum(terms), grad
 
 
 def box_discrepancy_gaussian(freqs, density, box):

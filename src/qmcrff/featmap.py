@@ -136,15 +136,23 @@ def spectral_norm(A, tol=1e-6, max_iters=1000, seed=0):
     return float(estimate)
 
 
-def relative_errors(K, K_approx):
-    """(spectral, frobenius) relative errors of K_approx against K."""
+def gram_norms(K):
+    """(spectral, frobenius) norms of K, to pass to repeated `relative_errors` calls."""
+    K = np.asarray(K, dtype=float)
+    return spectral_norm(K), float(np.linalg.norm(K))
+
+
+def relative_errors(K, K_approx, norms=None):
+    """(spectral, frobenius) relative errors of K_approx against K.
+
+    ``norms`` is ``gram_norms(K)`` when the caller already has it.
+    """
     K = np.asarray(K, dtype=float)
     K_approx = np.asarray(K_approx, dtype=float)
     if K.shape != K_approx.shape:
         raise ValueError(f"shape mismatch: {K.shape} vs {K_approx.shape}")
     E = K - K_approx
-    denom_f = np.linalg.norm(K)
-    denom_2 = spectral_norm(K)
+    denom_2, denom_f = gram_norms(K) if norms is None else norms
     rel_f = float(np.linalg.norm(E) / denom_f) if denom_f > 0 else 0.0
     rel_2 = float(spectral_norm(E) / denom_2) if denom_2 > 0 else 0.0
     return rel_2, rel_f

@@ -1,16 +1,21 @@
-"""Scalar special functions used by the closed-form discrepancy and its gradient.
+"""Special functions used by the closed-form discrepancy and its gradient.
 
-The error function on the real line comes straight from libm.  The real part
-of erf at complex arguments is evaluated by a three-branch hybrid:
+The error function on the real line comes straight from libm.  The scalar
+functions `erf_complex_real` and `re_erf_damped` evaluate the real part of
+erf at complex arguments by a three-branch hybrid:
 
 * a truncated Maclaurin series for ``|z| <= 3.5``,
 * a pole-corrected midpoint rule for the Faddeeva function w(z) on the
   annulus ``3.5 < |z| < 6``,
 * the Laplace continued fraction for w(z) when ``|z| >= 6``.
 
-The midpoint and continued-fraction branches work with the scaled function
-w rather than erf itself, so no intermediate exp(b^2) is ever formed; values
-that genuinely exceed the double range come back as +/-inf.
+The array path `re_erf_damped_grid`, which the discrepancy kernels call,
+runs on scipy's Faddeeva function ``scipy.special.wofz`` instead: one
+closed-form expression, no branches, broadcast over all its arguments.
+
+Both paths work with the scaled function w rather than erf itself, so no
+intermediate exp(b^2) is ever formed; scalar values that genuinely exceed
+the double range come back as +/-inf.
 
 All functions are pure and hold no global state.
 """
@@ -144,78 +149,27 @@ def re_erf_damped(a, b):
     return sgn * (math.exp(-bb * bb) - math.exp(-aa * aa) * inner)
 
 
-def _erf_series_grid(z):
-    zz = z * z
-    r2max = float(np.abs(zz).max())
-    term = z.copy()
-    total = z.copy()
-    for n in range(1, 201):
-        term *= -zz / n
-        contrib = term / (2 * n + 1)
-        total += contrib
-        if n > r2max and np.all(np.abs(contrib) <= 1e-18 * np.abs(total) + 1e-300):
-            break
-    return (2.0 / _SQRT_PI) * total
-
-
-def _wofz_cf_grid(z):
-    t = z.copy()
-    for k in range(_CF_TERMS, 0, -1):
-        t = z - (0.5 * k) / t
-    return 1j / (_SQRT_PI * t)
-
-
-def _wofz_mid_grid(z):
-    zz = z * z
-    acc = np.zeros(z.shape, dtype=complex)
-    for t2, e in _MID_NODES:
-        acc += e / (zz - t2)
-    total = (2j * _MID_H / math.pi) * z * acc
-    total += 2.0 * np.exp(-zz) / (1.0 + np.exp(-2j * math.pi * z / _MID_H))
-    return total
-
-
 def re_erf_damped_grid(a, b):
-    """`re_erf_damped` for a scalar first argument and an array second one.
+    """`re_erf_damped` evaluated elementwise over broadcast arrays ``a`` and ``b``.
 
-    Same branch structure as the scalar function, evaluated with numpy on
-    each branch's subset; this is the fast path for the per-point factors
-    of the discrepancy and its gradient.
+    Uses exp(-b^2) Re erf(a + ib) = sgn(a) (exp(-b^2) - exp(-a^2)
+    [cos(2|a||b|) Re w + sin(2|a||b|) Im w]) with w = wofz(-|b| + i|a|),
+    so one call serves every entry of the per-point factor matrix.  Where
+    |a| and |b| are both small the two terms nearly cancel, and the
+    relative error grows to about 1e-16/|a| (5e-13 at a = 1e-3, b = 0).
     """
+    from scipy.special import wofz
+
+    a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
-    out = np.empty(b.shape)
-    if not (math.isfinite(a) and np.all(np.isfinite(b))):
+    if not (np.isfinite(a).all() and np.isfinite(b).all()):
         raise ValueError("re_erf_damped_grid requires finite arguments")
-    if a == 0.0:
-        out.fill(0.0)
-        return out
-    sgn = 1.0 if a > 0 else -1.0
-    aa = abs(a)
+    aa = np.abs(a)
     bb = np.abs(b)
-    r2 = aa * aa + bb * bb
-
-    on_axis = bb == 0.0
-    series = (r2 <= _SERIES_R2) & ~on_axis
-    far = r2 > _SERIES_R2
-
-    if on_axis.any():
-        out[on_axis] = math.erf(a)
-    if series.any():
-        bs = bb[series]
-        vals = _erf_series_grid(aa + 1j * bs).real
-        out[series] = sgn * np.exp(-bs * bs) * vals
-    if far.any():
-        bf = bb[far]
-        zeta = -bf + 1j * aa
-        w = np.empty(bf.shape, dtype=complex)
-        cf = r2[far] >= _CF_R2
-        if cf.any():
-            w[cf] = _wofz_cf_grid(zeta[cf])
-        if (~cf).any():
-            w[~cf] = _wofz_mid_grid(zeta[~cf])
-        inner = np.cos(2.0 * aa * bf) * w.real + np.sin(2.0 * aa * bf) * w.imag
-        out[far] = sgn * (np.exp(-bf * bf) - math.exp(-aa * aa) * inner)
-    return out
+    w = wofz(-bb + 1j * aa)
+    two_ab = 2.0 * aa * bb
+    inner = np.cos(two_ab) * w.real + np.sin(two_ab) * w.imag
+    return np.sign(a) * (np.exp(-bb * bb) - np.exp(-aa * aa) * inner)
 
 
 # Coefficients of the Acklam rational approximation to the standard normal

@@ -1,10 +1,10 @@
+import math
+
 import numpy as np
 import pytest
 
 from qmcrff.adaptive import (
     OptimizerOptions,
-    _nnls,
-    _sincp,
     discrepancy_gradient,
     nonlinear_cg,
     optimize_global,
@@ -12,11 +12,16 @@ from qmcrff.adaptive import (
     optimize_weights,
 )
 from qmcrff.densities import FrequencySet, ProductDensity, transform
+import qmcrff.discrepancy as discrepancy_module
 from qmcrff.discrepancy import (
     Box,
+    _sinc_factor,
     assemble_H_v,
     box_discrepancy_gaussian,
     gaussian_discrepancy_terms,
+    gaussian_point_factors,
+    gaussian_value_and_grad,
+    sinc_gram,
     weighted_discrepancy,
 )
 from qmcrff.sequences import halton
@@ -43,6 +48,11 @@ def _fd_gradient(S, p, box, h=1e-5):
             out[l, j] = (sum(gaussian_discrepancy_terms(Wp, p, box))
                          - sum(gaussian_discrepancy_terms(Wm, p, box))) / (2.0 * h)
     return out
+
+
+def _sincp(z):
+    """sinc'(z), read off the slope of the unit-width sinc factor."""
+    return np.pi * _sinc_factor(1.0, z, slope=True)[1]
 
 
 class TestSincDerivative:
@@ -100,6 +110,73 @@ class TestDiscrepancyGradient:
         p = ProductDensity.cauchy(1.0, d=1)
         with pytest.raises(ValueError):
             discrepancy_gradient(FrequencySet(points=[[0.0]]), p, Box(b=[1.0]))
+
+
+def _reference_value_and_grad(S, p, box):
+    """D^2 and its gradient term by term, with every product over q != j
+    formed explicitly (the O(d^2 s^2) textbook evaluation)."""
+    W = S.points
+    s, d = W.shape
+    sigma, b = p.scale, box.b
+    G = gaussian_point_factors(p, box, W)
+    value = (sinc_gram(box, W).sum() / (s * s) - 2.0 / s * np.prod(G, axis=1).sum()
+             + float(np.prod(sigma / (2.0 * np.sqrt(np.pi)) * np.array(
+                 [math.erf(v) for v in b / sigma]))))
+    delta = W[:, None, :] - W[None, :, :]
+    factors = np.stack([_sinc_factor(b[j], delta[:, :, j]) for j in range(d)])
+    slopes = np.stack([_sinc_factor(b[j], delta[:, :, j], slope=True)[1] for j in range(d)])
+    edge = np.sqrt(2.0 / np.pi) * sigma / np.sqrt(2.0 * np.pi) * sigma * np.exp(
+        -b * b / (2.0 * sigma * sigma))
+    Gprime = -(sigma * sigma) * W * G + edge * np.sin(b * W)
+    grad = np.zeros((s, d))
+    for j in range(d):
+        others = [q for q in range(d) if q != j]
+        rest = np.prod(factors[others], axis=0)
+        grad[:, j] = (2.0 / (s * s)) * (slopes[j] * rest).sum(axis=1) \
+            - (2.0 / s) * Gprime[:, j] * np.prod(G[:, others], axis=1)
+    return value, grad
+
+
+def _fused_cases():
+    coincident = FrequencySet(points=np.array([[0.4, -0.7, 1.1], [0.4, -0.7, 1.1]]))
+    return [
+        pytest.param(*_instance(1, 3, 20), id="s=1"),
+        pytest.param(coincident, *_instance(2, 3, 21)[1:], id="coincident-pair"),
+        pytest.param(*_instance(7, 1, 22), id="d=1"),
+        pytest.param(*_instance(6, 16, 23), id="d=16"),
+    ]
+
+
+class TestFusedValueAndGradient:
+    @pytest.mark.parametrize("S,p,box", _fused_cases())
+    def test_value_matches_terms_and_reference(self, S, p, box):
+        value, _ = gaussian_value_and_grad(S.points, p, box)
+        assert value == pytest.approx(sum(gaussian_discrepancy_terms(S.points, p, box)),
+                                      rel=1e-12, abs=1e-300)
+        assert value == pytest.approx(_reference_value_and_grad(S, p, box)[0], rel=1e-12)
+
+    @pytest.mark.parametrize("S,p,box", _fused_cases())
+    def test_gradient_matches_central_differences(self, S, p, box):
+        _, g = gaussian_value_and_grad(S.points, p, box)
+        fd = _fd_gradient(S, p, box)
+        rel = np.abs(g - fd) / (np.abs(g) + 1e-12)
+        assert rel.max() <= 1e-5
+
+    @pytest.mark.parametrize("S,p,box", _fused_cases())
+    def test_gradient_matches_reference(self, S, p, box):
+        _, g = gaussian_value_and_grad(S.points, p, box)
+        ref = _reference_value_and_grad(S, p, box)[1]
+        assert np.allclose(g, ref, rtol=1e-12, atol=1e-14 * np.abs(ref).max())
+
+    def test_row_blocks_are_invisible(self, monkeypatch):
+        # Blocks of 2 rows with a ragged last block must give the one-block result.
+        S, p, box = _instance(9, 3, 24)
+        value, g = gaussian_value_and_grad(S.points, p, box)
+        monkeypatch.setattr(discrepancy_module, "_BLOCK_ENTRIES", 2 * 9)
+        value_b, g_b = gaussian_value_and_grad(S.points, p, box)
+        assert value_b == pytest.approx(value, rel=1e-13)
+        assert np.allclose(g_b, g, rtol=1e-13, atol=1e-16)
+        assert sum(gaussian_discrepancy_terms(S.points, p, box)) == pytest.approx(value, rel=1e-13)
 
 
 class TestNonlinearCg:
@@ -214,6 +291,17 @@ class TestOptimizeGreedy:
         assert trace.objective_values[-1] <= box_discrepancy_gaussian(
             init, p, box).d_squared
 
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_incremental_objective_matches_full_recompute(self, d):
+        p = ProductDensity.gaussian(1.0, d=d)
+        box = Box(b=[1.0] * d)
+        init = transform(halton(8, d), p)
+        trace = optimize_greedy(8, p, box, init, OptimizerOptions(max_iters=50,
+                                                                  grad_tol=1e-10))
+        for t, value in enumerate(trace.objective_values):
+            full = sum(gaussian_discrepancy_terms(trace.freqs.points[:t + 1], p, box))
+            assert value == pytest.approx(full, rel=1e-12)
+
     def test_requires_enough_initializers(self):
         p = ProductDensity.gaussian(1.0, d=2)
         init = transform(halton(2, 2), p)
@@ -222,21 +310,20 @@ class TestOptimizeGreedy:
 
 
 class TestNnls:
-    def test_identity_design_clips_target(self):
-        v = np.array([0.5, -0.3, 1.2, 0.0])
-        x = _nnls(np.eye(4), v)
-        assert np.allclose(x, np.maximum(v, 0.0), atol=1e-12)
-
     def test_matches_scipy_on_random_problems(self):
+        # optimize_weights returns scipy's NNLS solution of the jittered
+        # Cholesky system of the quadratic program, with a KKT certificate.
+        from scipy.linalg import solve_triangular
         from scipy.optimize import nnls as scipy_nnls
 
-        rng = np.random.default_rng(3)
-        for _ in range(10):
-            A = rng.normal(size=(12, 6))
-            rhs = rng.normal(size=12)
-            mine = _nnls(A, rhs)
-            ref, _ = scipy_nnls(A, rhs)
-            assert np.allclose(mine, ref, atol=1e-8)
+        for seed in range(10):
+            S, p, box = _instance(12, 2, seed)
+            H, v = assemble_H_v(S, p, box)
+            L = np.linalg.cholesky(H + 1e-12 * np.trace(H) / S.s * np.eye(S.s))
+            ref, _ = scipy_nnls(L.T, solve_triangular(L, v, lower=True))
+            xi, kkt = optimize_weights(S, p, box)
+            assert kkt <= 1e-8
+            assert np.allclose(xi, ref, atol=1e-8)
 
 
 class TestOptimizeWeights:

@@ -340,6 +340,19 @@ class TestCommandLine:
         assert code == 3
         assert "must lie in [0, 1]" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", [
+        ["krr", "--s", "8"],
+        ["pipeline", "--s", "8", "--seq", "halton", "--target"],
+        ["gram-error", "--s", "8", "--seq", "halton"],
+    ])
+    def test_sigma_length_mismatch_is_data_error(self, tmp_path, capsys, command):
+        rows = np.random.default_rng(2).normal(size=(24, 4))
+        data = _write(tmp_path, "x4.csv",
+                      "\n".join(",".join("%.17g" % v for v in r) for r in rows) + "\n")
+        code = main(command + ["--data", data, "--sigma", "1,2"])
+        assert code == 3
+        assert "--sigma" in capsys.readouterr().err
+
     def test_numerical_failure_exit_code(self, tmp_path, capsys, monkeypatch):
         from qmcrff.ioutil import NumericalError
         import qmcrff.cli as climod

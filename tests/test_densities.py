@@ -17,6 +17,10 @@ class TestProductDensity:
         p = ProductDensity.gaussian(2.0, d=3)
         assert p.scale.tolist() == [2.0, 2.0, 2.0]
 
+    def test_rejects_sigma_length_neither_one_nor_d(self):
+        with pytest.raises(ValueError, match="sigma needs 1 or 3 values, got 2"):
+            ProductDensity.for_kernel("gaussian", [1.0, 2.0], 3)
+
     def test_kernel_names(self):
         assert ProductDensity.for_kernel("gaussian", 1.0, 2).kind == "gaussian"
         assert ProductDensity.for_kernel("laplacian", 1.0, 2).kind == "cauchy"

@@ -9,6 +9,7 @@ from qmcrff.featmap import (
     feature_vector,
     gram_approx,
     gram_exact,
+    gram_norms,
     real_feature_matrix,
     real_feature_vector,
     relative_errors,
@@ -195,6 +196,14 @@ class TestRelativeErrors:
     def test_shape_mismatch(self):
         with pytest.raises(ValueError):
             relative_errors(np.eye(2), np.eye(3))
+
+    def test_precomputed_norms_give_identical_errors(self):
+        X = np.random.default_rng(4).normal(size=(40, 3))
+        K = gram_exact(ProductDensity.gaussian(1.5, d=3), X)
+        norms = gram_norms(K)
+        for seed in range(3):
+            K_approx = gram_approx(_random_map(16, 3, seed=seed), X)
+            assert relative_errors(K, K_approx, norms) == relative_errors(K, K_approx)
 
     def test_spectral_norm_against_dense_oracle(self):
         # Gram-style matrices (the actual use case) have a clear top

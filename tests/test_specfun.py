@@ -126,6 +126,63 @@ class TestReErfDamped:
             assert np.allclose(grid, scalar, rtol=5e-12, atol=1e-300)
 
 
+# exp(-b^2) Re erf(a + i b), frozen from a 50-digit mpmath oracle: on the
+# |z|^2 = 12.25 and 36 seams of the scalar branches and just off them, at
+# tiny |a| where the wofz closed form cancels, and at |b| up to 30.
+GRID_SEAM_REFS = [
+    (2.1, 2.8, -0.0015740413340438042213),
+    (-2.8, 2.1, -0.012093860247081014388),
+    (2.1, 2.79999, -0.0015740304810915278138),
+    (2.1, 2.80001, -0.0015740521820866222005),
+    (3.6, 4.8, 1.3524907361221505673e-7),
+    (4.8, -3.6, 2.3525826434074495677e-6),
+    (3.6, 4.79999, 1.3526212303593143332e-7),
+    (3.6, 4.80001, 1.3523602350292144556e-7),
+]
+GRID_TINY_A_REFS = [
+    (0.001, 0.0, 0.0011283787909692364034),
+    (0.001, 0.5, 0.0011283786029061641285),
+    (-0.001, 2.0, -0.001128375781962336761),
+    (0.001, 5.0, 0.0011283599847550999054),
+    (0.001, 30.0, 0.0011277018857296134141),
+]
+GRID_LARGE_B_REFS = [
+    (0.5, 30.0, -0.014512809993078621753),
+    (3.0, -30.0, -1.7042017914244204165e-6),
+    (12.0, 25.0, 2.7842982244143439712e-65),
+    (0.25, 17.5, 0.019287045756243885961),
+    (7.5, 29.0, 6.5568831068879341007e-27),
+]
+
+
+class TestReErfDampedGrid:
+    @pytest.mark.parametrize("a,b,ref", GRID_SEAM_REFS + GRID_LARGE_B_REFS)
+    def test_against_high_precision_oracle(self, a, b, ref):
+        assert float(re_erf_damped_grid(a, b)) == pytest.approx(ref, rel=1e-13)
+
+    @pytest.mark.parametrize("a,b,ref", GRID_TINY_A_REFS)
+    def test_tiny_a_against_high_precision_oracle(self, a, b, ref):
+        # exp(-b^2) and the wofz term nearly cancel: about 1e-16/|a| relative.
+        assert float(re_erf_damped_grid(a, b)) == pytest.approx(ref, rel=1e-12)
+
+    def test_broadcasts_over_both_arguments(self):
+        a = np.array([[0.3, -1.2, 4.0]])
+        b = np.array([[0.0], [2.5], [-17.0]])
+        grid = re_erf_damped_grid(a, b)
+        assert grid.shape == (3, 3)
+        for i in range(3):
+            for j in range(3):
+                assert grid[i, j] == pytest.approx(
+                    re_erf_damped(float(a[0, j]), float(b[i, 0])), rel=5e-12, abs=1e-300)
+
+    def test_zero_a_gives_zero(self):
+        assert np.all(re_erf_damped_grid(0.0, np.array([0.0, 1.0, 30.0])) == 0.0)
+
+    def test_rejects_nonfinite(self):
+        with pytest.raises(ValueError):
+            re_erf_damped_grid(1.0, np.array([0.0, math.inf]))
+
+
 class TestNormalQuantile:
     def test_median_is_zero(self):
         for sigma in [0.3, 1.0, 5.0]:
