@@ -11,7 +11,8 @@ erf at complex arguments by a three-branch hybrid:
 
 The array path `re_erf_damped_grid`, which the discrepancy kernels call,
 runs on scipy's Faddeeva function ``scipy.special.wofz`` instead: one
-closed-form expression, no branches, broadcast over all its arguments.
+closed-form expression broadcast over all its arguments, with a short
+Taylor series near the imaginary axis, where the closed form cancels.
 
 Both paths work with the scaled function w rather than erf itself, so no
 intermediate exp(b^2) is ever formed; scalar values that genuinely exceed
@@ -34,6 +35,11 @@ _SERIES_R2 = 12.25
 # Continued-fraction region |z|^2 >= this bound.
 _CF_R2 = 36.0
 _CF_TERMS = 40
+
+# Near-axis region of the array path, |a| <= this bound and 2|ab| <= 1,
+# where its Taylor series replaces the cancelling wofz closed form.
+_NEAR_AXIS_A = 0.125
+_NEAR_AXIS_TERMS = 24
 
 # Midpoint rule for w(z) = (i/pi) * int exp(-t^2)/(z-t) dt on the annulus:
 # step, truncation, and precomputed (t^2, exp(-t^2)) node pairs.
@@ -132,7 +138,8 @@ def re_erf_damped(a, b):
     This is the combination the Gaussian discrepancy terms need: the
     Gaussian prefactor exactly cancels the growth of Re erf along the
     imaginary direction, so the product stays bounded for every finite
-    frequency.
+    frequency.  Near the imaginary axis it uses the same series as
+    `re_erf_damped_grid`, so tiny |a| keeps full relative accuracy.
     """
     if not (math.isfinite(a) and math.isfinite(b)):
         raise ValueError(f"re_erf_damped requires finite arguments, got ({a!r}, {b!r})")
@@ -142,6 +149,8 @@ def re_erf_damped(a, b):
         return 0.0
     sgn = 1.0 if a > 0 else -1.0
     aa, bb = abs(a), abs(b)
+    if aa <= _NEAR_AXIS_A and 2.0 * aa * bb <= 1.0:
+        return sgn * float(_damped_series(aa, bb))
     if aa * aa + bb * bb <= _SERIES_R2:
         return sgn * math.exp(-bb * bb) * _erf_series(complex(aa, bb)).real
     w = _wofz_upper(complex(-bb, aa))
@@ -149,14 +158,39 @@ def re_erf_damped(a, b):
     return sgn * (math.exp(-bb * bb) - math.exp(-aa * aa) * inner)
 
 
+def _damped_series(a, b):
+    """(2/sqrt(pi)) int_0^a exp(-t^2) cos(2bt) dt = exp(-b^2) Re erf(a + ib)
+    for a >= 0, b >= 0 (floats or arrays) with a <= _NEAR_AXIS_A and 2ab <= 1.
+
+    Term by term, exp(-t^2) cos(2bt) = sum_n H_n(ib) t^n / n! over even n.
+    With u_n = |H_n(ib)| a^n / n!, which obeys
+    u_{n+1} = (2ab u_n + 2a^2 u_{n-1}) / (n+1), the integral is
+    (2/sqrt(pi)) a sum_m (-1)^m u_{2m} / (2m+1).  In this region
+    u_n < 1.2^n / n!, so a fixed number of terms is exact to rounding and
+    the alternating sum loses no digits.
+    """
+    two_ab = 2.0 * a * b
+    two_a2 = 2.0 * a * a
+    u_prev, u = np.ones_like(a), two_ab
+    total = np.ones_like(a)
+    for n in range(1, _NEAR_AXIS_TERMS):
+        u_prev, u = u, (two_ab * u + two_a2 * u_prev) / (n + 1)
+        if n % 2:
+            m = (n + 1) // 2
+            total += (-1.0 if m % 2 else 1.0) * u / (2 * m + 1)
+    return (2.0 / _SQRT_PI) * a * total
+
+
 def re_erf_damped_grid(a, b):
     """`re_erf_damped` evaluated elementwise over broadcast arrays ``a`` and ``b``.
 
     Uses exp(-b^2) Re erf(a + ib) = sgn(a) (exp(-b^2) - exp(-a^2)
     [cos(2|a||b|) Re w + sin(2|a||b|) Im w]) with w = wofz(-|b| + i|a|),
-    so one call serves every entry of the per-point factor matrix.  Where
-    |a| and |b| are both small the two terms nearly cancel, and the
-    relative error grows to about 1e-16/|a| (5e-13 at a = 1e-3, b = 0).
+    so one call serves every entry of the per-point factor matrix.  Near
+    the imaginary axis (|a| <= 1/8 and 2|ab| <= 1) the two terms would
+    cancel down to about 2a/sqrt(pi); those entries come from the Taylor
+    series of the integral form instead, so the relative error stays
+    near rounding for every |a|, however small.
     """
     from scipy.special import wofz
 
@@ -169,7 +203,14 @@ def re_erf_damped_grid(a, b):
     w = wofz(-bb + 1j * aa)
     two_ab = 2.0 * aa * bb
     inner = np.cos(two_ab) * w.real + np.sin(two_ab) * w.imag
-    return np.sign(a) * (np.exp(-bb * bb) - np.exp(-aa * aa) * inner)
+    out = np.exp(-bb * bb) - np.exp(-aa * aa) * inner
+    if aa.size and aa.min() <= _NEAR_AXIS_A:
+        near = (aa <= _NEAR_AXIS_A) & (two_ab <= 1.0)
+        if near.any():
+            out = np.array(out)
+            out[near] = _damped_series(np.broadcast_to(aa, out.shape)[near],
+                                       np.broadcast_to(bb, out.shape)[near])
+    return np.sign(a) * out
 
 
 # Coefficients of the Acklam rational approximation to the standard normal

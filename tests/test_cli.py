@@ -17,6 +17,8 @@ from qmcrff.cli import (
     run_gram_experiment,
     run_pipeline,
 )
+from qmcrff.densities import ProductDensity, transform
+from qmcrff.discrepancy import Box, box_discrepancy_quadrature
 from qmcrff.ioutil import DataError, read_matrix_csv
 from qmcrff.sequences import halton
 
@@ -219,6 +221,21 @@ class TestPipeline:
         disc = [c["discrepancy"]["mean"] for c in report["cells"]]
         frob = [c["relative_frobenius"]["mean"] for c in report["cells"]]
         assert _spearman(disc, frob) > 0.0
+
+    def test_constant_column_discrepancy_matches_quadrature(self):
+        # A constant feature gets the degenerate half-width 1e-12, so its
+        # erf arguments sit right on the imaginary axis.
+        rng = np.random.default_rng(3)
+        X = np.column_stack([rng.standard_normal(40), np.full(40, 2.0),
+                             rng.standard_normal(40)])
+        cfg = ExperimentConfig(sigma=(1.0,), sequences=("halton",), s_grid=(16,),
+                               trials=1, seed=0, box_scale=0.5)
+        with pytest.warns(RuntimeWarning, match="constant"):
+            report = run_pipeline(cfg, Dataset(X=X))
+        density = ProductDensity.for_kernel("gaussian", (1.0,), 3)
+        freqs = transform(make_pointset("halton", 16, 3), density)
+        oracle = box_discrepancy_quadrature(freqs, density, Box(b=report["box"]))
+        assert report["cells"][0]["discrepancy"]["mean"] == pytest.approx(oracle, rel=1e-6, abs=0.0)
 
     def test_laplacian_kernel_supported(self, regression_data):
         cfg = ExperimentConfig(kernel="laplacian", sigma=(2.0,),

@@ -145,6 +145,18 @@ GRID_TINY_A_REFS = [
     (-0.001, 2.0, -0.001128375781962336761),
     (0.001, 5.0, 0.0011283599847550999054),
     (0.001, 30.0, 0.0011277018857296134141),
+    (1e-12, 0.0, 1.1283791670955125512e-12),
+    (1e-12, 2.0, 1.1283791670955125512e-12),
+    (-1e-12, 4.5, -1.1283791670955125512e-12),
+    (1e-12, 5.3, 1.1283791670955125512e-12),
+    (1e-08, 1.0, 1.1283791670955124847e-8),
+    (1e-08, -3.7, 1.1283791670955115301e-8),
+    (1e-08, 6.0, 1.1283791670955098518e-8),
+    (1e-08, 30.0, 1.1283791670954448571e-8),
+    # either side of the near-axis series' edge, |a| = 1/8 and 2|ab| = 1
+    (0.125, 3.99, 0.11826767859332498327),
+    (0.125, 4.01, 0.11805722421493763137),
+    (0.1251, 2.0, 0.1346637146320424617),
 ]
 GRID_LARGE_B_REFS = [
     (0.5, 30.0, -0.014512809993078621753),
@@ -158,12 +170,24 @@ GRID_LARGE_B_REFS = [
 class TestReErfDampedGrid:
     @pytest.mark.parametrize("a,b,ref", GRID_SEAM_REFS + GRID_LARGE_B_REFS)
     def test_against_high_precision_oracle(self, a, b, ref):
-        assert float(re_erf_damped_grid(a, b)) == pytest.approx(ref, rel=1e-13)
+        assert float(re_erf_damped_grid(a, b)) == pytest.approx(ref, rel=1e-13, abs=0.0)
 
     @pytest.mark.parametrize("a,b,ref", GRID_TINY_A_REFS)
     def test_tiny_a_against_high_precision_oracle(self, a, b, ref):
-        # exp(-b^2) and the wofz term nearly cancel: about 1e-16/|a| relative.
-        assert float(re_erf_damped_grid(a, b)) == pytest.approx(ref, rel=1e-12)
+        # exp(-b^2) and the wofz term would cancel to about 1e-16/|a|
+        # relative; the near-axis series keeps rounding-level accuracy.
+        assert float(re_erf_damped_grid(a, b)) == pytest.approx(ref, rel=1e-14, abs=0.0)
+        assert re_erf_damped(a, b) == pytest.approx(ref, rel=1e-14, abs=0.0)
+
+    def test_near_axis_series_inside_array(self):
+        # Near-axis and closed-form entries mixed in one broadcast call.
+        a = np.array([1e-12, 0.5, -1e-8])
+        b = np.array([[0.0], [4.5]])
+        grid = re_erf_damped_grid(a, b)
+        for i in range(2):
+            for j in range(3):
+                assert grid[i, j] == pytest.approx(
+                    re_erf_damped(float(a[j]), float(b[i, 0])), rel=1e-14, abs=0.0)
 
     def test_broadcasts_over_both_arguments(self):
         a = np.array([[0.3, -1.2, 4.0]])
