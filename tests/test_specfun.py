@@ -179,23 +179,14 @@ class TestReErfDampedGrid:
         assert float(re_erf_damped_grid(a, b)) == pytest.approx(ref, rel=1e-14, abs=0.0)
         assert re_erf_damped(a, b) == pytest.approx(ref, rel=1e-14, abs=0.0)
 
-    def test_near_axis_series_inside_array(self):
-        # Near-axis and closed-form entries mixed in one broadcast call.
-        a = np.array([1e-12, 0.5, -1e-8])
-        b = np.array([[0.0], [4.5]])
-        grid = re_erf_damped_grid(a, b)
-        for i in range(2):
-            for j in range(3):
-                assert grid[i, j] == pytest.approx(
-                    re_erf_damped(float(a[j]), float(b[i, 0])), rel=1e-14, abs=0.0)
-
     def test_broadcasts_over_both_arguments(self):
-        a = np.array([[0.3, -1.2, 4.0]])
+        # The last two columns mix near-axis series entries into the call.
+        a = np.array([[0.3, -1.2, 4.0, 1e-12, -1e-8]])
         b = np.array([[0.0], [2.5], [-17.0]])
         grid = re_erf_damped_grid(a, b)
-        assert grid.shape == (3, 3)
+        assert grid.shape == (3, 5)
         for i in range(3):
-            for j in range(3):
+            for j in range(5):
                 assert grid[i, j] == pytest.approx(
                     re_erf_damped(float(a[0, j]), float(b[i, 0])), rel=5e-12, abs=1e-300)
 
