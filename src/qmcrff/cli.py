@@ -23,6 +23,7 @@ from .densities import FrequencySet, ProductDensity, transform
 from .discrepancy import (
     Box,
     box_discrepancy_gaussian,
+    box_discrepancy_quadrature,
     average_case_mc_check,
     weighted_discrepancy,
 )
@@ -437,8 +438,14 @@ def _cmd_discrepancy(args):
     freqs = FrequencySet(points=M, provenance={"source": "file", "path": args.freqs})
     density = _density_from_args(args, freqs.d)
     box = _box_from_args(args, freqs.d)
-    report = box_discrepancy_gaussian(freqs, density, box)
-    payload = report.to_json_dict()
+    if density.kind == "gaussian":
+        payload = box_discrepancy_gaussian(freqs, density, box).to_json_dict()
+    elif freqs.d > 3:
+        raise ValueError(f"discrepancy --kernel {args.kernel} has no closed form and is "
+                         f"evaluated by quadrature, which needs d <= 3; got d={freqs.d}")
+    else:
+        payload = {"d_squared": box_discrepancy_quadrature(freqs, density, box),
+                   "s": freqs.s, "d": freqs.d}
     payload["box_scale"] = args.box_scale
     _emit(payload, args.out)
     return 0
@@ -594,7 +601,8 @@ def build_parser():
     p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_transform)
 
-    p = sub.add_parser("discrepancy", help="closed-form discrepancy of a frequency CSV")
+    p = sub.add_parser("discrepancy", help="discrepancy of a frequency CSV (closed form; "
+                                           "quadrature for laplacian, d <= 3)")
     p.add_argument("--freqs", required=True)
     p.add_argument("--header", action="store_true")
     add_kernel_flags(p)

@@ -13,8 +13,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .specfun import probit_array
-
 GAUSSIAN = "gaussian"
 CAUCHY = "cauchy"
 _KINDS = (GAUSSIAN, CAUCHY)
@@ -119,11 +117,13 @@ def transform(pointset, density):
     Row i becomes w_i with w_ij = quantile_j(t_ij); monotone in every
     coordinate.
     """
+    from scipy.special import ndtri
+
     pts = pointset.points
     if density.d != pts.shape[1]:
         raise ValueError(f"density dimension {density.d} != point set dimension {pts.shape[1]}")
     if density.kind == GAUSSIAN:
-        freqs = probit_array(pts) / density.scale[None, :]
+        freqs = ndtri(pts) / density.scale[None, :]
     else:
         gamma = 1.0 / density.scale
         freqs = gamma[None, :] * np.tan(np.pi * (pts - 0.5))

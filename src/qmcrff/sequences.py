@@ -66,25 +66,30 @@ def digit_reversal_permutation(base):
 
 
 def radical_inverse(i, base, permutation=None):
-    """Radical inverse of integer ``i`` in the given base.
+    """Radical inverse of integer ``i`` (elementwise for an integer array) in the given base.
 
     Writes i = sum_a i_a * base**(a-1) and returns sum_a i_a * base**-a,
-    optionally permuting each digit i_a first.
+    optionally permuting each digit i_a first.  An array is expanded digit
+    by digit in the same order as a scalar, so every entry has the bits of
+    the scalar result.
     """
-    if i < 0:
+    i = np.asarray(i, dtype=np.int64)
+    if np.any(i < 0):
         raise ValueError(f"radical_inverse requires i >= 0, got {i}")
     if base < 2:
         raise ValueError(f"radical_inverse requires base >= 2, got {base}")
-    x = 0.0
+    if permutation is not None:
+        permutation = np.asarray(permutation)
+    x = np.zeros(i.shape)
     scale = 1.0 / base
-    while i > 0:
+    while i.any():
         digit = i % base
         if permutation is not None:
             digit = permutation[digit]
         x += digit * scale
-        i //= base
+        i = i // base
         scale /= base
-    return x
+    return x if x.ndim else float(x)
 
 
 def _clamp_unit(points):
@@ -161,11 +166,12 @@ def halton(s, d, scramble=False, start_index=1):
         raise ValueError(f"halton supports 1 <= d <= {_PRIME_TABLE_SIZE}, got {d}")
     if start_index < 1:
         raise ValueError(f"halton requires start_index >= 1, got {start_index}")
+    index = np.arange(start_index, start_index + s)
     points = np.empty((s, d))
     for j in range(d):
         base = PRIMES[j]
         perm = digit_reversal_permutation(base) if scramble else None
-        points[:, j] = [radical_inverse(start_index + i, base, perm) for i in range(s)]
+        points[:, j] = radical_inverse(index, base, perm)
     generator = "halton_scrambled" if scramble else "halton"
     return UnitPointSet(points=_clamp_unit(points), generator=generator,
                         seed_or_start=start_index)

@@ -1,9 +1,14 @@
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import qmcrff
 from qmcrff.cli import (
+    PIPELINE_SEQUENCES,
     Dataset,
     ExperimentConfig,
     estimate_box,
@@ -17,7 +22,7 @@ from qmcrff.cli import (
     run_gram_experiment,
     run_pipeline,
 )
-from qmcrff.densities import ProductDensity, transform
+from qmcrff.densities import FrequencySet, ProductDensity, transform
 from qmcrff.discrepancy import Box, box_discrepancy_quadrature
 from qmcrff.ioutil import DataError, read_matrix_csv
 from qmcrff.sequences import halton
@@ -291,6 +296,50 @@ class TestCommandLine:
             FrequencySet(points=read_matrix_csv(freqs)),
             ProductDensity.gaussian(1.0, d=2), Box(b=[1.0, 1.0]))
         assert payload["d_squared"] == pytest.approx(expect.d_squared, rel=1e-12)
+
+    def test_laplacian_discrepancy_uses_quadrature(self, tmp_path):
+        W = np.random.default_rng(5).standard_cauchy(size=(12, 2))
+        freqs = _write(tmp_path, "w.csv",
+                       "\n".join(",".join("%.17g" % v for v in r) for r in W) + "\n")
+        report = tmp_path / "rep.json"
+        assert main(["discrepancy", "--freqs", freqs, "--kernel", "laplacian",
+                     "--sigma", "2", "--b", "1,3", "--box-scale", "0.5",
+                     "--out", str(report)]) == 0
+        payload = json.loads(report.read_text())
+        expect = box_discrepancy_quadrature(
+            FrequencySet(points=read_matrix_csv(freqs)), ProductDensity.cauchy(2.0, d=2),
+            Box(b=[0.5, 1.5]))
+        assert payload["d_squared"] == expect
+        assert (payload["s"], payload["d"], payload["box_scale"]) == (12, 2, 0.5)
+
+    def test_laplacian_discrepancy_above_three_dimensions_is_usage_error(self, tmp_path,
+                                                                         capsys):
+        freqs = _write(tmp_path, "w4.csv", "0.1,0.2,0.3,0.4\n-1,2,-3,4\n")
+        code = main(["discrepancy", "--freqs", freqs, "--kernel", "laplacian"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "d <= 3" in err and "d=4" in err
+        assert "box_discrepancy" not in err
+
+    def test_pipeline_leaves_scipy_stats_unimported(self, tmp_path):
+        # Importing scipy.stats costs most of a second, which every CLI run
+        # would pay; no sequence in the pipeline may pull it in.
+        rows = np.random.default_rng(6).normal(size=(24, 3))
+        data = _write(tmp_path, "xy.csv",
+                      "\n".join(",".join("%.17g" % v for v in r) for r in rows) + "\n")
+        argv = ["pipeline", "--data", data, "--target", "--s", "4",
+                "--seq", ",".join(PIPELINE_SEQUENCES), "--trials", "1",
+                "--max-iters", "2", "--out", str(tmp_path / "rep.json")]
+        script = ("import sys\n"
+                  "from qmcrff.cli import main\n"
+                  f"assert main({argv!r}) == 0\n"
+                  "print('scipy.stats' in sys.modules)\n")
+        src = os.path.dirname(os.path.dirname(os.path.abspath(qmcrff.__file__)))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        result = subprocess.run([sys.executable, "-c", script], env=env,
+                                capture_output=True, text=True, check=True)
+        assert result.stdout.strip() == "False"
 
     def test_missing_data_file_is_data_error(self, capsys):
         code = main(["gram-error", "--data", "/missing.csv", "--s", "8",

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -16,7 +18,7 @@ from qmcrff.featmap import (
     spectral_norm,
     summarize_gram_errors,
 )
-from qmcrff.sequences import mc_uniform
+from qmcrff.sequences import halton, mc_uniform
 
 
 def _random_map(s, d, seed=0, weights=None):
@@ -206,25 +208,38 @@ class TestRelativeErrors:
             assert relative_errors(K, K_approx, norms) == relative_errors(K, K_approx)
 
     def test_spectral_norm_against_dense_oracle(self):
-        # Gram-style matrices (the actual use case) have a clear top
-        # eigenvalue; the change-based stop then gives ~1e-6 accuracy.
+        # Lanczos runs to machine precision, so the norm matches LAPACK's.
         rng = np.random.default_rng(23)
         p = ProductDensity.gaussian(1.0, d=2)
         for _ in range(5):
             K = gram_exact(p, rng.normal(size=(30, 2)))
-            assert spectral_norm(K) == pytest.approx(np.linalg.norm(K, 2), rel=1e-6)
+            assert spectral_norm(K) == pytest.approx(np.linalg.norm(K, 2), rel=1e-12, abs=0.0)
 
     def test_spectral_norm_gapless_case_is_close(self):
-        # Without a spectral gap power iteration stalls near the answer;
-        # the change-based stop still lands within a percent.
+        # Random symmetric matrices have no clear spectral gap; Lanczos
+        # still converges to the largest-magnitude eigenvalue.
         rng = np.random.default_rng(24)
         for _ in range(5):
             A = rng.normal(size=(30, 30))
             A = 0.5 * (A + A.T)
-            assert spectral_norm(A) == pytest.approx(np.linalg.norm(A, 2), rel=1e-2)
+            assert spectral_norm(A) == pytest.approx(np.linalg.norm(A, 2), rel=1e-12, abs=0.0)
+
+    def test_spectral_norm_of_gram_error_matrix(self):
+        # A K - K~ error matrix as the Gram-error curves build it; power
+        # iteration stopped on a 1e-6 relative change misses its norm by 3.5e-5.
+        X = np.random.default_rng(0).standard_normal((150, 3))
+        p = ProductDensity.gaussian(1.0, d=3)
+        E = gram_exact(p, X) - gram_approx(
+            WeightedFeatureMap(freqs=transform(halton(64, 3), p)), X)
+        assert spectral_norm(E) == pytest.approx(np.linalg.norm(E, 2), rel=1e-12, abs=0.0)
 
     def test_spectral_norm_zero_matrix(self):
         assert spectral_norm(np.zeros((4, 4))) == 0.0
+
+    def test_spectral_norm_one_by_one_without_warning(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert spectral_norm(np.array([[-2.5]])) == 2.5
 
 
 class TestGramErrorReport:

@@ -17,6 +17,21 @@ from qmcrff.sequences import (
 )
 
 
+def _radical_inverse_reference(i, base, permutation=None):
+    # One index at a time in pure Python: the digit arithmetic, in the
+    # order, that the array path must reproduce bit for bit.
+    x = 0.0
+    scale = 1.0 / base
+    while i > 0:
+        digit = i % base
+        if permutation is not None:
+            digit = permutation[digit]
+        x += digit * scale
+        i //= base
+        scale /= base
+    return x
+
+
 class TestRadicalInverse:
     def test_zero_has_empty_expansion(self):
         assert radical_inverse(0, 2) == 0.0
@@ -33,6 +48,14 @@ class TestRadicalInverse:
             radical_inverse(-1, 2)
         with pytest.raises(ValueError):
             radical_inverse(3, 1)
+
+    @pytest.mark.parametrize("base", [2, 3, 7, 229])
+    def test_array_matches_scalar(self, base):
+        i = np.concatenate([np.arange(300), [base ** 4 - 1, base ** 4, 10 ** 6]])
+        for perm in (None, digit_reversal_permutation(base)):
+            got = radical_inverse(i, base, perm)
+            assert got.shape == i.shape
+            assert np.array_equal(got, [radical_inverse(int(k), base, perm) for k in i])
 
     @given(st.integers(min_value=0, max_value=10 ** 6),
            st.integers(min_value=2, max_value=50))
@@ -85,6 +108,18 @@ class TestHalton:
         full = halton(10, 3, scramble=True)
         tail = halton(6, 3, scramble=True, start_index=5)
         assert np.array_equal(full.points[4:], tail.points)
+
+    @pytest.mark.parametrize("s,d", [(4096, 8), (1000, 50)])
+    @pytest.mark.parametrize("start", [1, 17])
+    @pytest.mark.parametrize("scramble", [False, True])
+    def test_bitwise_equal_to_per_index_reference(self, s, d, start, scramble):
+        got = halton(s, d, scramble=scramble, start_index=start).points
+        expect = np.empty((s, d))
+        for j in range(d):
+            perm = digit_reversal_permutation(PRIMES[j]) if scramble else None
+            expect[:, j] = [_radical_inverse_reference(start + i, PRIMES[j], perm)
+                            for i in range(s)]
+        assert np.array_equal(got, np.clip(expect, UNIT_EPS, 1.0 - UNIT_EPS))
 
     def test_dimension_cap(self):
         with pytest.raises(ValueError):

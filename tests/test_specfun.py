@@ -4,12 +4,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from qmcrff.densities import ProductDensity, transform
+from qmcrff.sequences import UnitPointSet
 from qmcrff.specfun import (
     cauchy_quantile,
     erf_complex_real,
     erf_real,
     normal_quantile,
-    probit_array,
     re_erf_damped,
     re_erf_damped_grid,
 )
@@ -18,7 +19,7 @@ from qmcrff.specfun import (
 # evaluated before the implementation existed.
 ERF_ONE = 0.84270079294971486934
 RE_ERF_REFS = [
-    # (a, b, Re erf(a + i b)); spread over the series / midpoint / cf branches
+    # (a, b, Re erf(a + i b)); spread over |z| <= 30
     (0.5, 0.5, 0.64261291485482052832),
     (1.0, 1.0, 1.3161512816979476449),
     (2.0, 2.0, 1.151310866398069024),
@@ -31,6 +32,13 @@ RE_ERF_REFS = [
     (12.0, 11.5, 0.99999974435261405375),
     (5.0, 25.0, -8.3466625391938112337e258),
     (0.001, 5.0, 81247447.118625226402),
+]
+# Re erf(a + i b) next to the imaginary axis, frozen from a 60-digit mpmath
+# oracle: a closed form through w(z) cancels here, scipy's erf does not.
+NEAR_AXIS_REFS = [
+    (1e-8, 5.0, 812.48828341115559642),
+    (1e-12, 4.0, 1.0026901987849344829e-5),
+    (1e-15, 5.0, 8.1248828341115702379e-5),
 ]
 
 
@@ -72,6 +80,10 @@ class TestErfComplexReal:
     @pytest.mark.parametrize("a,b,ref", RE_ERF_REFS)
     def test_against_high_precision_oracle(self, a, b, ref):
         assert erf_complex_real(a, b) == pytest.approx(ref, rel=1e-10)
+
+    @pytest.mark.parametrize("a,b,ref", NEAR_AXIS_REFS)
+    def test_near_imaginary_axis_against_high_precision_oracle(self, a, b, ref):
+        assert erf_complex_real(a, b) == pytest.approx(ref, rel=1e-14, abs=0.0)
 
     def test_even_in_b_exactly(self):
         rng = np.random.default_rng(42)
@@ -127,8 +139,8 @@ class TestReErfDamped:
 
 
 # exp(-b^2) Re erf(a + i b), frozen from a 50-digit mpmath oracle: on the
-# |z|^2 = 12.25 and 36 seams of the scalar branches and just off them, at
-# tiny |a| where the wofz closed form cancels, and at |b| up to 30.
+# circles |z|^2 = 12.25 and 36 and just off them, at tiny |a| where the wofz
+# closed form cancels, and at |b| up to 30.
 GRID_SEAM_REFS = [
     (2.1, 2.8, -0.0015740413340438042213),
     (-2.8, 2.1, -0.012093860247081014388),
@@ -240,10 +252,14 @@ class TestNormalQuantile:
             normal_quantile(0.3, 0.0)
 
     def test_array_version_matches_scalar(self):
+        # transform's quantile over a point set against the scalar one, out
+        # to the clamp edges 2^-52 and 1 - 2^-52.
         u = np.array([2.0 ** -52, 1e-9, 0.25, 0.5, 0.77, 1 - 1e-9, 1 - 2.0 ** -52])
-        got = probit_array(u)
-        ref = [normal_quantile(float(v), 1.0) for v in u]
-        assert np.allclose(got, ref, rtol=1e-13, atol=1e-13)
+        sigma = 1.7
+        pts = UnitPointSet(points=u[:, None], generator="file")
+        got = transform(pts, ProductDensity.gaussian(sigma, d=1)).points[:, 0]
+        ref = [normal_quantile(float(v), sigma) for v in u]
+        assert np.array_equal(got, ref)
 
 
 class TestCauchyQuantile:
