@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from datetime import datetime, timezone
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
+from scipy.linalg import solve_triangular
 
 from .adaptive import OptimizerOptions, optimize_global, optimize_greedy, optimize_weights
 from .densities import FrequencySet, ProductDensity, transform
@@ -29,7 +29,6 @@ from .discrepancy import (
 )
 from .featmap import (
     WeightedFeatureMap,
-    gram_approx,
     gram_exact,
     gram_norms,
     real_feature_matrix,
@@ -63,6 +62,8 @@ class Dataset:
             self.y = np.asarray(self.y, dtype=float)
             if self.y.shape != (self.X.shape[0],):
                 raise DataError("target length must match the number of rows")
+            if not np.all(np.isfinite(self.y)):
+                raise DataError("target contains non-finite entries")
         if not self.column_stats:
             self.column_stats = [
                 {"min": float(c.min()), "max": float(c.max()),
@@ -233,17 +234,31 @@ def _frequency_maps_for_cell(cfg, density, box, seq, s, d):
     raise ValueError(f"unknown sequence {seq!r}")
 
 
-def _gram_cell(cfg, density, box, X, K, K_norms, seq, s, with_discrepancy=False):
-    """Gram errors, optional discrepancies, for one (sequence, s) cell;
-    ``K_norms`` is ``gram_norms(K)``."""
+def _mean_std(values):
+    return {"mean": float(np.mean(values)),
+            "std": float(np.std(values, ddof=1)) if len(values) > 1 else 0.0}
+
+
+def _gram_cell(cfg, density, box, X, K, K_norms, seq, s, with_discrepancy=False,
+               ridge=None):
+    """Gram errors, optional discrepancies and optional ridge errors for one
+    (sequence, s) cell; ``K_norms`` is ``gram_norms(K)``.
+
+    Each map's real feature matrix Z is built once.  It gives K~ = ZZ' and,
+    when ``ridge`` is ``(y, train_idx, test_idx)``, trains and scores a ridge
+    model before the next map's Z is built.
+    """
     pairs = []
     discrepancies = []
-    maps = _frequency_maps_for_cell(cfg, density, box, seq, s, X.shape[1])
-    fmaps = []
-    for freqs, weights in maps:
-        fmap = WeightedFeatureMap(freqs=freqs, weights=weights)
-        fmaps.append(fmap)
-        pairs.append(relative_errors(K, gram_approx(fmap, X), K_norms))
+    errs = []
+    for freqs, weights in _frequency_maps_for_cell(cfg, density, box, seq, s, X.shape[1]):
+        Z = real_feature_matrix(WeightedFeatureMap(freqs=freqs, weights=weights), X)
+        pairs.append(relative_errors(K, Z @ Z.T, K_norms))
+        if ridge is not None:
+            y, train_idx, test_idx = ridge
+            beta = krr_train(Z[train_idx], y[train_idx], cfg.ridge_lambda)
+            errs.append(regression_error(krr_predict(beta, Z[test_idx]), y[test_idx]))
+        del Z  # one n x 2s matrix alive at a time
         if with_discrepancy and density.kind == "gaussian":
             if weights is None:
                 discrepancies.append(
@@ -254,47 +269,52 @@ def _gram_cell(cfg, density, box, X, K, K_norms, seq, s, with_discrepancy=False)
     report = summarize_gram_errors(seq, s, pairs)
     cell = report.to_json_dict()
     if discrepancies:
-        cell["discrepancy"] = {
-            "mean": float(np.mean(discrepancies)),
-            "std": float(np.std(discrepancies, ddof=1)) if len(discrepancies) > 1 else 0.0,
-            "box_scale": cfg.box_scale,
-        }
-    return cell, fmaps
+        cell["discrepancy"] = {**_mean_std(discrepancies), "box_scale": cfg.box_scale}
+    if errs:
+        cell["regression_error"] = _mean_std(errs)
+    return cell
 
 
 def run_gram_experiment(cfg, ds):
     """Gram-error curves over the (sequence, s) grid; JSON-ready reports."""
-    for q in cfg.sequences:
-        if q not in BASE_SEQUENCES and q not in PIPELINE_SEQUENCES:
-            raise ValueError(f"unknown sequence {q!r}")
     work = _subsample(ds, cfg.max_n, cfg.seed)
     density = ProductDensity.for_kernel(cfg.kernel, cfg.sigma, work.d)
     box = estimate_box(work, cfg.box_scale)
     K = gram_exact(density, work.X)
     K_norms = gram_norms(K)
-    cells = []
-    for seq in cfg.sequences:
-        for s in cfg.s_grid:
-            cell, _ = _gram_cell(cfg, density, box, work.X, K, K_norms, seq, s)
-            cells.append(cell)
-    return cells
+    return [_gram_cell(cfg, density, box, work.X, K, K_norms, seq, s)
+            for seq in cfg.sequences for s in cfg.s_grid]
 
 
 def krr_train(Z, y, ridge_lambda):
-    """Ridge solution of (Z'Z + lambda I) beta = Z'y by Cholesky."""
+    """Ridge solution of (Z'Z + lambda I) beta = Z'y by Cholesky.
+
+    A wide Z (fewer rows than columns) solves the smaller dual system
+    (ZZ' + lambda I) alpha = y instead and returns beta = Z'alpha, the same
+    beta by the push-through identity.
+
+    The factorization runs on numpy's LAPACK, in the OpenBLAS that formed
+    the matrix.  scipy bundles a second OpenBLAS; on few cores its threads
+    contend with numpy's, which spin for a while after each call, and a
+    scipy Cholesky right after numpy's product stalled for up to ~0.1 s on
+    2 vCPUs.  The triangular solves act on one vector and stay on scipy.
+    """
     if ridge_lambda <= 0.0:
         raise ValueError("ridge lambda must be positive")
     Z = np.asarray(Z, dtype=float)
     y = np.asarray(y, dtype=float)
-    A = Z.T @ Z
+    dual = Z.shape[0] < Z.shape[1]
+    A = Z @ Z.T if dual else Z.T @ Z
     A[np.diag_indices_from(A)] += ridge_lambda
     try:
-        factor = cho_factor(A, lower=True)
+        L = np.linalg.cholesky(A)
     except np.linalg.LinAlgError as exc:
         raise NumericalError(
             "ridge system could not be factorized; try a larger --lambda"
         ) from exc
-    return cho_solve(factor, Z.T @ y)
+    x = solve_triangular(L, y if dual else Z.T @ y, lower=True)
+    x = solve_triangular(L, x, lower=True, trans="T")
+    return Z.T @ x if dual else x
 
 
 def krr_predict(beta, Z):
@@ -309,6 +329,11 @@ def regression_error(y_hat, y):
 
 
 def _split_indices(n, split, seed):
+    """Seeded (train, test) index split; both parts are nonempty."""
+    if not 0.0 < split < 1.0:
+        raise ValueError("split fraction must lie in (0, 1)")
+    if n < 2:
+        raise DataError(f"a train/test split requires at least 2 rows, got {n}")
     rng = np.random.Generator(np.random.PCG64(_cell_seed(seed, 0x5917)))
     perm = rng.permutation(n)
     n_train = max(1, min(n - 1, int(round(split * n))))
@@ -320,30 +345,21 @@ def run_pipeline(cfg, ds, workers=1):
     Gram errors, discrepancies, and (when a target is present) ridge
     regression.  Deterministic for a fixed config and seed regardless of
     the worker count."""
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
     work = _subsample(ds, cfg.max_n, cfg.seed)
     density = ProductDensity.for_kernel(cfg.kernel, cfg.sigma, work.d)
     box = estimate_box(work, cfg.box_scale)
     K = gram_exact(density, work.X)
     K_norms = gram_norms(K)
+    ridge = None
     if work.y is not None:
-        train_idx, test_idx = _split_indices(work.n, cfg.split, cfg.seed)
+        ridge = (work.y, *_split_indices(work.n, cfg.split, cfg.seed))
 
     def run_cell(args):
         seq, s = args
-        cell, fmaps = _gram_cell(cfg, density, box, work.X, K, K_norms, seq, s,
-                                 with_discrepancy=True)
-        if work.y is not None:
-            errs = []
-            for fmap in fmaps:
-                Z = real_feature_matrix(fmap, work.X)
-                beta = krr_train(Z[train_idx], work.y[train_idx], cfg.ridge_lambda)
-                errs.append(regression_error(krr_predict(beta, Z[test_idx]),
-                                             work.y[test_idx]))
-            cell["regression_error"] = {
-                "mean": float(np.mean(errs)),
-                "std": float(np.std(errs, ddof=1)) if len(errs) > 1 else 0.0,
-            }
-        return cell
+        return _gram_cell(cfg, density, box, work.X, K, K_norms, seq, s,
+                          with_discrepancy=True, ridge=ridge)
 
     grid = [(seq, s) for seq in cfg.sequences for s in cfg.s_grid]
     if workers > 1:

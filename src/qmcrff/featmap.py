@@ -63,8 +63,14 @@ def feature_matrix(fmap, X):
 def real_feature_matrix(fmap, X):
     """Row i is real_feature_vector(fmap, X[i]); shape (n, 2s)."""
     phases = np.asarray(X, dtype=float) @ fmap.freqs.points.T
-    root = np.sqrt(fmap.weights)[None, :]
-    return np.concatenate([root * np.cos(phases), root * np.sin(phases)], axis=1)
+    root = np.sqrt(fmap.weights)
+    s = fmap.s
+    Z = np.empty((phases.shape[0], 2 * s))
+    np.cos(phases, out=Z[:, :s])
+    np.sin(phases, out=Z[:, s:])
+    Z[:, :s] *= root
+    Z[:, s:] *= root
+    return Z
 
 
 def approx_kernel(fmap, x, z):
@@ -97,19 +103,20 @@ def gram_exact(density, X, max_n=DEFAULT_GRAM_CAP):
 
 
 def gram_approx(fmap, X, max_n=DEFAULT_GRAM_CAP):
-    """Real part of the feature-map Gram estimate (symmetric by construction)."""
+    """Real part of the feature-map Gram estimate, Z Z' with Z the real
+    feature matrix.
+
+    numpy computes ``Z @ Z.T`` as one symmetric rank-k update and mirrors
+    its triangle, so the result is exactly symmetric.
+    """
     X = np.asarray(X, dtype=float)
     n = X.shape[0]
     if n < 1:
         raise ValueError("gram_approx requires at least one row")
     if n > max_n:
         raise ValueError(f"n={n} exceeds the Gram cap {max_n}")
-    phases = X @ fmap.freqs.points.T
-    root = np.sqrt(fmap.weights)[None, :]
-    C = root * np.cos(phases)
-    S = root * np.sin(phases)
-    K = C @ C.T + S @ S.T
-    return 0.5 * (K + K.T)
+    Z = real_feature_matrix(fmap, X)
+    return Z @ Z.T
 
 
 def spectral_norm(A):

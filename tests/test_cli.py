@@ -11,6 +11,7 @@ from qmcrff.cli import (
     PIPELINE_SEQUENCES,
     Dataset,
     ExperimentConfig,
+    _split_indices,
     estimate_box,
     korobov_vector,
     krr_predict,
@@ -24,6 +25,14 @@ from qmcrff.cli import (
 )
 from qmcrff.densities import FrequencySet, ProductDensity, transform
 from qmcrff.discrepancy import Box, box_discrepancy_quadrature
+from qmcrff.featmap import (
+    WeightedFeatureMap,
+    gram_approx,
+    gram_exact,
+    gram_norms,
+    real_feature_matrix,
+    relative_errors,
+)
 from qmcrff.ioutil import DataError, read_matrix_csv
 from qmcrff.sequences import halton
 
@@ -32,6 +41,15 @@ def _write(tmp_path, name, text):
     path = tmp_path / name
     path.write_text(text)
     return str(path)
+
+
+def _xy_csv(tmp_path, rows):
+    return _write(tmp_path, "xy.csv",
+                  "\n".join(",".join("%.17g" % v for v in r) for r in rows) + "\n")
+
+
+def _primal_ridge(Z, y, lam):
+    return np.linalg.solve(Z.T @ Z + lam * np.eye(Z.shape[1]), Z.T @ y)
 
 
 def _spearman(a, b):
@@ -144,6 +162,17 @@ class TestKrr:
         beta = krr_train(Q, y, 1e-12)
         assert np.allclose(beta, Q.T @ y, atol=1e-8)
 
+    @pytest.mark.parametrize("rows, cols", [(20, 50), (30, 30), (50, 20)])
+    def test_matches_primal_reference(self, rows, cols):
+        # Wide Z takes the dual system, square and tall Z the primal one;
+        # all must give the primal solution.
+        rng = np.random.default_rng(rows * cols)
+        Z = rng.normal(size=(rows, cols))
+        y = rng.normal(size=rows)
+        beta = krr_train(Z, y, 1e-2)
+        assert beta.shape == (cols,)
+        assert beta == pytest.approx(_primal_ridge(Z, y, 1e-2), rel=1e-9, abs=0.0)
+
     def test_rejects_nonpositive_lambda(self):
         with pytest.raises(ValueError):
             krr_train(np.eye(3), np.ones(3), 0.0)
@@ -241,6 +270,28 @@ class TestPipeline:
         freqs = transform(make_pointset("halton", 16, 3), density)
         oracle = box_discrepancy_quadrature(freqs, density, Box(b=report["box"]))
         assert report["cells"][0]["discrepancy"]["mean"] == pytest.approx(oracle, rel=1e-6, abs=0.0)
+
+    def test_cells_match_per_map_references(self, regression_data):
+        # n_train = 40, so s = 16 solves the primal ridge system and s = 32
+        # and 64 (2s > n_train) the dual one.
+        cfg = ExperimentConfig(sigma=(1.0,), sequences=("halton", "halton-scrambled", "lattice"),
+                               s_grid=(16, 32, 64), trials=1, seed=4, ridge_lambda=1e-3)
+        report = run_pipeline(cfg, regression_data)
+        X, y = regression_data.X, regression_data.y
+        density = ProductDensity.for_kernel("gaussian", (1.0,), X.shape[1])
+        K = gram_exact(density, X)
+        train, test = _split_indices(len(y), cfg.split, cfg.seed)
+        assert len(train) == 40
+        for cell in report["cells"]:
+            fmap = WeightedFeatureMap(
+                freqs=transform(make_pointset(cell["label"], cell["s"], X.shape[1]), density))
+            spectral, frobenius = relative_errors(K, gram_approx(fmap, X), gram_norms(K))
+            assert cell["relative_spectral"]["mean"] == spectral
+            assert cell["relative_frobenius"]["mean"] == frobenius
+            Z = real_feature_matrix(fmap, X)
+            beta = _primal_ridge(Z[train], y[train], cfg.ridge_lambda)
+            err = regression_error(Z[test] @ beta, y[test])
+            assert cell["regression_error"]["mean"] == pytest.approx(err, rel=1e-9, abs=0.0)
 
     def test_laplacian_kernel_supported(self, regression_data):
         cfg = ExperimentConfig(kernel="laplacian", sigma=(2.0,),
@@ -398,6 +449,35 @@ class TestCommandLine:
         payload = json.loads(out.read_text())
         assert payload["test_error"] < 0.2
         assert read_matrix_csv(feats).shape == (60, 128)
+
+    @pytest.mark.parametrize("split", ["1.5", "-0.2"])
+    def test_krr_rejects_split_outside_unit_interval(self, tmp_path, capsys, split):
+        data = _xy_csv(tmp_path, np.random.default_rng(9).normal(size=(20, 3)))
+        code = main(["krr", "--data", data, "--s", "8", "--split", split])
+        assert code == 2
+        assert "split fraction must lie in (0, 1)" in capsys.readouterr().err
+
+    def test_krr_rejects_single_row(self, tmp_path, capsys):
+        data = _xy_csv(tmp_path, [[0.5, -0.25, 1.0]])
+        code = main(["krr", "--data", data, "--s", "8"])
+        assert code == 3
+        assert "at least 2 rows" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", [["krr"], ["pipeline", "--target", "--seq", "halton"]])
+    def test_non_finite_target_is_data_error(self, tmp_path, capsys, command):
+        rows = np.random.default_rng(11).normal(size=(20, 3))
+        rows[15, -1] = np.nan
+        code = main(command + ["--data", _xy_csv(tmp_path, rows), "--s", "4"])
+        assert code == 3
+        assert "target contains non-finite entries" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("workers", ["0", "-2"])
+    def test_pipeline_rejects_nonpositive_workers(self, tmp_path, capsys, workers):
+        data = _xy_csv(tmp_path, np.random.default_rng(10).normal(size=(20, 3)))
+        code = main(["pipeline", "--data", data, "--target", "--s", "8",
+                     "--seq", "halton", "--workers", workers])
+        assert code == 2
+        assert "workers must be >= 1" in capsys.readouterr().err
 
     def test_transform_rejects_out_of_cube_points(self, tmp_path, capsys):
         data = _write(tmp_path, "bad.csv", "0.5,0.5\n7.3,0.1\n")

@@ -160,6 +160,19 @@ class TestGram:
             assert np.allclose(K[1], K[3])
             assert np.allclose(K[:, 1], K[:, 3])
 
+    def test_approx_is_exactly_symmetric(self):
+        rng = np.random.default_rng(23)
+        for n, s, d in ((1, 3, 2), (40, 16, 3), (300, 128, 4)):
+            X = rng.normal(size=(n, d))
+            K = gram_approx(_random_map(s, d, seed=n, weights=rng.random(s)), X)
+            assert np.array_equal(K, K.T)
+
+    def test_approx_is_product_of_real_feature_matrices(self):
+        m = _random_map(24, 3, seed=24)
+        X = np.random.default_rng(25).normal(size=(30, 3))
+        Z = real_feature_matrix(m, X)
+        assert np.array_equal(gram_approx(m, X), Z @ Z.T)
+
     def test_approx_matches_entrywise_definition(self):
         m = _random_map(16, 2, seed=21)
         X = np.random.default_rng(22).normal(size=(6, 2))
