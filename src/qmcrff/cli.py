@@ -400,6 +400,14 @@ def _emit(payload, out):
             fh.write(text + "\n")
 
 
+def _read_finite_csv(path, skip_header=False):
+    """A point or frequency matrix from CSV; a nan or infinite entry is a data error."""
+    M = read_matrix_csv(path, skip_header=skip_header)
+    if not np.all(np.isfinite(M)):
+        raise DataError(f"{path}: entries must be finite")
+    return M
+
+
 def _sigma_from_args(args, d):
     sigma = args.sigma if len(args.sigma) > 1 else (args.sigma[0],) * d
     if len(sigma) != d:
@@ -434,7 +442,7 @@ def _cmd_generate(args):
 
 
 def _cmd_transform(args):
-    M = read_matrix_csv(args.infile, skip_header=args.header)
+    M = _read_finite_csv(args.infile, skip_header=args.header)
     if M.min() < 0.0 or M.max() > 1.0:
         raise DataError(f"{args.infile}: coordinates must lie in [0, 1]")
     pts = UnitPointSet(points=np.clip(M, 2.0 ** -52, 1 - 2.0 ** -52),
@@ -450,7 +458,7 @@ def _cmd_transform(args):
 
 
 def _cmd_discrepancy(args):
-    M = read_matrix_csv(args.freqs, skip_header=args.header)
+    M = _read_finite_csv(args.freqs, skip_header=args.header)
     freqs = FrequencySet(points=M, provenance={"source": "file", "path": args.freqs})
     density = _density_from_args(args, freqs.d)
     box = _box_from_args(args, freqs.d)
@@ -474,7 +482,7 @@ def _cmd_optimize(args):
     if args.init == "file":
         if not args.infile:
             raise DataError("--init file requires --in with a frequency CSV")
-        init = FrequencySet(points=read_matrix_csv(args.infile),
+        init = FrequencySet(points=_read_finite_csv(args.infile),
                             provenance={"source": "file", "path": args.infile})
         if init.d != d or init.s < args.s:
             raise DataError(f"--in must provide at least {args.s} rows of dimension {d}")

@@ -34,6 +34,12 @@ _SQRT_2_OVER_PI = math.sqrt(2.0 / math.pi)
 # per-dimension factor arrays hold about this many entries each.
 _BLOCK_ENTRIES = 1 << 14
 
+# Below this |b * lag| the pairwise sweep evaluates sin and cos directly
+# rather than by angle addition, whose absolute rounding error grows
+# relative to the slope there: just above it the slope is off by up to
+# ~15 eps of b^2/pi, against ~4 eps for direct evaluation.
+_NEAR_LAG = 0.25
+
 
 @dataclass
 class Box:
@@ -112,6 +118,23 @@ def _sinc_factor(b, t, slope=False):
     return factor, dfactor
 
 
+def _point_sincos(b, W):
+    """sin(b_j w_lj) and cos(b_j w_lj) for every point, with the rounding
+    error of the product b_j * w_lj (Dekker's exact two-product) carried
+    into both to first order."""
+    x = b * W
+    split = 134217729.0  # 2^27 + 1
+    bc, wc = split * b, split * W
+    b_hi = bc - (bc - b)
+    w_hi = wc - (wc - W)
+    b_lo, w_lo = b - b_hi, W - w_hi
+    err = ((b_hi * w_hi - x) + b_hi * w_lo + b_lo * w_hi) + b_lo * w_lo
+    # The split overflows for |b| or |w| beyond ~1e300; there the plain product stands.
+    err[~np.isfinite(err)] = 0.0
+    sin_x, cos_x = np.sin(x), np.cos(x)
+    return sin_x + err * cos_x, cos_x - err * sin_x
+
+
 def sinc_kernel(box, u, v):
     """Reproducing kernel of the band-limited box: pi^-d prod_j sin(b_j du_j)/du_j."""
     u = np.asarray(u, dtype=float)
@@ -180,44 +203,89 @@ def _exclusive_products(F):
 
 def _gaussian_pass(W, density, box, with_grad):
     """Closed-form (term1, term2, term3) and, when ``with_grad``, the s x d
-    gradient of their sum, from one sweep over row blocks.
+    gradient of their sum, from one sweep over the upper triangle of the
+    pair grid.
 
-    Each block builds the per-dimension sinc factors against all points
-    once.  The pairwise gradient needs prod_{q != j} of those factors; it
-    comes from running prefix and suffix products, so a block costs O(d)
-    array operations rather than O(d^2).  Memory stays O(d * block * s).
+    Row block [r0, r1) is swept against columns r0..s-1, so each unordered
+    pair is met once.  The block's diagonal square holds both orders of its
+    pairs; the rectangle beyond it counts twice in the pair sum.  In the
+    gradient a rectangle term goes to row l and, negated, to row m, since
+    sinc' is odd in the lag and the other factors are even.  The product
+    over q != j comes from running prefix and suffix products, so a block
+    costs O(d) array operations rather than O(d^2).  A block holds about
+    _BLOCK_ENTRIES pairs in each dimension.
+
+    sin and cos of b_j (w_lj - w_mj) come from the per-point values by
+    angle addition, and the slope from d/dt sin(b t)/t = (b cos(b t) -
+    sin(b t)/t) / t.  Where |b_j (w_lj - w_mj)| < _NEAR_LAG the identity
+    loses relative accuracy, and `_sinc_factor` evaluates those entries
+    directly, zero-lag series included.
     """
     W = np.asarray(W, dtype=float)
     s, d = W.shape
+    if s < 1:
+        raise ValueError("the Gaussian discrepancy requires at least one frequency (s >= 1)")
     b = box.b
-    rows = max(1, _BLOCK_ENTRIES // s)
+    sin_w, cos_w = _point_sincos(b, W)
+    # In each dimension the lag w_l - w_m and the angle-addition grids
+    # (sin_l cos_m - cos_l sin_m) / pi and (cos_l cos_m + sin_l sin_m) / pi
+    # are products of per-point rows (lag, sin, cos) x 4 and columns 4 x s,
+    # which BLAS writes in one pass.  The zero entries add exact zeros, so
+    # the lag is the correctly rounded difference.
+    columns = np.empty((d, 4, s))
+    columns[:, 0] = 1.0
+    columns[:, 1] = -W.T
+    columns[:, 2] = cos_w.T / np.pi
+    columns[:, 3] = sin_w.T / np.pi
+    point_rows = np.zeros((3 if with_grad else 2, d, s, 4))
+    point_rows[0, :, :, 0] = W.T
+    point_rows[0, :, :, 1] = 1.0
+    point_rows[1, :, :, 2] = sin_w.T
+    point_rows[1, :, :, 3] = -cos_w.T
+    if with_grad:
+        point_rows[2, :, :, 2] = cos_w.T
+        point_rows[2, :, :, 3] = sin_w.T
+    near = (_NEAR_LAG / b)[:, None, None]
     pair_sum = 0.0
     grad = np.zeros((s, d)) if with_grad else None
-    for r0 in range(0, s, rows):
-        block = W[r0:r0 + rows]
-        prod = None
-        # lead[j] = d/dw_lj of factor j times the factors before it.
-        lead, factors = [], []
-        for j in range(d):
-            delta = block[:, j, None] - W[None, :, j]
+    r0 = 0
+    while r0 < s:
+        r1 = min(s, r0 + max(1, _BLOCK_ENTRIES // (s - r0)))
+        rows = r1 - r0
+        # d x rows x (s - r0) grids of lags, sinc factors and their slopes.
+        grids = point_rows[:, :, r0:r1] @ columns[:, :, r0:]
+        t, f = grids[0], grids[1]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            f /= t
             if with_grad:
-                f, df = _sinc_factor(b[j], delta, slope=True)
-                lead.append(df if prod is None else df * prod)
-                factors.append(f)
-            else:
-                f = _sinc_factor(b[j], delta)
-            if prod is None:
-                prod = f.copy() if with_grad else f
-            else:
-                prod *= f
-        pair_sum += float(prod.sum())
-        if with_grad:
-            trail = None
-            for j in range(d - 1, -1, -1):
-                # sinc'(0) = 0 zeroes the diagonal, so the m != l restriction is free.
-                grad[r0:r0 + rows, j] = (lead[j].sum(axis=1) if trail is None
-                                         else np.einsum("ij,ij->i", lead[j], trail))
-                trail = factors[j] if trail is None else trail * factors[j]
+                df = grids[2]
+                df *= b[:, None, None]
+                df -= f
+                df /= t
+        idx = np.flatnonzero(np.abs(t) < near)
+        direct = _sinc_factor(b[idx // t[0].size], t.take(idx), slope=with_grad)
+        if not with_grad:
+            f.put(idx, direct)
+            prod = np.prod(f, axis=0)
+        else:
+            f.put(idx, direct[0])
+            df.put(idx, direct[1])
+            # df[j] becomes the slope of factor j times all the other factors;
+            # the suffix product may overwrite f, which is not needed again.
+            prod = f[0].copy()
+            for j in range(1, d):
+                df[j] *= prod
+                prod *= f[j]
+            trail = f[d - 1]
+            for j in range(d - 2, -1, -1):
+                df[j] *= trail
+                if j:
+                    trail *= f[j]
+            # sinc'(0) = 0 zeroes the diagonal, so the m != l restriction is free.
+            grad[r0:r1] += df.sum(axis=2).T
+            grad[r1:] -= df[:, :, rows:].sum(axis=1).T
+        pair_sum += float(prod[:, :rows].sum()) + 2.0 * float(prod[:, rows:].sum())
+        r0 = r1
 
     G = gaussian_point_factors(density, box, W)
     term1 = pair_sum / (s * s)

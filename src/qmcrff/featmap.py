@@ -81,7 +81,12 @@ def approx_kernel(fmap, x, z):
 
 
 def gram_exact(density, X, max_n=DEFAULT_GRAM_CAP):
-    """Exact kernel Gram matrix of the rows of X (PSD, unit diagonal)."""
+    """Exact kernel Gram matrix of the rows of X (PSD, unit diagonal).
+
+    It is exactly symmetric: the Gaussian distances come from a symmetric
+    rank-k update ``Xs @ Xs.T`` plus a symmetric outer sum, the Laplacian
+    ones from |a - b| = |b - a|.
+    """
     X = np.asarray(X, dtype=float)
     n = X.shape[0]
     if n < 1:
@@ -93,13 +98,11 @@ def gram_exact(density, X, max_n=DEFAULT_GRAM_CAP):
         sq = np.sum(Xs * Xs, axis=1)
         d2 = sq[:, None] + sq[None, :] - 2.0 * (Xs @ Xs.T)
         np.maximum(d2, 0.0, out=d2)
-        K = np.exp(-0.5 * d2)
-    else:
-        acc = np.zeros((n, n))
-        for j in range(X.shape[1]):
-            acc += np.abs(Xs[:, j][:, None] - Xs[:, j][None, :])
-        K = np.exp(-acc)
-    return 0.5 * (K + K.T)
+        return np.exp(-0.5 * d2)
+    acc = np.zeros((n, n))
+    for j in range(X.shape[1]):
+        acc += np.abs(Xs[:, j][:, None] - Xs[:, j][None, :])
+    return np.exp(-acc)
 
 
 def gram_approx(fmap, X, max_n=DEFAULT_GRAM_CAP):

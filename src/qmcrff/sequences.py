@@ -114,6 +114,8 @@ class UnitPointSet:
             raise ValueError("points must be an s x d matrix with s >= 1, d >= 1")
         if self.generator not in GENERATORS:
             raise ValueError(f"unknown generator {self.generator!r}; valid: {GENERATORS}")
+        if not np.all(np.isfinite(self.points)):
+            raise ValueError("coordinates must be finite")
         if np.any(self.points <= 0.0) or np.any(self.points >= 1.0):
             raise ValueError("all coordinates must lie in the open interval (0, 1)")
 

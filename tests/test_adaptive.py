@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qmcrff.adaptive import (
     OptimizerOptions,
@@ -19,7 +20,9 @@ from qmcrff.discrepancy import (
     assemble_H_v,
     box_discrepancy_gaussian,
     gaussian_discrepancy_terms,
+    gaussian_mean_norm_sq,
     gaussian_point_factors,
+    gaussian_point_slopes,
     gaussian_value_and_grad,
     sinc_gram,
     weighted_discrepancy,
@@ -179,6 +182,123 @@ class TestFusedValueAndGradient:
         assert np.allclose(g_b, g, rtol=1e-13, atol=1e-16)
         value_terms = sum(gaussian_discrepancy_terms(S.points, p, box))
         assert value_terms == pytest.approx(value, rel=1e-13, abs=0.0)
+
+
+def _pair_envelope_weights(W, b):
+    """Per pair and dimension, envelopes of |sinc factor| and |slope| and
+    the rounding weight 1 + sum_q |z_q| of the angles z_q = b_q (w_lq - w_mq).
+
+    Any float64 evaluation of sin(z) carries the rounding of z, eps |z|, so
+    a factor's error is a few eps times its envelope times that weight.
+    """
+    z = b * (W[:, None, :] - W[None, :, :])
+    scale = np.maximum(1.0, np.abs(z))
+    return b / np.pi / scale, b * b / np.pi / scale, 1.0 + np.abs(z).sum(axis=2)
+
+
+def _fused_tolerances(W, p, box, rtol):
+    """Tolerances for D^2 and each gradient entry: rtol times the sum of
+    the absolute summands, each pairwise summand bounded by its envelope
+    and weighted for the rounding of its angles."""
+    s, d = W.shape
+    env, slope_env, weight = _pair_envelope_weights(W, box.b)
+    G = gaussian_point_factors(p, box, W)
+    Gprime = gaussian_point_slopes(p, box, W, G)
+    value_tol = rtol * ((np.prod(env, axis=2) * weight).sum() / (s * s)
+                        + (2.0 / s) * np.abs(np.prod(G, axis=1)).sum()
+                        + gaussian_mean_norm_sq(p, box))
+    grad_tol = np.empty((s, d))
+    for j in range(d):
+        others = [q for q in range(d) if q != j]
+        pair = (slope_env[:, :, j] * np.prod(env[:, :, others], axis=2) * weight).sum(axis=1)
+        cross = np.abs(Gprime[:, j] * np.prod(G[:, others], axis=1))
+        grad_tol[:, j] = rtol * ((2.0 / (s * s)) * pair + (2.0 / s) * cross)
+    return value_tol, grad_tol
+
+
+# |b * lag| of the near duplicates: exact ones, the zero-lag series of the
+# factor and of the slope, and either side of the pass's near-lag constant.
+_NEAR_LAGS = [0.0, 1e-12, 1e-9, 1e-6, 1e-4, 1e-3, 0.05,
+              0.5 * discrepancy_module._NEAR_LAG, 0.999 * discrepancy_module._NEAR_LAG,
+              1.001 * discrepancy_module._NEAR_LAG, 2.0 * discrepancy_module._NEAR_LAG]
+
+
+@st.composite
+def _pair_grid_cases(draw):
+    """Frequencies with exact and near duplicates, |b w| up to ~300, and a
+    row-block size that leaves a ragged last block."""
+    s = draw(st.integers(1, 60))
+    d = draw(st.integers(1, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    b = rng.uniform(0.25, 4.0, d)
+    reach = draw(st.sampled_from([0.5, 3.0, 30.0, 300.0]))
+    W = rng.uniform(-reach, reach, size=(s, d)) / b
+    for _ in range(draw(st.integers(0, s))):
+        l, m = rng.integers(0, s, 2)
+        lags = rng.choice(_NEAR_LAGS, size=d) * rng.choice([-1.0, 1.0], size=d) / b
+        W[l] = np.where(rng.random(d) < 0.8, W[m] + lags, W[l])
+    p = ProductDensity.gaussian(rng.uniform(0.5, 2.0, d))
+    block_rows = draw(st.integers(1, max(1, s - 1)))
+    return W, p, Box(b=b), block_rows * s
+
+
+class TestPairGridProperties:
+    @settings(max_examples=150, deadline=None)
+    @given(_pair_grid_cases())
+    def test_matches_reference(self, case):
+        W, p, box, block_entries = case
+        value_tol, grad_tol = _fused_tolerances(W, p, box, rtol=2e-13)
+        ref_value, ref_grad = _reference_value_and_grad(FrequencySet(points=W), p, box)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(discrepancy_module, "_BLOCK_ENTRIES", block_entries)
+            value, grad = gaussian_value_and_grad(W, p, box)
+            terms = gaussian_discrepancy_terms(W, p, box)
+        assert abs(value - ref_value) <= value_tol
+        assert abs(sum(terms) - ref_value) <= value_tol
+        assert np.all(np.abs(grad - ref_grad) <= grad_tol)
+
+    @pytest.mark.skipif(np.finfo(np.longdouble).nmant < 63,
+                        reason="needs an extended-precision long double")
+    def test_point_sincos_carries_product_rounding(self):
+        # sin(b w) for |b w| up to 300 to within 2 eps, where sin(fl(b w))
+        # is off by up to eps |b w| / 2.
+        rng = np.random.default_rng(50)
+        b = rng.uniform(0.25, 4.0, 3)
+        W = rng.uniform(-300.0, 300.0, size=(400, 3)) / b
+        sin_w, cos_w = discrepancy_module._point_sincos(b, W)
+        exact = b.astype(np.longdouble) * W.astype(np.longdouble)
+        eps = np.finfo(float).eps
+        assert np.abs(sin_w - np.sin(exact)).max() <= 2.0 * eps
+        assert np.abs(cos_w - np.cos(exact)).max() <= 2.0 * eps
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_gradient_matches_central_differences(self, seed, monkeypatch):
+        # Near and exact duplicates and several ragged row blocks.
+        rng = np.random.default_rng(40 + seed)
+        s, d = 9, 3
+        S, p, box = _instance(s, d, 40 + seed)
+        W = S.points.copy()
+        for l, m in ((1, 0), (4, 2), (7, 6)):
+            W[l] = W[m] + rng.choice(_NEAR_LAGS[1:], size=d) / box.b
+        W[8] = W[3]
+        monkeypatch.setattr(discrepancy_module, "_BLOCK_ENTRIES", (1 + seed) * s)
+        S = FrequencySet(points=W)
+        _, g = gaussian_value_and_grad(W, p, box)
+        fd = _fd_gradient(S, p, box)
+        rel = np.abs(g - fd) / (np.abs(g) + 1e-12)
+        assert rel.max() <= 1e-5
+
+
+class TestEmptyFrequencySet:
+    def test_rejected_naming_s(self):
+        p = ProductDensity.gaussian(1.0, d=2)
+        box = Box(b=[1.0, 1.0])
+        W = np.empty((0, 2))
+        for call in (lambda: gaussian_value_and_grad(W, p, box),
+                     lambda: gaussian_discrepancy_terms(W, p, box),
+                     lambda: discrepancy_gradient(FrequencySet(points=W), p, box)):
+            with pytest.raises(ValueError, match="s >= 1"):
+                call()
 
 
 class TestNonlinearCg:

@@ -486,6 +486,22 @@ class TestCommandLine:
         assert code == 3
         assert "must lie in [0, 1]" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command,entry", [
+        (["transform", "--kernel", "gaussian", "--sigma", "1", "--in"], "nan"),
+        (["discrepancy", "--sigma", "1", "--b", "1", "--freqs"], "nan"),
+        (["discrepancy", "--sigma", "1", "--b", "1", "--freqs"], "1e400"),
+        (["optimize", "--mode", "global", "--s", "2", "--d", "2", "--init", "file",
+          "--in"], "nan"),
+        (["optimize", "--mode", "global", "--s", "2", "--d", "2", "--init", "file",
+          "--in"], "1e400"),
+    ])
+    def test_non_finite_input_file_is_data_error(self, tmp_path, capsys, command, entry):
+        data = _write(tmp_path, "bad.csv", f"0.25,0.5\n{entry},0.75\n0.5,0.125\n")
+        code = main(command + [data])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert "data error" in err and data in err and "finite" in err
+
     @pytest.mark.parametrize("command", [
         ["krr", "--s", "8"],
         ["pipeline", "--s", "8", "--seq", "halton", "--target"],

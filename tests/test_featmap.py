@@ -150,6 +150,14 @@ class TestGram:
             assert np.allclose(K, K.T, atol=1e-12)
             assert np.linalg.eigvalsh(K).min() >= -1e-10
 
+    def test_exact_is_exactly_symmetric(self):
+        rng = np.random.default_rng(26)
+        for n, d in ((1, 1), (3, 5), (37, 2), (251, 7)):
+            X = rng.normal(size=(n, d))
+            for kernel in ("gaussian", "laplacian"):
+                K = gram_exact(ProductDensity.for_kernel(kernel, rng.uniform(0.5, 2.0, d)), X)
+                assert np.array_equal(K, K.T)
+
     def test_duplicated_rows_duplicate_entries(self):
         rng = np.random.default_rng(19)
         X = rng.normal(size=(5, 2))

@@ -206,6 +206,12 @@ class TestUnitPointSetSerialization:
         with pytest.raises(ValueError):
             UnitPointSet(points=np.array([[0.0, 0.5]]), generator="mc")
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite(self, bad):
+        # Every comparison with nan is false, so the (0, 1) test alone lets it in.
+        with pytest.raises(ValueError, match="finite"):
+            UnitPointSet(points=np.array([[0.25, 0.5], [bad, 0.5]]), generator="mc")
+
 
 def _star_discrepancy_grid_oracle(points):
     """O(G^2 s) enumeration over the critical grid, both counting limits."""
