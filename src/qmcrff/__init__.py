@@ -47,7 +47,6 @@ from .sequences import (
     radical_inverse,
     star_discrepancy_bruteforce,
 )
-from .specfun import cauchy_quantile, erf_complex_real, erf_real, normal_quantile, re_erf_damped
 
 __version__ = "0.1.0"
 
@@ -69,11 +68,8 @@ __all__ = [
     "average_case_mc_check",
     "box_discrepancy_gaussian",
     "box_discrepancy_quadrature",
-    "cauchy_quantile",
     "characteristic",
     "discrepancy_gradient",
-    "erf_complex_real",
-    "erf_real",
     "exact_kernel",
     "expected_mc_discrepancy",
     "feature_matrix",
@@ -85,12 +81,10 @@ __all__ = [
     "lattice",
     "mc_uniform",
     "nonlinear_cg",
-    "normal_quantile",
     "optimize_global",
     "optimize_greedy",
     "optimize_weights",
     "radical_inverse",
-    "re_erf_damped",
     "real_feature_matrix",
     "real_feature_vector",
     "relative_errors",

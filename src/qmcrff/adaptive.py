@@ -8,7 +8,6 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import solve_triangular
 
 from .densities import FrequencySet
 from .discrepancy import (
@@ -24,32 +23,23 @@ from .discrepancy import (
 from .ioutil import NumericalError
 
 _MIN_STEP = 1e-16
+# Armijo sufficient-decrease constant and backtracking shrink factor.
+_ARMIJO_C = 1e-4
+_BACKTRACK = 0.5
 
 
 @dataclass
 class OptimizerOptions:
-    """Knobs for the nonlinear conjugate gradient loop.
-
-    ``restart_period`` defaults to the number of variables when left None.
-    """
+    """Iteration cap and gradient-norm tolerance of the conjugate gradient loop."""
 
     max_iters: int = 50
     grad_tol: float = 1e-10
-    armijo_c: float = 1e-4
-    backtrack_factor: float = 0.5
-    restart_period: int = None
 
     def __post_init__(self):
         if self.max_iters < 0:
             raise ValueError("max_iters must be >= 0")
         if not self.grad_tol > 0:
             raise ValueError("grad_tol must be positive")
-        if not 0.0 < self.armijo_c < 1.0:
-            raise ValueError("armijo_c must lie in (0, 1)")
-        if not 0.0 < self.backtrack_factor < 1.0:
-            raise ValueError("backtrack_factor must lie in (0, 1)")
-        if self.restart_period is not None and self.restart_period < 1:
-            raise ValueError("restart_period must be >= 1")
 
 
 @dataclass
@@ -104,13 +94,13 @@ def discrepancy_gradient(freqs, density, box):
 def nonlinear_cg(objective, gradient, x0, opts):
     """Polak-Ribiere-plus conjugate gradient with Armijo backtracking.
 
-    Restarts to steepest descent every ``restart_period`` iterations and
+    Restarts to steepest descent every n iterations, for n variables, and
     whenever the conjugate direction fails to be a descent direction.
     Accepted steps never increase the objective.  A line search that
     collapses below 1e-16 is reported in the trace, not raised.
     """
     x = np.asarray(x0, dtype=float).copy()
-    restart = opts.restart_period or max(1, x.size)
+    restart = max(1, x.size)
     f = float(objective(x))
     if not math.isfinite(f):
         raise ValueError(f"objective is not finite at the starting point: {f}")
@@ -129,21 +119,21 @@ def nonlinear_cg(objective, gradient, x0, opts):
             direction = -g
             gd = -float(g @ g)
         alpha = 1.0 / (1.0 + gnorm) if alpha_prev is None \
-            else alpha_prev / opts.backtrack_factor
+            else alpha_prev / _BACKTRACK
         accepted = False
         while alpha >= _MIN_STEP:
             x_new = x + alpha * direction
             f_new = float(objective(x_new))
-            if math.isfinite(f_new) and f_new <= f + opts.armijo_c * alpha * gd:
+            if math.isfinite(f_new) and f_new <= f + _ARMIJO_C * alpha * gd:
                 accepted = True
                 break
             # Safeguarded quadratic-interpolation backtrack.
             denom = 2.0 * (f_new - f - gd * alpha)
             if math.isfinite(denom) and denom > 0.0:
                 cand = -gd * alpha * alpha / denom
-                alpha = min(max(cand, 0.1 * alpha), opts.backtrack_factor * alpha)
+                alpha = min(max(cand, 0.1 * alpha), _BACKTRACK * alpha)
             else:
-                alpha *= opts.backtrack_factor
+                alpha *= _BACKTRACK
         if not accepted:
             trace.line_search_failed = True
             break
@@ -155,7 +145,7 @@ def nonlinear_cg(objective, gradient, x0, opts):
             if math.isfinite(cand) and _MIN_STEP <= cand <= 10.0 * alpha:
                 x_cand = x + cand * direction
                 f_cand = float(objective(x_cand))
-                if f_cand < f_new and f_cand <= f + opts.armijo_c * cand * gd:
+                if f_cand < f_new and f_cand <= f + _ARMIJO_C * cand * gd:
                     alpha, x_new, f_new = cand, x_cand, f_cand
         g_new = np.asarray(gradient(x_new), dtype=float).ravel().copy()
         beta = max(0.0, float(g_new @ (g_new - g)) / float(g @ g))
@@ -279,7 +269,9 @@ def optimize_weights(freqs, density, box, kkt_tol=1e-8):
             "sinc Gram matrix could not be factorized even with jitter; "
             "the frequency set may contain many coincident points"
         ) from exc
-    # Imported here: scipy.optimize is slow to import and only this solve uses it.
+    # Imported here: scipy.linalg and scipy.optimize are slow to import, and
+    # only this solve uses them.
+    from scipy.linalg import solve_triangular
     from scipy.optimize import nnls
 
     rhs = solve_triangular(L, v, lower=True)

@@ -1,19 +1,11 @@
-"""Special functions used by the closed-form discrepancy and its gradient.
+"""The damped complex error function that the closed-form discrepancy and
+its gradient need, as a thin layer over ``scipy.special``.
 
-Everything here is a thin layer over libm and ``scipy.special``:
-
-* `erf_real` is libm's erf and `erf_complex_real` is the real part of
-  scipy's complex ``erf``; both reject non-finite arguments.
-* `re_erf_damped_grid`, which the discrepancy kernels call, gives
-  exp(-b^2) Re erf(a + ib) from scipy's Faddeeva function ``wofz`` in one
-  closed form broadcast over all its arguments, so no intermediate
-  exp(b^2) is ever formed.  Near the imaginary axis, where that closed
-  form cancels, a short Taylor series takes over.  `re_erf_damped` is its
-  scalar entry.
-* `normal_quantile` is scipy's ``ndtri`` scaled to the kernel bandwidth;
-  `cauchy_quantile` is the closed-form Cauchy quantile.
-
-All functions are pure and hold no global state.
+`re_erf_damped_grid` gives exp(-b^2) Re erf(a + ib) from scipy's Faddeeva
+function ``wofz`` in one closed form broadcast over all its arguments, so
+no intermediate exp(b^2) is ever formed.  Near the imaginary axis, where
+that closed form cancels, a short Taylor series takes over.  It is pure
+and holds no global state.
 """
 
 import math
@@ -26,42 +18,6 @@ _SQRT_PI = math.sqrt(math.pi)
 # where its Taylor series replaces the cancelling wofz closed form.
 _NEAR_AXIS_A = 0.125
 _NEAR_AXIS_TERMS = 24
-
-
-def erf_real(x):
-    """Error function of a real argument (absolute error below 1e-15)."""
-    if not math.isfinite(x):
-        raise ValueError(f"erf_real requires a finite argument, got {x!r}")
-    return math.erf(x)
-
-
-def erf_complex_real(a, b):
-    """Real part of erf(a + i*b), from scipy's complex ``erf``.
-
-    Against a 40-digit mpmath oracle the relative error stays below 1e-12
-    for |a|, |b| <= 30, tiny |a| next to the zero crossing at a = 0
-    included (the function is odd in ``a``).  When the true value exceeds
-    the double range the signed infinity is returned.
-    """
-    from scipy.special import erf
-
-    if not (math.isfinite(a) and math.isfinite(b)):
-        raise ValueError(f"erf_complex_real requires finite arguments, got ({a!r}, {b!r})")
-    if b == 0.0:
-        # libm's erf, so the real axis agrees with `erf_real` bit for bit.
-        return math.erf(a)
-    return float(erf(complex(a, b)).real)
-
-
-def re_erf_damped(a, b):
-    """exp(-b^2) * Re(erf(a + i*b)), computed without forming exp(b^2).
-
-    This is the combination the Gaussian discrepancy terms need: the
-    Gaussian prefactor exactly cancels the growth of Re erf along the
-    imaginary direction, so the product stays bounded for every finite
-    frequency.  Scalar entry into `re_erf_damped_grid`.
-    """
-    return float(re_erf_damped_grid(a, b))
 
 
 def _damped_series(a, b):
@@ -117,28 +73,3 @@ def re_erf_damped_grid(a, b):
             out[near] = _damped_series(np.broadcast_to(aa, out.shape)[near],
                                        np.broadcast_to(bb, out.shape)[near])
     return np.sign(a) * out
-
-
-def normal_quantile(u, sigma):
-    """Quantile of the zero-mean normal density with standard deviation 1/sigma.
-
-    ``sigma`` is the Gaussian kernel bandwidth; the matching frequency
-    density has variance sigma**-2, so the result is ndtri(u)/sigma.
-    """
-    from scipy.special import ndtri
-
-    if not 0.0 < u < 1.0:
-        raise ValueError(f"normal_quantile requires 0 < u < 1, got {u!r} (unclamped cube point?)")
-    if not (sigma > 0.0 and math.isfinite(sigma)):
-        raise ValueError(f"normal_quantile requires sigma > 0, got {sigma!r}")
-    return float(ndtri(u)) / sigma
-
-
-def cauchy_quantile(u, gamma):
-    """Quantile of the Cauchy density with scale gamma."""
-    if not 0.0 < u < 1.0:
-        raise ValueError(f"cauchy_quantile requires 0 < u < 1, got {u!r} (unclamped cube point?)")
-    if not (gamma > 0.0 and math.isfinite(gamma)):
-        raise ValueError(f"cauchy_quantile requires gamma > 0, got {gamma!r}")
-    return gamma * math.tan(math.pi * (u - 0.5))
-

@@ -17,7 +17,7 @@ from qmcrff.adaptive import (
     optimize_greedy,
     optimize_weights,
 )
-from qmcrff.cli import Dataset, ExperimentConfig, run_gram_experiment, run_pipeline
+from qmcrff.experiment import Dataset, ExperimentConfig, run_gram_experiment, run_pipeline
 from qmcrff.densities import FrequencySet, ProductDensity, transform
 from qmcrff.discrepancy import (
     Box,
@@ -262,7 +262,7 @@ def test_criterion_12_krr_close_to_exact_kernel_oracle():
     oracle_pred = K[np.ix_(test, train)] @ alpha
     oracle_err = np.linalg.norm(oracle_pred - y[test]) / np.linalg.norm(y[test])
 
-    from qmcrff.cli import krr_predict, krr_train, regression_error
+    from qmcrff.experiment import krr_predict, krr_train, regression_error
     from qmcrff.featmap import real_feature_matrix
 
     fmap = WeightedFeatureMap(freqs=transform(halton(s, d), density))

@@ -345,9 +345,7 @@ class TestNonlinearCg:
 
     def test_option_validation(self):
         with pytest.raises(ValueError):
-            OptimizerOptions(armijo_c=1.5)
-        with pytest.raises(ValueError):
-            OptimizerOptions(backtrack_factor=0.0)
+            OptimizerOptions(max_iters=-1)
         with pytest.raises(ValueError):
             OptimizerOptions(grad_tol=-1.0)
 

@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 
 import qmcrff
-from qmcrff.cli import (
+from qmcrff.cli import main
+from qmcrff.experiment import (
     PIPELINE_SEQUENCES,
     Dataset,
     ExperimentConfig,
@@ -17,7 +18,6 @@ from qmcrff.cli import (
     krr_predict,
     krr_train,
     load_csv,
-    main,
     make_pointset,
     regression_error,
     run_gram_experiment,
@@ -58,6 +58,20 @@ def _spearman(a, b):
     ra -= ra.mean()
     rb -= rb.mean()
     return float(ra @ rb / np.sqrt((ra @ ra) * (rb @ rb)))
+
+
+def _scipy_modules_after(argv):
+    """The scipy modules loaded by ``main(argv)`` in a fresh interpreter."""
+    script = ("import json, sys\n"
+              "from qmcrff.cli import main\n"
+              f"assert main({argv!r}) == 0\n"
+              "print(json.dumps([m for m in sys.modules if m.startswith('scipy')]))\n")
+    src = os.path.dirname(os.path.dirname(os.path.abspath(qmcrff.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    result = subprocess.run([sys.executable, "-c", script], env=env,
+                            capture_output=True, text=True, check=True)
+    return set(json.loads(result.stdout))
 
 
 @pytest.fixture(scope="module")
@@ -190,6 +204,14 @@ class TestExperimentConfig:
     def test_grid_must_ascend(self):
         with pytest.raises(ValueError, match="ascending"):
             ExperimentConfig(s_grid=(64, 32))
+        with pytest.raises(ValueError, match="s_grid must be strictly ascending"):
+            ExperimentConfig(s_grid=(4, 4))
+        with pytest.raises(ValueError, match="s_grid values must be >= 1"):
+            ExperimentConfig(s_grid=(0, 4))
+        with pytest.raises(ValueError, match="max_n must be >= 2"):
+            ExperimentConfig(max_n=1)
+        with pytest.raises(ValueError, match="adapt_iters must be >= 0"):
+            ExperimentConfig(adapt_iters=-1)
 
     def test_hash_stable_and_sensitive(self):
         a = ExperimentConfig(seed=1)
@@ -381,16 +403,22 @@ class TestCommandLine:
         argv = ["pipeline", "--data", data, "--target", "--s", "4",
                 "--seq", ",".join(PIPELINE_SEQUENCES), "--trials", "1",
                 "--max-iters", "2", "--out", str(tmp_path / "rep.json")]
-        script = ("import sys\n"
-                  "from qmcrff.cli import main\n"
-                  f"assert main({argv!r}) == 0\n"
-                  "print('scipy.stats' in sys.modules)\n")
-        src = os.path.dirname(os.path.dirname(os.path.abspath(qmcrff.__file__)))
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            filter(None, [src, os.environ.get("PYTHONPATH")])))
-        result = subprocess.run([sys.executable, "-c", script], env=env,
-                                capture_output=True, text=True, check=True)
-        assert result.stdout.strip() == "False"
+        assert "scipy.stats" not in _scipy_modules_after(argv)
+
+    @pytest.mark.parametrize("command", ["generate", "transform", "discrepancy"])
+    def test_sequence_commands_leave_scipy_linalg_and_optimize_unimported(
+            self, tmp_path, command):
+        # scipy.linalg and scipy.optimize take about a quarter second to
+        # import, and these commands solve no linear system or program.
+        cube = halton(16, 2)
+        cube.save_csv(str(tmp_path / "cube.csv"))
+        transform(cube, ProductDensity.gaussian(1.0, d=2)).save_csv(str(tmp_path / "freqs.csv"))
+        argv = {
+            "generate": ["generate", "--seq", "halton", "--s", "16", "--d", "2"],
+            "transform": ["transform", "--in", str(tmp_path / "cube.csv")],
+            "discrepancy": ["discrepancy", "--freqs", str(tmp_path / "freqs.csv")],
+        }[command] + ["--out", str(tmp_path / "out")]
+        assert not {"scipy.linalg", "scipy.optimize"} & _scipy_modules_after(argv)
 
     def test_missing_data_file_is_data_error(self, capsys):
         code = main(["gram-error", "--data", "/missing.csv", "--s", "8",

@@ -6,14 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from qmcrff.densities import ProductDensity, transform
 from qmcrff.sequences import UnitPointSet
-from qmcrff.specfun import (
-    cauchy_quantile,
-    erf_complex_real,
-    erf_real,
-    normal_quantile,
-    re_erf_damped,
-    re_erf_damped_grid,
-)
+from qmcrff.specfun import re_erf_damped_grid
 
 # High-precision reference values, frozen from an mpmath oracle (50 digits)
 # evaluated before the implementation existed.
@@ -34,7 +27,7 @@ RE_ERF_REFS = [
     (0.001, 5.0, 81247447.118625226402),
 ]
 # Re erf(a + i b) next to the imaginary axis, frozen from a 60-digit mpmath
-# oracle: a closed form through w(z) cancels here, scipy's erf does not.
+# oracle: the wofz closed form cancels here, so the grid's series answers.
 NEAR_AXIS_REFS = [
     (1e-8, 5.0, 812.48828341115559642),
     (1e-12, 4.0, 1.0026901987849344829e-5),
@@ -42,20 +35,30 @@ NEAR_AXIS_REFS = [
 ]
 
 
+def _erf(a):
+    """erf(a): the damped grid on the real axis, where the damping is 1."""
+    return float(re_erf_damped_grid(a, 0.0))
+
+
+def _re_erf(a, b):
+    """Re erf(a + i b), undamped from the grid's scalar value."""
+    return float(re_erf_damped_grid(a, b)) * math.exp(b * b)
+
+
 class TestErfReal:
     def test_at_zero(self):
-        assert erf_real(0.0) == 0.0
+        assert _erf(0.0) == 0.0
 
     def test_frozen_value(self):
-        assert erf_real(1.0) == pytest.approx(ERF_ONE, abs=1e-14)
+        assert _erf(1.0) == pytest.approx(ERF_ONE, abs=1e-14)
 
     @given(st.floats(min_value=-20, max_value=20, allow_nan=False))
     def test_odd(self, x):
-        assert erf_real(x) == -erf_real(-x)
+        assert _erf(x) == -_erf(-x)
 
     def test_monotone_and_bounded_on_grid(self):
         xs = np.linspace(-6.0, 6.0, 10_000)
-        vals = np.array([erf_real(x) for x in xs])
+        vals = re_erf_damped_grid(xs, 0.0)
         assert np.all(np.diff(vals) >= 0.0)
         # erf(+-6) rounds to +-1.0 in doubles; strictness holds away from
         # the saturated edge.
@@ -65,68 +68,65 @@ class TestErfReal:
 
     def test_rejects_nonfinite(self):
         with pytest.raises(ValueError):
-            erf_real(math.inf)
+            re_erf_damped_grid(math.inf, 0.0)
 
 
 class TestErfComplexReal:
     def test_real_axis_matches_erf(self):
         for a in [-3.0, -0.2, 0.7, 4.5]:
-            assert erf_complex_real(a, 0.0) == erf_real(a)
+            assert _re_erf(a, 0.0) == pytest.approx(math.erf(a), rel=1e-15, abs=0.0)
 
     def test_imaginary_axis_is_zero(self):
         for b in [0.1, 2.0, 25.0]:
-            assert erf_complex_real(0.0, b) == 0.0
+            assert _re_erf(0.0, b) == 0.0
 
     @pytest.mark.parametrize("a,b,ref", RE_ERF_REFS)
     def test_against_high_precision_oracle(self, a, b, ref):
-        assert erf_complex_real(a, b) == pytest.approx(ref, rel=1e-10)
+        assert _re_erf(a, b) == pytest.approx(ref, rel=1e-10)
 
     @pytest.mark.parametrize("a,b,ref", NEAR_AXIS_REFS)
     def test_near_imaginary_axis_against_high_precision_oracle(self, a, b, ref):
-        assert erf_complex_real(a, b) == pytest.approx(ref, rel=1e-14, abs=0.0)
+        assert _re_erf(a, b) == pytest.approx(ref, rel=1e-14, abs=0.0)
 
     def test_even_in_b_exactly(self):
         rng = np.random.default_rng(42)
-        for _ in range(1000):
-            a = float(rng.uniform(-10, 10))
-            b = float(rng.uniform(0, 30))
-            assert erf_complex_real(a, b) == erf_complex_real(a, -b)
+        a = rng.uniform(-10, 10, 1000)
+        b = rng.uniform(0, 30, 1000)
+        assert np.array_equal(re_erf_damped_grid(a, b), re_erf_damped_grid(a, -b))
 
     def test_odd_in_a(self):
         rng = np.random.default_rng(43)
-        for _ in range(200):
-            a = float(rng.uniform(0.001, 8))
-            b = float(rng.uniform(0, 6))
-            assert erf_complex_real(-a, b) == -erf_complex_real(a, b)
-
-    def test_overflow_guard_returns_signed_infinity(self):
-        # True value ~ -8.8e390: beyond double range, so the signed infinity
-        # is the honest answer; no exception and no spurious NaN.
-        v = erf_complex_real(0.5, 30.0)
-        assert math.isinf(v) and v < 0
+        a = rng.uniform(0.001, 8, 200)
+        b = rng.uniform(0, 6, 200)
+        assert np.array_equal(re_erf_damped_grid(-a, b), -re_erf_damped_grid(a, b))
 
     def test_large_arguments_stay_finite_when_representable(self):
         # |z| large but the value is ~1.0: must not overflow internally.
-        assert erf_complex_real(20.0, 10.0) == pytest.approx(1.0, rel=1e-10)
+        assert _re_erf(20.0, 10.0) == pytest.approx(1.0, rel=1e-10)
 
     def test_rejects_nonfinite(self):
         with pytest.raises(ValueError):
-            erf_complex_real(math.nan, 1.0)
+            re_erf_damped_grid(math.nan, 1.0)
 
 
 class TestReErfDamped:
     def test_matches_definition_in_safe_range(self):
+        mpmath = pytest.importorskip("mpmath")
         rng = np.random.default_rng(7)
-        for _ in range(300):
-            a = float(rng.uniform(-3, 3))
-            b = float(rng.uniform(-3, 3))
-            expect = math.exp(-b * b) * erf_complex_real(a, b)
-            assert re_erf_damped(a, b) == pytest.approx(expect, rel=1e-12, abs=1e-300)
+        with mpmath.workdps(30):
+            for _ in range(300):
+                a = float(rng.uniform(-3, 3))
+                b = float(rng.uniform(-3, 3))
+                expect = float(mpmath.exp(-mpmath.mpf(b) ** 2)
+                               * mpmath.re(mpmath.erf(mpmath.mpc(a, b))))
+                assert float(re_erf_damped_grid(a, b)) == pytest.approx(
+                    expect, rel=1e-12, abs=1e-300)
 
     def test_frozen_extreme_value(self):
         # exp(-900) * Re erf(0.5 + 30i): both factors out of double range,
         # their product is not.
-        assert re_erf_damped(0.5, 30.0) == pytest.approx(-0.014512809993078623, rel=1e-10)
+        assert float(re_erf_damped_grid(0.5, 30.0)) == pytest.approx(
+            -0.014512809993078623, rel=1e-10)
 
     def test_grid_matches_scalar(self):
         rng = np.random.default_rng(11)
@@ -134,7 +134,7 @@ class TestReErfDamped:
             b = np.concatenate([rng.uniform(-30, 30, 200),
                                 [0.0, 1e-9, 3.49, 3.51, 5.99, 6.01]])
             grid = re_erf_damped_grid(a, b)
-            scalar = np.array([re_erf_damped(a, float(v)) for v in b])
+            scalar = np.array([float(re_erf_damped_grid(a, float(v))) for v in b])
             assert np.allclose(grid, scalar, rtol=5e-12, atol=1e-300)
 
 
@@ -189,7 +189,6 @@ class TestReErfDampedGrid:
         # exp(-b^2) and the wofz term would cancel to about 1e-16/|a|
         # relative; the near-axis series keeps rounding-level accuracy.
         assert float(re_erf_damped_grid(a, b)) == pytest.approx(ref, rel=1e-14, abs=0.0)
-        assert re_erf_damped(a, b) == pytest.approx(ref, rel=1e-14, abs=0.0)
 
     def test_broadcasts_over_both_arguments(self):
         # The last two columns mix near-axis series entries into the call.
@@ -200,7 +199,8 @@ class TestReErfDampedGrid:
         for i in range(3):
             for j in range(5):
                 assert grid[i, j] == pytest.approx(
-                    re_erf_damped(float(a[0, j]), float(b[i, 0])), rel=5e-12, abs=1e-300)
+                    float(re_erf_damped_grid(float(a[0, j]), float(b[i, 0]))),
+                    rel=5e-12, abs=1e-300)
 
     def test_zero_a_gives_zero(self):
         assert np.all(re_erf_damped_grid(0.0, np.array([0.0, 1.0, 30.0])) == 0.0)
@@ -210,77 +210,86 @@ class TestReErfDampedGrid:
             re_erf_damped_grid(1.0, np.array([0.0, math.inf]))
 
 
+def _quantile(u, density):
+    """Quantiles of the one-dimensional ``density`` at ``u``, through `transform`."""
+    pts = UnitPointSet(points=np.reshape(u, (-1, 1)), generator="file")
+    return transform(pts, density).points[:, 0]
+
+
 class TestNormalQuantile:
+    """The normal quantile ndtri(u)/sigma, as `transform` computes it."""
+
     def test_median_is_zero(self):
         for sigma in [0.3, 1.0, 5.0]:
-            assert normal_quantile(0.5, sigma) == 0.0
+            assert _quantile(0.5, ProductDensity.gaussian(sigma, d=1))[0] == 0.0
 
     def test_symmetry(self):
-        rng = np.random.default_rng(3)
-        for _ in range(200):
-            u = float(rng.uniform(0.01, 0.99))
-            assert normal_quantile(u, 1.3) == pytest.approx(
-                -normal_quantile(1.0 - u, 1.3), rel=1e-12, abs=1e-14)
+        u = np.random.default_rng(3).uniform(0.01, 0.99, 200)
+        density = ProductDensity.gaussian(1.3, d=1)
+        assert _quantile(u, density) == pytest.approx(
+            -_quantile(1.0 - u, density), rel=1e-12, abs=1e-14)
 
     def test_round_trip_against_forward_cdf_oracle(self):
         # Forward CDF as the independent oracle; the lower tail keeps u
         # exactly representable, the upper half follows by symmetry.
-        sigma = 1.0
-        for x in np.linspace(-6.0, -1e-3, 500):
-            u = 0.5 * math.erfc(-x / math.sqrt(2.0))
-            got = normal_quantile(u, sigma)
-            assert got == pytest.approx(x, rel=1e-10)
+        x = np.linspace(-6.0, -1e-3, 500)
+        u = [0.5 * math.erfc(-v / math.sqrt(2.0)) for v in x]
+        assert _quantile(u, ProductDensity.gaussian(1.0, d=1)) == pytest.approx(x, rel=1e-10)
 
     def test_round_trip_with_scale(self):
         # density std is 1/sigma, so x = probit(u)/sigma
         sigma = 2.5
-        for x in np.linspace(-6.0 / sigma, -1e-3, 200):
-            u = 0.5 * math.erfc(-x * sigma / math.sqrt(2.0))
-            assert normal_quantile(u, sigma) == pytest.approx(x, rel=1e-10)
+        x = np.linspace(-6.0 / sigma, -1e-3, 200)
+        u = [0.5 * math.erfc(-v * sigma / math.sqrt(2.0)) for v in x]
+        assert _quantile(u, ProductDensity.gaussian(sigma, d=1)) == pytest.approx(x, rel=1e-10)
 
     def test_spec_point(self):
         u = 0.5 * math.erfc(-1.0 / math.sqrt(2.0))  # forward CDF at 1
-        assert normal_quantile(u, 1.0) == pytest.approx(1.0, rel=1e-12)
+        assert _quantile(u, ProductDensity.gaussian(1.0, d=1))[0] == pytest.approx(1.0, rel=1e-12)
 
     @pytest.mark.parametrize("u", [0.0, 1.0, -0.1, 1.1])
     def test_rejects_out_of_domain(self, u):
+        # The guard sits on the point set: no u outside (0, 1) reaches the quantile.
         with pytest.raises(ValueError):
-            normal_quantile(u, 1.0)
+            _quantile(u, ProductDensity.gaussian(1.0, d=1))
 
     def test_rejects_bad_sigma(self):
         with pytest.raises(ValueError):
-            normal_quantile(0.3, 0.0)
+            _quantile(0.3, ProductDensity.gaussian(0.0, d=1))
 
     def test_array_version_matches_scalar(self):
-        # transform's quantile over a point set against the scalar one, out
-        # to the clamp edges 2^-52 and 1 - 2^-52.
+        # transform over a point set against one point at a time, out to the
+        # clamp edges 2^-52 and 1 - 2^-52.
         u = np.array([2.0 ** -52, 1e-9, 0.25, 0.5, 0.77, 1 - 1e-9, 1 - 2.0 ** -52])
-        sigma = 1.7
-        pts = UnitPointSet(points=u[:, None], generator="file")
-        got = transform(pts, ProductDensity.gaussian(sigma, d=1)).points[:, 0]
-        ref = [normal_quantile(float(v), sigma) for v in u]
-        assert np.array_equal(got, ref)
+        density = ProductDensity.gaussian(1.7, d=1)
+        ref = [_quantile(v, density)[0] for v in u]
+        assert np.array_equal(_quantile(u, density), ref)
 
 
 class TestCauchyQuantile:
+    """The Cauchy quantile gamma tan(pi (u - 1/2)), as `transform` computes it
+    for the scale gamma = 1/sigma."""
+
     def test_median(self):
-        assert cauchy_quantile(0.5, 3.0) == 0.0
+        assert _quantile(0.5, ProductDensity.cauchy(1.0 / 3.0, d=1))[0] == 0.0
 
     def test_upper_quartile(self):
-        assert cauchy_quantile(0.75, 2.0) == pytest.approx(2.0, rel=1e-14)
+        assert _quantile(0.75, ProductDensity.cauchy(0.5, d=1))[0] == pytest.approx(
+            2.0, rel=1e-14)
 
     def test_lower_quartile(self):
-        assert cauchy_quantile(0.25, 2.0) == pytest.approx(-2.0, rel=1e-14)
+        assert _quantile(0.25, ProductDensity.cauchy(0.5, d=1))[0] == pytest.approx(
+            -2.0, rel=1e-14)
 
     def test_rejects_out_of_domain(self):
         with pytest.raises(ValueError):
-            cauchy_quantile(1.0, 1.0)
+            _quantile(1.0, ProductDensity.cauchy(1.0, d=1))
         with pytest.raises(ValueError):
-            cauchy_quantile(0.5, -1.0)
+            _quantile(0.5, ProductDensity.cauchy(-1.0, d=1))
 
 
 @settings(max_examples=300)
 @given(st.floats(min_value=1e-3, max_value=8, allow_nan=False),
        st.floats(min_value=0, max_value=6, allow_nan=False))
 def test_erf_complex_pure_and_deterministic(a, b):
-    assert erf_complex_real(a, b) == erf_complex_real(a, b)
+    assert float(re_erf_damped_grid(a, b)) == float(re_erf_damped_grid(a, b))
