@@ -1,20 +1,27 @@
 """Adaptive frequency sequences by direct discrepancy minimization:
-analytic gradient, Polak-Ribiere-plus conjugate gradient with Armijo
-backtracking, global and greedy point optimization, and nonnegative
-weight optimization."""
+analytic gradient, global point optimization on scipy's L-BFGS-B, greedy
+point optimization on Polak-Ribiere-plus conjugate gradient with Armijo
+backtracking, and nonnegative weight optimization.
+
+Both point optimizers stop after ``max_iters`` iterations or once the
+gradient's 2-norm is at most ``grad_tol``."""
 
 import math
+import threading
 import warnings
+from contextlib import contextmanager
 from dataclasses import dataclass, field
+from functools import cache
 
 import numpy as np
 
 from .densities import FrequencySet
 from .discrepancy import (
+    _check_dims,
     _exclusive_products,
+    _require_gaussian,
     _sinc_factor,
     assemble_H_v,
-    gaussian_discrepancy_terms,
     gaussian_mean_norm_sq,
     gaussian_point_factors,
     gaussian_point_slopes,
@@ -30,7 +37,8 @@ _BACKTRACK = 0.5
 
 @dataclass
 class OptimizerOptions:
-    """Iteration cap and gradient-norm tolerance of the conjugate gradient loop."""
+    """Iteration cap and gradient 2-norm tolerance of the point optimizers:
+    L-BFGS-B in `optimize_global`, conjugate gradient in `optimize_greedy`."""
 
     max_iters: int = 50
     grad_tol: float = 1e-10
@@ -47,8 +55,10 @@ class OptTrace:
     """Per-iteration record of a descent run (or of greedy appends).
 
     For line-search-driven runs ``objective_values`` is non-increasing by
-    construction.  ``x`` is the final flattened iterate; wrappers attach
-    the corresponding FrequencySet (and weights, when applicable).
+    construction.  ``step_sizes`` holds the line-search step alpha for
+    conjugate gradient runs and ||x_new - x|| for L-BFGS-B runs.  ``x`` is
+    the final flattened iterate; wrappers attach the corresponding
+    FrequencySet (and weights, when applicable).
     """
 
     x: np.ndarray
@@ -166,18 +176,116 @@ def nonlinear_cg(objective, gradient, x0, opts):
     return trace
 
 
+@cache
+def _scipy_openblas():
+    """ctypes handle of the OpenBLAS bundled in scipy's wheel, or None when
+    scipy links the same BLAS as numpy."""
+    # Imported here, like scipy everywhere in the package: `import qmcrff`
+    # loads no scipy module.
+    import ctypes
+    import glob
+    import os
+
+    import scipy
+
+    site = os.path.dirname(os.path.dirname(os.path.abspath(scipy.__file__)))
+    for libdir in ("scipy.libs", os.path.join("scipy", ".dylibs")):
+        for path in sorted(glob.glob(os.path.join(site, libdir, "*openblas*"))):
+            try:
+                lib = ctypes.CDLL(path)
+            except OSError:
+                continue
+            if hasattr(lib, "scipy_openblas_set_num_threads"):
+                return lib
+    return None
+
+
+_pool_lock = threading.Lock()
+_pool_depth = 0
+_pool_saved = None
+
+
+@contextmanager
+def _scipy_blas_single_thread():
+    """Hold scipy's bundled OpenBLAS at one thread while the body runs.
+
+    L-BFGS-B makes a few small BLAS calls per iteration in the OpenBLAS
+    bundled with scipy, and that pool's worker threads then stay busy for
+    the whole solve, contending with numpy's pool on few cores.  The first
+    of overlapping entries (pipeline cells on worker threads) saves the
+    thread count and sets it to 1; the last exit restores it.  Where scipy
+    bundles no OpenBLAS it shares numpy's BLAS, and nothing is changed.
+    numpy's pool, which runs the heavy BLAS, is never touched.
+    """
+    global _pool_depth, _pool_saved
+    lib = _scipy_openblas()
+    if lib is None:
+        yield
+        return
+    with _pool_lock:
+        if _pool_depth == 0:
+            _pool_saved = lib.scipy_openblas_get_num_threads()
+            lib.scipy_openblas_set_num_threads(1)
+        _pool_depth += 1
+    try:
+        yield
+    finally:
+        with _pool_lock:
+            _pool_depth -= 1
+            if _pool_depth == 0:
+                lib.scipy_openblas_set_num_threads(_pool_saved)
+
+
 def optimize_global(freqs0, density, box, opts):
-    """Jointly optimize all s*d frequency coordinates to shrink the discrepancy."""
+    """Jointly optimize all s*d frequency coordinates to shrink the discrepancy.
+
+    Runs scipy's L-BFGS-B on `gaussian_value_and_grad`, one fused pass per
+    evaluation, with scipy's own stopping tests off (ftol = gtol = 0): it
+    stops after ``opts.max_iters`` iterations, once ||g||_2 <=
+    ``opts.grad_tol``, or when the line search fails.  The trace records
+    the start and every iterate.
+    """
+    _require_gaussian(density, "optimize_global")
     s, d = freqs0.points.shape
+    _check_dims(d, density, box)
+    last = []  # (x, f, g) of the latest pass
 
-    def objective(flat):
-        return sum(gaussian_discrepancy_terms(flat.reshape(s, d), density, box))
+    def value_and_grad(flat):
+        if not last or not np.array_equal(flat, last[0]):
+            f, G = gaussian_value_and_grad(flat.reshape(s, d), density, box)
+            last[:] = [flat.copy(), float(f), G.ravel()]
+        return last[1], last[2]
 
-    def gradient(flat):
-        fs = FrequencySet(points=flat.reshape(s, d), provenance={})
-        return discrepancy_gradient(fs, density, box).ravel()
+    x0 = np.array(freqs0.points, dtype=float).ravel()
+    f0, g0 = value_and_grad(x0)
+    if not math.isfinite(f0):
+        raise ValueError(f"objective is not finite at the starting point: {f0}")
+    trace = OptTrace(x=x0, objective_values=[f0], grad_norms=[float(np.linalg.norm(g0))])
+    trace.converged = trace.grad_norms[0] <= opts.grad_tol
 
-    trace = nonlinear_cg(objective, gradient, freqs0.points.ravel(), opts)
+    def record(intermediate_result):
+        # scipy updates its iterate in place, so keep a copy.  The line
+        # search's last pass was at this point, so the lookup costs none.
+        x = intermediate_result.x.copy()
+        f, g = value_and_grad(x)
+        trace.step_sizes.append(float(np.linalg.norm(x - trace.x)))
+        trace.objective_values.append(f)
+        trace.grad_norms.append(float(np.linalg.norm(g)))
+        trace.x = x
+        trace.n_iters += 1
+        if trace.grad_norms[-1] <= opts.grad_tol:
+            trace.converged = True
+            raise StopIteration
+
+    if not trace.converged and opts.max_iters > 0:
+        from scipy.optimize import minimize
+
+        with _scipy_blas_single_thread():
+            result = minimize(value_and_grad, x0, jac=True, method="L-BFGS-B",
+                              callback=record,
+                              options={"maxiter": opts.max_iters, "ftol": 0.0, "gtol": 0.0})
+        # A halt from the callback also has status 2, so read the message.
+        trace.line_search_failed = result.message.startswith("ABNORMAL")
     trace.freqs = FrequencySet(
         points=trace.x.reshape(s, d),
         provenance={"source": "global-adaptive", "init": freqs0.provenance,

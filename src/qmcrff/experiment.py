@@ -152,7 +152,13 @@ class ExperimentConfig:
             raise ValueError(
                 f"unknown sequence name(s) {bad}; valid names: {', '.join(PIPELINE_SEQUENCES)}"
             )
-        if min(self.s_grid, default=1) < 1:
+        if not self.sequences:
+            raise ValueError("sequences must name at least one sequence")
+        if len(set(self.sequences)) < len(self.sequences):
+            raise ValueError(f"sequences must not repeat a name, got {list(self.sequences)}")
+        if not self.s_grid:
+            raise ValueError("s_grid must hold at least one value")
+        if min(self.s_grid) < 1:
             raise ValueError(f"s_grid values must be >= 1, got {list(self.s_grid)}")
         if any(a >= b for a, b in zip(self.s_grid, self.s_grid[1:])):
             raise ValueError(f"s_grid must be strictly ascending, got {list(self.s_grid)}")
@@ -301,6 +307,9 @@ def krr_train(Z, y, ridge_lambda):
     contend with numpy's, which spin for a while after each call, and a
     scipy Cholesky right after numpy's product stalled for up to ~0.1 s on
     2 vCPUs.  The triangular solves act on one vector and stay on scipy.
+    `optimize_global` makes many small BLAS calls in scipy's pool, so it
+    holds that pool at one thread while it runs; see
+    `_scipy_blas_single_thread` in `qmcrff.adaptive`.
     """
     # Imported here: scipy.linalg is slow to import and the CLI's
     # sequence commands never solve.

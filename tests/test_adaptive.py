@@ -1,9 +1,12 @@
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import qmcrff.adaptive as adaptive_module
 from qmcrff.adaptive import (
     OptimizerOptions,
     discrepancy_gradient,
@@ -381,6 +384,185 @@ class TestOptimizeGlobal:
         t2 = optimize_global(S0p, p, box, opts)
         assert np.allclose(t1.objective_values, t2.objective_values, rtol=1e-10)
         assert np.allclose(t1.freqs.points[perm], t2.freqs.points, atol=1e-8)
+
+
+class TestOptimizeGlobalTrace:
+    """The trace L-BFGS-B leaves through its callback."""
+
+    def _setup(self, s=8, d=2):
+        p = ProductDensity.gaussian(1.0, d=d)
+        box = Box(b=[1.0] * d)
+        return p, box, transform(halton(s, d), p)
+
+    def test_x_is_the_returned_points(self):
+        p, box, S0 = self._setup()
+        trace = optimize_global(S0, p, box, OptimizerOptions(max_iters=20))
+        assert np.array_equal(trace.x, trace.freqs.points.ravel())
+
+    @pytest.mark.parametrize("max_iters", [1, 5, 40])
+    def test_one_record_per_iteration(self, max_iters):
+        p, box, S0 = self._setup()
+        trace = optimize_global(S0, p, box, OptimizerOptions(max_iters=max_iters))
+        assert len(trace.objective_values) == trace.n_iters + 1 <= max_iters + 1
+        assert len(trace.grad_norms) == trace.n_iters + 1
+        assert len(trace.step_sizes) == trace.n_iters
+        assert trace.freqs.provenance["iterations"] == trace.n_iters
+
+    def test_last_gradient_norm_is_that_of_the_returned_points(self):
+        p, box, S0 = self._setup()
+        trace = optimize_global(S0, p, box, OptimizerOptions(max_iters=20))
+        g = discrepancy_gradient(trace.freqs, p, box)
+        assert trace.grad_norms[-1] == pytest.approx(np.linalg.norm(g), rel=1e-12)
+
+    def test_step_sizes_are_distances_between_iterates(self):
+        p, box, S0 = self._setup()
+        trace = optimize_global(S0, p, box, OptimizerOptions(max_iters=3))
+        assert trace.n_iters == 3
+        steps = [optimize_global(S0, p, box, OptimizerOptions(max_iters=k)).x
+                 for k in range(4)]
+        assert trace.step_sizes == pytest.approx(
+            [np.linalg.norm(b - a) for a, b in zip(steps, steps[1:])], rel=1e-12)
+
+    def test_stationary_start_returns_with_zero_iterations(self):
+        p, box, S0 = self._setup()
+        g0 = np.linalg.norm(discrepancy_gradient(S0, p, box))
+        trace = optimize_global(S0, p, box, OptimizerOptions(grad_tol=1.5 * g0))
+        assert trace.n_iters == 0
+        assert trace.converged
+        assert np.array_equal(trace.freqs.points, S0.points)
+
+    def test_stops_at_gradient_tolerance(self):
+        p, box, S0 = self._setup()
+        free = optimize_global(S0, p, box, OptimizerOptions(max_iters=30))
+        tol = free.grad_norms[6]
+        trace = optimize_global(S0, p, box, OptimizerOptions(max_iters=30, grad_tol=tol))
+        assert trace.converged
+        assert trace.grad_norms[-1] <= tol
+        assert all(g > tol for g in trace.grad_norms[:-1])
+        assert 1 <= trace.n_iters <= 6
+
+    @pytest.mark.parametrize("message, failed", [
+        ("ABNORMAL: ", True),
+        ("STOP: CALLBACK REQUESTED HALT", False),
+        ("STOP: TOTAL NO. OF ITERATIONS REACHED LIMIT", False),
+    ])
+    def test_line_search_failure_read_from_the_message(self, monkeypatch, message, failed):
+        import scipy.optimize
+        from scipy.optimize import OptimizeResult
+
+        monkeypatch.setattr(scipy.optimize, "minimize",
+                            lambda *args, **kwargs: OptimizeResult(message=message, status=2))
+        p, box, S0 = self._setup()
+        trace = optimize_global(S0, p, box, OptimizerOptions(max_iters=5))
+        assert trace.line_search_failed is failed
+
+    def test_rejects_cauchy(self):
+        p = ProductDensity.cauchy(1.0, d=1)
+        with pytest.raises(ValueError):
+            optimize_global(FrequencySet(points=[[0.1], [0.4]]), p, Box(b=[1.0]),
+                            OptimizerOptions(max_iters=3))
+
+    @pytest.mark.parametrize("s, bound", [(64, 5.1592e-4), (192, 7.6950e-5)])
+    def test_no_worse_than_conjugate_gradient_at_benchmark_size(self, s, bound):
+        # The adaptive-global cells of the adaptive_global benchmark: d=6,
+        # sigma=2, features spanning [-3, 3] at box scale 0.5 (b = 3), 35
+        # iterations from Halton.  The bounds are D^2 after the same 35
+        # iterations of Polak-Ribiere-plus conjugate gradient.
+        p = ProductDensity.gaussian(2.0, d=6)
+        box = Box(b=[3.0] * 6)
+        trace = optimize_global(transform(halton(s, 6), p), p, box,
+                                OptimizerOptions(max_iters=35))
+        assert box_discrepancy_gaussian(trace.freqs, p, box).d_squared <= bound
+
+
+@pytest.fixture
+def scipy_blas():
+    """scipy's bundled OpenBLAS, set to two threads for the test."""
+    lib = adaptive_module._scipy_openblas()
+    if lib is None:
+        pytest.skip("scipy bundles no OpenBLAS of its own; it shares numpy's BLAS")
+    saved = lib.scipy_openblas_get_num_threads()
+    lib.scipy_openblas_set_num_threads(2)
+    yield lib
+    lib.scipy_openblas_set_num_threads(saved)
+
+
+class TestScipyBlasScope:
+    def test_one_thread_inside_restored_after(self, scipy_blas):
+        with adaptive_module._scipy_blas_single_thread():
+            assert scipy_blas.scipy_openblas_get_num_threads() == 1
+        assert scipy_blas.scipy_openblas_get_num_threads() == 2
+
+    def test_restored_when_body_raises(self, scipy_blas):
+        with pytest.raises(RuntimeError):
+            with adaptive_module._scipy_blas_single_thread():
+                raise RuntimeError("body failed")
+        assert scipy_blas.scipy_openblas_get_num_threads() == 2
+
+    def test_overlapping_threads_restore_once(self, scipy_blas):
+        # a enters, b enters, a leaves, b leaves.  The count must stay 1
+        # until the last exit and then return to 2, not to the 1 a second
+        # save would have read.
+        a_in, b_in, a_out = threading.Event(), threading.Event(), threading.Event()
+        seen = {}
+
+        def a():
+            with adaptive_module._scipy_blas_single_thread():
+                a_in.set()
+                seen["b entered"] = b_in.wait(5)
+            a_out.set()
+
+        def b():
+            seen["a entered"] = a_in.wait(5)
+            with adaptive_module._scipy_blas_single_thread():
+                b_in.set()
+                seen["a left"] = a_out.wait(5)
+                seen["threads"] = scipy_blas.scipy_openblas_get_num_threads()
+
+        threads = [threading.Thread(target=a), threading.Thread(target=b)]
+        for th in threads:
+            th.start()
+        for th in threads:
+            th.join(10)
+            assert not th.is_alive()
+        assert seen == {"a entered": True, "b entered": True, "a left": True, "threads": 1}
+        assert scipy_blas.scipy_openblas_get_num_threads() == 2
+
+    def test_many_threads_keep_one_thread_inside(self, scipy_blas):
+        inside = []
+
+        def work():
+            for _ in range(200):
+                with adaptive_module._scipy_blas_single_thread():
+                    inside.append(scipy_blas.scipy_openblas_get_num_threads())
+
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work) for _ in range(8)]
+            for th in threads:
+                th.start()
+            for th in threads:
+                th.join(30)
+                assert not th.is_alive()
+        finally:
+            sys.setswitchinterval(switch)
+        assert inside == [1] * 1600
+        assert scipy_blas.scipy_openblas_get_num_threads() == 2
+
+    def test_without_bundled_library_does_nothing(self, scipy_blas, monkeypatch):
+        monkeypatch.setattr(adaptive_module, "_scipy_openblas", lambda: None)
+        with adaptive_module._scipy_blas_single_thread():
+            assert scipy_blas.scipy_openblas_get_num_threads() == 2
+        assert scipy_blas.scipy_openblas_get_num_threads() == 2
+
+    def test_optimize_global_restores_the_count(self, scipy_blas):
+        p = ProductDensity.gaussian(1.0, d=2)
+        box = Box(b=[1.0, 1.0])
+        trace = optimize_global(transform(halton(8, 2), p), p, box,
+                                OptimizerOptions(max_iters=10))
+        assert trace.n_iters > 0
+        assert scipy_blas.scipy_openblas_get_num_threads() == 2
 
 
 class TestOptimizeGreedy:

@@ -212,6 +212,12 @@ class TestExperimentConfig:
             ExperimentConfig(max_n=1)
         with pytest.raises(ValueError, match="adapt_iters must be >= 0"):
             ExperimentConfig(adapt_iters=-1)
+        with pytest.raises(ValueError, match="sequences must not repeat a name"):
+            ExperimentConfig(sequences=("halton", "halton"), s_grid=(4,))
+        with pytest.raises(ValueError, match="sequences must name at least one"):
+            ExperimentConfig(sequences=(), s_grid=(4,))
+        with pytest.raises(ValueError, match="s_grid must hold at least one value"):
+            ExperimentConfig(sequences=("halton",), s_grid=())
 
     def test_hash_stable_and_sensitive(self):
         a = ExperimentConfig(seed=1)
@@ -434,6 +440,15 @@ class TestCommandLine:
                      "--seq", "halton,bogus"])
         assert code == 2
         assert "valid names" in capsys.readouterr().err
+
+    def test_pipeline_repeated_sequence_exit_code(self, tmp_path, capsys):
+        data = _write(tmp_path, "x.csv", "\n".join(
+            ",".join(map(str, row))
+            for row in np.random.default_rng(0).normal(size=(16, 2))) + "\n")
+        code = main(["pipeline", "--data", data, "--target", "--s", "2",
+                     "--seq", "halton,halton"])
+        assert code == 2
+        assert "sequences must not repeat a name" in capsys.readouterr().err
 
     def test_optimize_weights_subcommand(self, tmp_path):
         out = tmp_path / "w.json"
