@@ -34,11 +34,18 @@ _SQRT_2_OVER_PI = math.sqrt(2.0 / math.pi)
 # per-dimension factor arrays hold about this many entries each.
 _BLOCK_ENTRIES = 1 << 14
 
-# Below this |b * lag| the pairwise sweep evaluates sin and cos directly
-# rather than by angle addition, whose absolute rounding error grows
-# relative to the slope there: just above it the slope is off by up to
-# ~15 eps of b^2/pi, against ~4 eps for direct evaluation.
+# Below this |b * lag| the pairwise sweep evaluates the sinc factor and its
+# slope by `_sinc_series` rather than by angle addition, whose absolute
+# rounding error grows relative to the slope there: just above it the slope
+# is off by up to ~15 eps of b^2/pi.
 _NEAR_LAG = 0.25
+
+# Taylor coefficients of sin(z)/z in z^2, (-1)^k / (2k+1)! for k <= 6, and
+# those of its slope over z, 2k (-1)^k / (2k+1)! for 1 <= k <= 6.  At
+# |z| <= _NEAR_LAG the first omitted term is below 2e-18 of either sum; the
+# last kept one still moves the slope by 5e-15 of its value.
+_SINC_SERIES = tuple((-1) ** k / math.factorial(2 * k + 1) for k in range(7))
+_SINC_SLOPE_SERIES = tuple(2 * k * c for k, c in enumerate(_SINC_SERIES))[1:]
 
 
 @dataclass
@@ -86,14 +93,41 @@ class DiscrepancyReport:
         }
 
 
+def _horner(coeffs, u):
+    """sum_k coeffs[k] u^k by Horner's rule."""
+    acc = coeffs[-1] * u
+    acc += coeffs[-2]
+    for c in coeffs[-3::-1]:
+        acc *= u
+        acc += c
+    return acc
+
+
+def _sinc_series(b, t, slope=False):
+    """`_sinc_factor` for |b*t| <= _NEAR_LAG by its Taylor series in z = b*t:
+    the factor (b/pi) sum_k (-z^2)^k / (2k+1)! and, with ``slope``, the
+    slope (b^2/pi) z sum_{k>=1} (-1)^k 2k z^(2k-2) / (2k+1)!.  It needs no
+    sine, cosine or division, and the slope does not cancel."""
+    z = b * t
+    u = z * z
+    factor = _horner(_SINC_SERIES, u)
+    factor *= b / np.pi
+    if not slope:
+        return factor
+    dfactor = _horner(_SINC_SLOPE_SERIES, u)
+    dfactor *= z
+    dfactor *= b * b / np.pi
+    return factor, dfactor
+
+
 def _sinc_factor(b, t, slope=False):
     """sin(b*t) / (pi*t) with the diagonal convention sin(b*0)/0 = b.
 
-    A short even series takes over for |b*t| < 1e-6; this keeps the later
+    `_sinc_series` takes over for |b*t| < 1e-6; this keeps the later
     gradient free of cancellation near coincident coordinates.  With
     ``slope`` the derivative in t, (b^2/pi) sinc'(b*t), comes back as well,
-    from the same sine and with its odd series below |b*t| = 1e-3.  ``b``
-    may be a vector that broadcasts against ``t``.
+    from the same sine and with the series below |b*t| = 1e-3.  ``b`` may
+    be a vector that broadcasts against ``t``.
     """
     t = np.asarray(t, dtype=float)
     bt = np.asarray(b * t)
@@ -105,16 +139,12 @@ def _sinc_factor(b, t, slope=False):
     abs_bt = np.abs(bt)
     small = abs_bt < 1e-6
     if small.any():
-        z = bt[small]
-        bs = np.broadcast_to(b, bt.shape)[small]
-        factor[small] = (bs / np.pi) * (1.0 - z * z / 6.0)
+        factor[small] = _sinc_series(np.broadcast_to(b, bt.shape)[small], t[small])
     if not slope:
         return factor
     tiny = abs_bt < 1e-3
     if tiny.any():
-        z = bt[tiny]
-        bs = np.broadcast_to(b, bt.shape)[tiny]
-        dfactor[tiny] = (bs * bs / np.pi) * (z * (-1.0 / 3.0 + z * z * (1.0 / 30.0 - z * z / 840.0)))
+        dfactor[tiny] = _sinc_series(np.broadcast_to(b, bt.shape)[tiny], t[tiny], slope=True)[1]
     return factor, dfactor
 
 
@@ -218,8 +248,8 @@ def _gaussian_pass(W, density, box, with_grad):
     sin and cos of b_j (w_lj - w_mj) come from the per-point values by
     angle addition, and the slope from d/dt sin(b t)/t = (b cos(b t) -
     sin(b t)/t) / t.  Where |b_j (w_lj - w_mj)| < _NEAR_LAG the identity
-    loses relative accuracy, and `_sinc_factor` evaluates those entries
-    directly, zero-lag series included.
+    loses relative accuracy, and `_sinc_series` evaluates those entries, so
+    no sine or cosine is taken on the pair grid.
     """
     W = np.asarray(W, dtype=float)
     s, d = W.shape
@@ -263,13 +293,13 @@ def _gaussian_pass(W, density, box, with_grad):
                 df -= f
                 df /= t
         idx = np.flatnonzero(np.abs(t) < near)
-        direct = _sinc_factor(b[idx // t[0].size], t.take(idx), slope=with_grad)
+        series = _sinc_series(b[idx // t[0].size], t.take(idx), slope=with_grad)
         if not with_grad:
-            f.put(idx, direct)
+            f.put(idx, series)
             prod = np.prod(f, axis=0)
         else:
-            f.put(idx, direct[0])
-            df.put(idx, direct[1])
+            f.put(idx, series[0])
+            df.put(idx, series[1])
             # df[j] becomes the slope of factor j times all the other factors;
             # the suffix product may overwrite f, which is not needed again.
             prod = f[0].copy()

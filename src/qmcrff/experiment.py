@@ -103,6 +103,10 @@ def estimate_box(ds, box_scale=1.0):
 
 def korobov_vector(s, d, a=DEFAULT_KOROBOV_A):
     """Default rank-1 generating vector (1, a, a^2, ...) mod s."""
+    if s < 1:
+        raise ValueError(f"korobov_vector requires s >= 1, got {s}")
+    if d < 1:
+        raise ValueError(f"korobov_vector requires d >= 1, got {d}")
     z = np.empty(d, dtype=np.int64)
     z[0] = 1 % s if s > 1 else 0
     for j in range(1, d):

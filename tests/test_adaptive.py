@@ -76,6 +76,70 @@ class TestSincDerivative:
         assert np.allclose(_sincp(z), expect, rtol=1e-14)
 
 
+def _sinc_reference(b, t):
+    """(b/pi) sinc(b t) and (b^2/pi) sinc'(b t) from 30-digit mpmath; the
+    slope is -j1, the spherical Bessel function, which does not cancel
+    near zero as cos(z)/z - sin(z)/z^2 does."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(30):
+        b, t = mpmath.mpf(float(b)), mpmath.mpf(float(t))
+        z = b * t
+        factor = mpmath.sin(z) / (mpmath.pi * t)
+        j1 = mpmath.sqrt(mpmath.pi / (2 * abs(z))) * mpmath.besselj(1.5, abs(z))
+        return float(factor), float(-b * b / mpmath.pi * mpmath.sign(z) * j1)
+
+
+class TestSincSeries:
+    def test_matches_mpmath_over_the_near_lags(self):
+        near = discrepancy_module._NEAR_LAG
+        eps = np.finfo(float).eps
+        rng = np.random.default_rng(60)
+        z = np.concatenate([rng.uniform(-near, near, 300),
+                            [near, -near, 0.1, 1e-3, -1e-6, 1e-12, 1e-200]])
+        for b in (0.3, 1.0, 2.7, 1e4):
+            t = z / b
+            factor, slope = discrepancy_module._sinc_series(b, t, slope=True)
+            assert np.array_equal(discrepancy_module._sinc_series(b, t), factor)
+            for tk, fk, dk in zip(t, factor, slope):
+                ref_f, ref_d = _sinc_reference(b, tk)
+                assert fk == pytest.approx(ref_f, rel=4.0 * eps, abs=0.0)
+                assert dk == pytest.approx(ref_d, rel=4.0 * eps, abs=0.0)
+
+    def test_exact_at_zero_lag(self):
+        for b in (0.3, 1.0, 2.7):
+            factor, slope = discrepancy_module._sinc_series(b, np.zeros(3), slope=True)
+            assert np.all(factor == b / np.pi)
+            assert np.all(slope == 0.0)
+
+    def test_sinc_factor_small_branches_use_the_series(self):
+        b = np.array([0.5, 2.0, 3.0])
+        t = np.array([[0.0, 4e-7, -3e-7], [1e-9, 1e-4, -2e-4], [0.3, 0.1, 5.0]])
+        factor, slope = _sinc_factor(b, t, slope=True)
+        small, tiny = np.abs(b * t) < 1e-6, np.abs(b * t) < 1e-3
+        bb = np.broadcast_to(b, t.shape)
+        assert np.array_equal(factor[small], discrepancy_module._sinc_series(bb[small], t[small]))
+        assert np.array_equal(slope[tiny],
+                              discrepancy_module._sinc_series(bb[tiny], t[tiny], slope=True)[1])
+
+    def test_pass_takes_no_sine_or_cosine_on_the_pair_grid(self, monkeypatch):
+        S, p, box = _instance(40, 3, 61)
+        W = S.points.copy()
+        W[1] = W[0] + 1e-3 / box.b
+        sizes = []
+
+        def counting(ufunc):
+            def call(x, *args, **kwargs):
+                sizes.append(np.size(x))
+                return ufunc(x, *args, **kwargs)
+            return call
+
+        monkeypatch.setattr(np, "sin", counting(np.sin))
+        monkeypatch.setattr(np, "cos", counting(np.cos))
+        gaussian_value_and_grad(W, p, box)
+        gaussian_discrepancy_terms(W, p, box)
+        assert sizes and max(sizes) <= W.size
+
+
 class TestDiscrepancyGradient:
     def test_matches_central_differences(self):
         for seed in range(5):

@@ -152,6 +152,11 @@ class TestSequenceFactory:
         z = korobov_vector(101, 3, a=7)
         assert z.tolist() == [1, 7, 49]
 
+    @pytest.mark.parametrize("s,d,name", [(3, 0, "d"), (3, -1, "d"), (0, 2, "s"), (-2, 2, "s")])
+    def test_korobov_vector_rejects_empty_sizes(self, s, d, name):
+        with pytest.raises(ValueError, match=rf"requires {name} >= 1, got {min(s, d)}"):
+            korobov_vector(s, d)
+
     def test_all_base_names(self):
         for name in ("halton", "halton-scrambled", "lattice", "mc"):
             pts = make_pointset(name, 8, 2, seed=1)
@@ -350,6 +355,12 @@ class TestCommandLine:
         assert payload["generator"] == "mc"
         assert payload["s"] == 4 and payload["d"] == 2
         assert payload["seed_or_start"] == 3
+
+    @pytest.mark.parametrize("s,d,name", [("3", "0", "d"), ("3", "-1", "d"), ("0", "2", "s")])
+    def test_generate_lattice_empty_size_exit_code(self, s, d, name, capsys):
+        code = main(["generate", "--seq", "lattice", "--s", s, "--d", d])
+        assert code == 2
+        assert f"requires {name} >= 1" in capsys.readouterr().err
 
     def test_unknown_sequence_is_usage_error(self):
         with pytest.raises(SystemExit) as err:

@@ -93,8 +93,49 @@ class TestRealFeatures:
         R = real_feature_matrix(m, X)
         C = feature_matrix(m, X)
         for i, x in enumerate(X):
-            assert np.allclose(R[i], real_feature_vector(m, x))
+            # BLAS may sum a one-row product x.w in another order than a
+            # four-row one, so the phases, and only they, can differ in the
+            # last bit.
+            assert np.allclose(R[i], real_feature_vector(m, x), rtol=0.0, atol=1e-15)
             assert np.allclose(C[i], feature_vector(m, x))
+        # With dyadic inputs every phase is exact in any order, and the
+        # vector is bitwise the matrix row: both are one realization.
+        rng = np.random.default_rng(12)
+        m = WeightedFeatureMap(freqs=FrequencySet(points=rng.integers(-64, 64, (6, 2)) / 8.0),
+                               weights=rng.random(6))
+        X = rng.integers(-64, 64, (4, 2)) / 16.0
+        R = real_feature_matrix(m, X)
+        for i, x in enumerate(X):
+            assert np.array_equal(R[i], real_feature_vector(m, x))
+
+    @pytest.mark.skipif(np.finfo(np.longdouble).nmant < 63,
+                        reason="needs an extended-precision long double")
+    def test_entries_against_long_double_reference(self):
+        # Each entry within 2 eps sqrt(xi_l) of sqrt(xi_l) times cos or sin
+        # of its phase, at zero, at multiples of pi/2 and pi, for |theta| up
+        # to 1e6 and for huge phases; zero weights give zero columns.  The
+        # reference takes the map's own double sqrt(xi_l), whose rounding is
+        # not the kernel's.
+        rng = np.random.default_rng(30)
+        k = np.arange(-9.0, 10.0)
+        theta = np.concatenate([
+            [0.0, np.pi / 2, -np.pi / 2, np.pi, -np.pi],
+            k * np.pi, k * np.pi / 2, 1e5 * k * np.pi,
+            rng.uniform(-4.0, 4.0, 2000), rng.uniform(-1e6, 1e6, 2000),
+            rng.choice([-1.0, 1.0], 200) * 10.0 ** rng.uniform(6.0, 300.0, 200),
+        ])
+        # Powers of two keep every phase x.w exact.
+        freqs = np.array([[1.0], [-1.0], [2.0], [0.5], [-0.25], [1.0]])
+        weights = np.array([0.3, 0.0, 1.7, 1e-6, 0.2, 0.0])
+        m = WeightedFeatureMap(freqs=FrequencySet(points=freqs), weights=weights)
+        Z = real_feature_matrix(m, theta[:, None])
+        ld = np.longdouble
+        phases = theta.astype(ld)[:, None] * freqs[:, 0].astype(ld)
+        root = np.sqrt(weights).astype(ld)
+        tol = 2.0 * np.finfo(float).eps * np.sqrt(weights)
+        assert np.all(np.abs(Z[:, :6] - root * np.cos(phases)) <= tol)
+        assert np.all(np.abs(Z[:, 6:] - root * np.sin(phases)) <= tol)
+        assert not Z[:, [1, 5, 7, 11]].any()
 
 
 class TestApproxKernel:
