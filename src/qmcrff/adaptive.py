@@ -19,12 +19,9 @@ from .densities import FrequencySet
 from .discrepancy import (
     _check_dims,
     _exclusive_products,
-    _require_gaussian,
     _sinc_factor,
     assemble_H_v,
-    gaussian_mean_norm_sq,
-    gaussian_point_factors,
-    gaussian_point_slopes,
+    density_factors,
     gaussian_value_and_grad,
 )
 from .ioutil import NumericalError
@@ -91,10 +88,8 @@ def discrepancy_gradient(freqs, density, box):
     """Gradient of the squared box discrepancy with respect to every frequency.
 
     The gradient half of `gaussian_value_and_grad`, which documents the
-    formula.
+    formula; it serves both densities.
     """
-    if density.kind != "gaussian":
-        raise ValueError("discrepancy_gradient requires the gaussian density")
     W = freqs.points
     if not (W.shape[1] == density.d == box.d):
         raise ValueError("dimension mismatch between frequencies, density and box")
@@ -245,7 +240,6 @@ def optimize_global(freqs0, density, box, opts):
     ``opts.grad_tol``, or when the line search fails.  The trace records
     the start and every iterate.
     """
-    _require_gaussian(density, "optimize_global")
     s, d = freqs0.points.shape
     _check_dims(d, density, box)
     last = []  # (x, f, g) of the latest pass
@@ -316,7 +310,7 @@ def optimize_greedy(t_points, density, box, init_freqs, opts):
     d = init_freqs.d
     b = box.b
     self_pair = float(np.prod(b / math.pi))  # sinc kernel at zero lag
-    term3 = gaussian_mean_norm_sq(density, box)
+    factors, slopes, term3 = density_factors(density, box)
     points = np.empty((t_points, d))
     pair_sum = cross_sum = 0.0
     trace = OptTrace(x=np.empty(0))
@@ -327,7 +321,7 @@ def optimize_greedy(t_points, density, box, init_freqs, opts):
         def new_sums(w):
             # Sinc kernel of w against the fixed points, and w's cross term.
             pairs = float(np.prod(_sinc_factor(b, w - fixed), axis=1).sum())
-            return pairs, float(np.prod(gaussian_point_factors(density, box, w[None, :])))
+            return pairs, float(np.prod(factors(w[None, :])))
 
         def objective(w):
             pairs, cross = new_sums(w)
@@ -338,10 +332,9 @@ def optimize_greedy(t_points, density, box, init_freqs, opts):
         def gradient(w):
             f, df = _sinc_factor(b, w - fixed, slope=True)
             W = w[None, :]
-            G = gaussian_point_factors(density, box, W)
-            Gprime = gaussian_point_slopes(density, box, W, G)
+            G = factors(W)
             return ((2.0 / (s * s)) * (df * _exclusive_products(f)).sum(axis=0)
-                    - (2.0 / s) * (Gprime * _exclusive_products(G))[0])
+                    - (2.0 / s) * (slopes(W, G) * _exclusive_products(G))[0])
 
         inner = nonlinear_cg(objective, gradient, init_freqs.points[t], opts)
         pairs, cross = new_sums(inner.x)

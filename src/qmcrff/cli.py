@@ -14,13 +14,7 @@ import numpy as np
 
 from .adaptive import OptimizerOptions, optimize_global, optimize_greedy, optimize_weights
 from .densities import FrequencySet, ProductDensity, transform
-from .discrepancy import (
-    Box,
-    average_case_mc_check,
-    box_discrepancy_gaussian,
-    box_discrepancy_quadrature,
-    weighted_discrepancy,
-)
+from .discrepancy import Box, average_case_mc_check, box_discrepancy_gaussian, weighted_discrepancy
 from .experiment import (
     BASE_SEQUENCES,
     ExperimentConfig,
@@ -37,7 +31,7 @@ from .experiment import (
 from .experiment import Dataset, estimate_box  # noqa: F401
 from .featmap import WeightedFeatureMap, real_feature_matrix
 from .ioutil import DataError, NumericalError, read_matrix_csv, write_matrix_csv
-from .sequences import UnitPointSet, halton
+from .sequences import UnitPointSet, _clamp_unit, halton
 
 
 def _parse_floats(text):
@@ -108,8 +102,7 @@ def _cmd_transform(args):
     M = _read_finite_csv(args.infile, skip_header=args.header)
     if M.min() < 0.0 or M.max() > 1.0:
         raise DataError(f"{args.infile}: coordinates must lie in [0, 1]")
-    pts = UnitPointSet(points=np.clip(M, 2.0 ** -52, 1 - 2.0 ** -52),
-                       generator="file", seed_or_start=0)
+    pts = UnitPointSet(points=_clamp_unit(M), generator="file", seed_or_start=0)
     _write_points(transform(pts, _density_from_args(args, pts.d)), args.out)
     return 0
 
@@ -119,14 +112,7 @@ def _cmd_discrepancy(args):
     freqs = FrequencySet(points=M, provenance={"source": "file", "path": args.freqs})
     density = _density_from_args(args, freqs.d)
     box = _box_from_args(args, freqs.d)
-    if density.kind == "gaussian":
-        payload = box_discrepancy_gaussian(freqs, density, box).to_json_dict()
-    elif freqs.d > 3:
-        raise ValueError(f"discrepancy --kernel {args.kernel} has no closed form and is "
-                         f"evaluated by quadrature, which needs d <= 3; got d={freqs.d}")
-    else:
-        payload = {"d_squared": box_discrepancy_quadrature(freqs, density, box),
-                   "s": freqs.s, "d": freqs.d}
+    payload = box_discrepancy_gaussian(freqs, density, box).to_json_dict()
     payload["box_scale"] = args.box_scale
     _emit(payload, args.out)
     return 0
@@ -288,8 +274,8 @@ def build_parser():
     p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_transform)
 
-    p = sub.add_parser("discrepancy", help="discrepancy of a frequency CSV (closed form; "
-                                           "quadrature for laplacian, d <= 3)")
+    p = sub.add_parser("discrepancy", help="closed-form squared box discrepancy of a "
+                                           "frequency CSV, for either kernel")
     p.add_argument("--freqs", required=True)
     p.add_argument("--header", action="store_true")
     add_kernel_flags(p)
@@ -306,7 +292,6 @@ def build_parser():
     p.add_argument("--max-iters", type=int, default=50)
     p.add_argument("--init", choices=("halton", "file"), default="halton")
     p.add_argument("--in", dest="infile", default=None)
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default=None, help="trace/report JSON")
     p.add_argument("--out-points", default=None, help="final point set CSV")
     p.set_defaults(func=_cmd_optimize)

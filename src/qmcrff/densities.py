@@ -138,10 +138,7 @@ def transform(pointset, density):
 
 def characteristic(density, j, beta):
     """Characteristic function of the j-th marginal at beta."""
-    sigma = density.scale[j]
-    if density.kind == GAUSSIAN:
-        return float(np.exp(-(beta * beta) / (2.0 * sigma * sigma)))
-    return float(np.exp(-abs(beta) / sigma))
+    return float(characteristic_profile(density, j, beta))
 
 
 def characteristic_profile(density, j, betas):

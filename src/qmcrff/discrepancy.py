@@ -7,18 +7,28 @@ mean over S in the sinc-kernel space.  It splits into three terms:
 
     term1: (1/s^2) sum_{l,m} sinc_b(w_l, w_m)          (pairwise)
     term2: -(2/s)  sum_l prod_j g_j(w_lj)              (cross)
-    term3: prod_j (sigma_j / (2 sqrt(pi))) erf(b_j / sigma_j)   (constant)
+    term3: prod_j (1/pi) int_0^{b_j} phi_j(beta)^2 dbeta   (constant)
 
-with, for the Gaussian density, g_j(x) = c_j exp(-sigma_j^2 x^2 / 2) *
-Re erf(b_j/(sigma_j sqrt(2)) - i sigma_j x / sqrt(2)) and
-c_j = sigma_j / sqrt(2 pi).  For non-Gaussian product densities the same
-three terms are evaluated by per-dimension numerical quadrature of the
-characteristic function; that path doubles as the independent oracle for
-the closed form.
+with g_j(x) = (1/pi) int_0^{b_j} phi_j(beta) cos(x beta) dbeta for the
+characteristic function phi_j of the j-th marginal.  Only the cross factors,
+their slopes and the constant depend on the density, and both densities
+have them in closed form (`density_factors`):
+
+    Gaussian (Gaussian kernel): g_j(x) = c_j exp(-sigma_j^2 x^2 / 2)
+        Re erf(b_j/(sigma_j sqrt(2)) - i sigma_j x / sqrt(2)),
+        c_j = sigma_j / sqrt(2 pi);  term3 = prod_j sigma_j/(2 sqrt(pi)) erf(b_j/sigma_j).
+    Cauchy (Laplacian kernel), a_j = 1/sigma_j: g_j(x) =
+        [a_j (1 - e^{-a_j b_j} cos b_j x) + e^{-a_j b_j} x sin b_j x] / (pi (a_j^2 + x^2));
+        term3 = prod_j sigma_j (1 - exp(-2 b_j/sigma_j)) / (2 pi).
+
+The pairwise term is the same for every density.  Per-dimension numerical
+quadrature of the characteristic function (`box_discrepancy_quadrature`)
+is the independent oracle for the closed forms.
 """
 
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -208,12 +218,57 @@ def gaussian_mean_norm_sq(density, box):
                          * np.array([math.erf(v) for v in box.b / density.scale])))
 
 
-def _require_gaussian(density, what):
-    if density.kind != GAUSSIAN:
-        raise ValueError(
-            f"{what} has a closed form only for the gaussian density; "
-            "use box_discrepancy_quadrature for other product densities"
-        )
+def cauchy_point_factors(density, box, W):
+    """Per-point, per-dimension cross factors g_j(w_lj) for the Cauchy
+    density, with a_j = 1/sigma_j:
+
+        g_j(x) = [-expm1(-a_j b_j) a_j cos(b_j x) + 2 a_j sin^2(b_j x / 2)
+                  + e^{-a_j b_j} x sin(b_j x)] / (pi (a_j^2 + x^2)).
+
+    Written with expm1 and the half-angle sine, the first two terms do not
+    cancel as b_j -> 0 (a constant feature's half-width is 1e-12).
+    """
+    a, b = 1.0 / density.scale, box.b
+    bw = b * W
+    half = np.sin(0.5 * bw)
+    num = (-np.expm1(-a * b) * a) * np.cos(bw)
+    num += (2.0 * a) * half * half
+    num += np.exp(-a * b) * W * np.sin(bw)
+    return num / (np.pi * (a * a + W * W))
+
+
+def cauchy_point_slopes(density, box, W, G):
+    """Derivatives g_j'(w_lj) of the cross factors G = cauchy_point_factors(density, box, W):
+
+        g_j'(x) = e^{-a_j b_j} ((a_j b_j + 1) sin(b_j x) + b_j x cos(b_j x)) / (pi (a_j^2 + x^2))
+                  - 2 x g_j(x) / (a_j^2 + x^2).
+    """
+    a, b = 1.0 / density.scale, box.b
+    bw = b * W
+    edge = np.exp(-a * b) * ((a * b + 1.0) * np.sin(bw) + bw * np.cos(bw)) / np.pi
+    return (edge - 2.0 * W * G) / (a * a + W * W)
+
+
+def cauchy_mean_norm_sq(density, box):
+    """Squared norm of the Cauchy kernel mean: prod_j sigma_j (1 - exp(-2 b_j/sigma_j)) / (2 pi)."""
+    sigma = density.scale
+    return float(np.prod(sigma * -np.expm1(-2.0 * box.b / sigma) / (2.0 * math.pi)))
+
+
+def density_factors(density, box):
+    """The parts of the discrepancy that depend on the density: the cross
+    factors W -> G with G[l, j] = g_j(w_lj), their slopes (W, G) -> G', and
+    the constant term, the squared norm of the kernel mean.
+
+    This is the one place that reads ``density.kind``; every closed-form
+    function in this module and in `qmcrff.adaptive` goes through it.
+    """
+    if density.kind == GAUSSIAN:
+        parts = (gaussian_point_factors, gaussian_point_slopes, gaussian_mean_norm_sq)
+    else:
+        parts = (cauchy_point_factors, cauchy_point_slopes, cauchy_mean_norm_sq)
+    factors, slopes, norm_sq = parts
+    return partial(factors, density, box), partial(slopes, density, box), norm_sq(density, box)
 
 
 def _check_dims(freqs_d, density, box):
@@ -231,7 +286,7 @@ def _exclusive_products(F):
     return out
 
 
-def _gaussian_pass(W, density, box, with_grad):
+def _discrepancy_pass(W, density, box, with_grad):
     """Closed-form (term1, term2, term3) and, when ``with_grad``, the s x d
     gradient of their sum, from one sweep over the upper triangle of the
     pair grid.
@@ -254,7 +309,7 @@ def _gaussian_pass(W, density, box, with_grad):
     W = np.asarray(W, dtype=float)
     s, d = W.shape
     if s < 1:
-        raise ValueError("the Gaussian discrepancy requires at least one frequency (s >= 1)")
+        raise ValueError("the discrepancy requires at least one frequency (s >= 1)")
     b = box.b
     sin_w, cos_w = _point_sincos(b, W)
     # In each dimension the lag w_l - w_m and the angle-addition grids
@@ -317,21 +372,22 @@ def _gaussian_pass(W, density, box, with_grad):
         pair_sum += float(prod[:, :rows].sum()) + 2.0 * float(prod[:, rows:].sum())
         r0 = r1
 
-    G = gaussian_point_factors(density, box, W)
+    factors, slopes, term3 = density_factors(density, box)
+    G = factors(W)
     term1 = pair_sum / (s * s)
     term2 = -2.0 / s * float(np.prod(G, axis=1).sum())
-    term3 = gaussian_mean_norm_sq(density, box)
     if not with_grad:
         return (term1, term2, term3), None
 
     grad *= 2.0 / (s * s)
-    grad -= (2.0 / s) * gaussian_point_slopes(density, box, W, G) * _exclusive_products(G)
+    grad -= (2.0 / s) * slopes(W, G) * _exclusive_products(G)
     return (term1, term2, term3), grad
 
 
 def gaussian_discrepancy_terms(W, density, box):
-    """Closed-form (term1, term2, term3) for a raw s x d frequency array."""
-    return _gaussian_pass(W, density, box, with_grad=False)[0]
+    """Closed-form (term1, term2, term3) for a raw s x d frequency array, for
+    either density."""
+    return _discrepancy_pass(W, density, box, with_grad=False)[0]
 
 
 def gaussian_value_and_grad(W, density, box):
@@ -344,13 +400,13 @@ def gaussian_value_and_grad(W, density, box):
                              prod_{q != j} sinc-factor_q(w_lq - w_mq)
         - (2/s) g_j'(w_lj) prod_{q != j} g_q(w_lq).
     """
-    terms, grad = _gaussian_pass(W, density, box, with_grad=True)
+    terms, grad = _discrepancy_pass(W, density, box, with_grad=True)
     return sum(terms), grad
 
 
 def box_discrepancy_gaussian(freqs, density, box):
-    """Closed-form squared box discrepancy for the Gaussian density."""
-    _require_gaussian(density, "box_discrepancy_gaussian")
+    """Closed-form squared box discrepancy, for the Gaussian and the Cauchy
+    density alike (the name predates the Cauchy closed form)."""
     _check_dims(freqs.d, density, box)
     if freqs.s < 1:
         raise ValueError("box_discrepancy_gaussian requires at least one frequency")
@@ -400,16 +456,15 @@ def box_discrepancy_quadrature(freqs, density, box, nodes=200):
 def expected_mc_discrepancy(s, density, box):
     """Expected squared discrepancy of s i.i.d. frequencies drawn from the density.
 
-    (1/s) * (pi^-d prod_j b_j - prod_j sigma_j/(2 sqrt(pi)) erf(b_j/sigma_j))
-    for the Gaussian density.
+    (1/s) * (pi^-d prod_j b_j - term3), with term3 the squared norm of the
+    kernel mean (see `density_factors`).
     """
-    _require_gaussian(density, "expected_mc_discrepancy")
     if density.d != box.d:
         raise ValueError(f"dimension mismatch: density d={density.d}, box d={box.d}")
     if s < 1:
         raise ValueError(f"expected_mc_discrepancy requires s >= 1, got {s}")
     diag = float(np.prod(box.b)) / math.pi ** box.d
-    return (diag - gaussian_mean_norm_sq(density, box)) / s
+    return (diag - density_factors(density, box)[2]) / s
 
 
 def assemble_H_v(freqs, density, box):
@@ -419,16 +474,14 @@ def assemble_H_v(freqs, density, box):
     kernel-mean inner product at w_l, so that the weighted squared
     discrepancy is  const - 2 v.xi + xi.H.xi.
     """
-    _require_gaussian(density, "assemble_H_v")
     _check_dims(freqs.d, density, box)
     H = sinc_gram(box, freqs.points)
-    v = np.prod(gaussian_point_factors(density, box, freqs.points), axis=1)
+    v = np.prod(density_factors(density, box)[0](freqs.points), axis=1)
     return H, v
 
 
 def weighted_discrepancy(freqs, weights, density, box):
     """Squared box discrepancy of the weighted empirical mean sum_l xi_l h(w_l, .)."""
-    _require_gaussian(density, "weighted_discrepancy")
     _check_dims(freqs.d, density, box)
     xi = np.asarray(weights, dtype=float)
     if xi.shape != (freqs.s,):
@@ -436,7 +489,7 @@ def weighted_discrepancy(freqs, weights, density, box):
     if np.any(xi < 0.0):
         raise ValueError("weights must be nonnegative")
     H, v = assemble_H_v(freqs, density, box)
-    term1 = gaussian_mean_norm_sq(density, box)
+    term1 = density_factors(density, box)[2]
     return float(term1 - 2.0 * (v @ xi) + xi @ H @ xi)
 
 
@@ -466,7 +519,6 @@ def average_case_mc_check(freqs, density, box, n_samples, seed, chunk=65536):
     e^{-i u.x} against the density (a product of characteristic-function
     values) minus the plain empirical average over the frequencies.
     """
-    _require_gaussian(density, "average_case_mc_check")
     _check_dims(freqs.d, density, box)
     if n_samples < 1000:
         raise ValueError(f"average_case_mc_check requires n_samples >= 1000, got {n_samples}")

@@ -226,8 +226,6 @@ def _frequency_maps_for_cell(cfg, density, box, seq, s, d):
     if seq in ("halton", "halton-scrambled", "lattice"):
         return [(transform(make_pointset(seq, s, d), density), None)]
 
-    if density.kind != "gaussian":
-        raise ValueError(f"adaptive sequence {seq!r} requires the gaussian kernel")
     base = transform(halton(s, d), density)
     if seq == "adaptive-global":
         opts = OptimizerOptions(max_iters=cfg.adapt_iters)
@@ -266,7 +264,7 @@ def _gram_cell(cfg, density, box, X, K, K_norms, seq, s, with_discrepancy=False,
             beta = krr_train(Z[train_idx], y[train_idx], cfg.ridge_lambda)
             errs.append(regression_error(krr_predict(beta, Z[test_idx]), y[test_idx]))
         del Z  # one n x 2s matrix alive at a time
-        if with_discrepancy and density.kind == "gaussian":
+        if with_discrepancy:
             if weights is None:
                 discrepancies.append(
                     box_discrepancy_gaussian(freqs, density, box).d_squared)

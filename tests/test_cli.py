@@ -24,7 +24,7 @@ from qmcrff.experiment import (
     run_pipeline,
 )
 from qmcrff.densities import FrequencySet, ProductDensity, transform
-from qmcrff.discrepancy import Box, box_discrepancy_quadrature
+from qmcrff.discrepancy import Box, box_discrepancy_gaussian, box_discrepancy_quadrature
 from qmcrff.featmap import (
     WeightedFeatureMap,
     gram_approx,
@@ -330,14 +330,21 @@ class TestPipeline:
         cfg = ExperimentConfig(kernel="laplacian", sigma=(2.0,),
                                sequences=("halton",), s_grid=(16,), trials=1, seed=0)
         report = run_pipeline(cfg, regression_data)
-        assert "discrepancy" not in report["cells"][0]
+        density = ProductDensity.cauchy(2.0, d=regression_data.d)
+        freqs = transform(make_pointset("halton", 16, regression_data.d), density)
+        expect = box_discrepancy_gaussian(freqs, density, Box(b=report["box"])).d_squared
+        assert report["cells"][0]["discrepancy"]["mean"] == expect
 
-    def test_adaptive_requires_gaussian(self, regression_data):
+    def test_laplacian_adaptive_sequences(self, regression_data):
         cfg = ExperimentConfig(kernel="laplacian", sigma=(2.0,),
-                               sequences=("adaptive-global",), s_grid=(8,),
-                               trials=1, seed=0)
-        with pytest.raises(ValueError, match="gaussian"):
-            run_pipeline(cfg, regression_data)
+                               sequences=("halton", "adaptive-global", "adaptive-greedy",
+                                          "weighted"),
+                               s_grid=(8,), trials=1, seed=0)
+        report = run_pipeline(cfg, regression_data)
+        d2 = {c["label"]: c["discrepancy"]["mean"] for c in report["cells"]}
+        assert d2["adaptive-global"] < d2["halton"]
+        assert d2["adaptive-greedy"] <= d2["halton"]
+        assert d2["weighted"] <= d2["halton"]
 
 
 class TestCommandLine:
@@ -396,20 +403,39 @@ class TestCommandLine:
                      "--sigma", "2", "--b", "1,3", "--box-scale", "0.5",
                      "--out", str(report)]) == 0
         payload = json.loads(report.read_text())
+        # The oracle needs well over max |w_lj| b_j / 2 nodes to resolve cos(w beta).
+        nodes = 64 + int(np.max(np.abs(W) * [0.5, 1.5]))
         expect = box_discrepancy_quadrature(
             FrequencySet(points=read_matrix_csv(freqs)), ProductDensity.cauchy(2.0, d=2),
-            Box(b=[0.5, 1.5]))
-        assert payload["d_squared"] == expect
+            Box(b=[0.5, 1.5]), nodes=nodes)
+        assert payload["d_squared"] == pytest.approx(expect, rel=1e-6)
         assert (payload["s"], payload["d"], payload["box_scale"]) == (12, 2, 0.5)
 
-    def test_laplacian_discrepancy_above_three_dimensions_is_usage_error(self, tmp_path,
-                                                                         capsys):
+    def test_laplacian_discrepancy_above_three_dimensions(self, tmp_path):
         freqs = _write(tmp_path, "w4.csv", "0.1,0.2,0.3,0.4\n-1,2,-3,4\n")
-        code = main(["discrepancy", "--freqs", freqs, "--kernel", "laplacian"])
-        assert code == 2
-        err = capsys.readouterr().err
-        assert "d <= 3" in err and "d=4" in err
-        assert "box_discrepancy" not in err
+        report = tmp_path / "rep.json"
+        assert main(["discrepancy", "--freqs", freqs, "--kernel", "laplacian",
+                     "--out", str(report)]) == 0
+        payload = json.loads(report.read_text())
+        expect = box_discrepancy_gaussian(
+            FrequencySet(points=read_matrix_csv(freqs)), ProductDensity.cauchy(1.0, d=4),
+            Box(b=[1.0] * 4))
+        assert payload["d_squared"] == expect.d_squared
+        assert (payload["s"], payload["d"]) == (2, 4)
+
+    def test_laplacian_discrepancy_of_transformed_halton(self, tmp_path):
+        # 200 quadrature nodes, the old laplacian path, printed 7.18e-5 here.
+        pts = tmp_path / "pts.csv"
+        freqs = tmp_path / "freqs.csv"
+        report = tmp_path / "rep.json"
+        assert main(["generate", "--seq", "halton", "--s", "256", "--d", "1",
+                     "--out", str(pts)]) == 0
+        assert main(["transform", "--in", str(pts), "--kernel", "laplacian",
+                     "--sigma", "0.3", "--out", str(freqs)]) == 0
+        assert main(["discrepancy", "--freqs", str(freqs), "--kernel", "laplacian",
+                     "--sigma", "0.3", "--b", "2", "--out", str(report)]) == 0
+        assert json.loads(report.read_text())["d_squared"] == pytest.approx(
+            1.5351359e-4, rel=1e-6)
 
     def test_pipeline_leaves_scipy_stats_unimported(self, tmp_path):
         # Importing scipy.stats costs most of a second, which every CLI run
@@ -479,6 +505,27 @@ class TestCommandLine:
         vals = trace["objective_values"]
         assert vals[-1] <= vals[0]
         assert read_matrix_csv(pts).shape == (8, 2)
+
+    def test_optimize_greedy_laplacian(self, tmp_path):
+        # Greedy growth minimizes the Cauchy discrepancy, the one it reports.
+        out = tmp_path / "trace.json"
+        pts = tmp_path / "greedy.csv"
+        assert main(["optimize", "--mode", "greedy", "--s", "8", "--d", "2",
+                     "--kernel", "laplacian", "--sigma", "1", "--b", "1,2",
+                     "--max-iters", "200", "--out", str(out), "--out-points", str(pts)]) == 0
+        density = ProductDensity.cauchy(1.0, d=2)
+        box = Box(b=[1.0, 2.0])
+        final = box_discrepancy_gaussian(
+            FrequencySet(points=read_matrix_csv(pts)), density, box).d_squared
+        assert json.loads(out.read_text())["objective_values"][-1] == pytest.approx(
+            final, rel=1e-12, abs=0.0)
+        assert final < box_discrepancy_gaussian(
+            transform(halton(8, 2), density), density, box).d_squared
+
+    def test_optimize_has_no_seed_flag(self):
+        with pytest.raises(SystemExit) as err:
+            main(["optimize", "--mode", "global", "--s", "2", "--d", "1", "--seed", "1"])
+        assert err.value.code == 2
 
     def test_avgcase_subcommand(self, tmp_path):
         out = tmp_path / "avg.json"

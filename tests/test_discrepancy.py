@@ -10,13 +10,14 @@ from qmcrff.discrepancy import (
     average_case_mc_check,
     box_discrepancy_gaussian,
     box_discrepancy_quadrature,
+    density_factors,
     expected_mc_discrepancy,
     gaussian_mean_norm_sq,
     sinc_gram,
     sinc_kernel,
     weighted_discrepancy,
 )
-from qmcrff.sequences import mc_uniform
+from qmcrff.sequences import halton, mc_uniform
 
 # Frozen from a 60-digit oracle evaluated before the implementation:
 # single zero frequency, d = 1, b = sigma = 1:
@@ -33,6 +34,20 @@ def _gaussian_setup(s=8, d=2, sigma=1.0, b=1.0, seed=0):
     rng = np.random.default_rng(seed)
     S = FrequencySet(points=rng.normal(0.0, 1.0 / sigma, size=(s, d)))
     return S, p, box
+
+
+def _cauchy_setup(s=8, d=2, sigma=1.0, b=1.0, seed=0):
+    p = ProductDensity.cauchy(sigma, d=d)
+    box = Box(b=[b] * d)
+    rng = np.random.default_rng(seed)
+    S = FrequencySet(points=rng.standard_cauchy(size=(s, d)) / sigma)
+    return S, p, box
+
+
+def oracle_nodes(S, box):
+    """Gauss-Legendre nodes that resolve cos(w beta) over [0, b_j] for every
+    frequency: well above max |w_lj| b_j / 2 oscillations per dimension."""
+    return 64 + int(np.max(np.abs(S.points) * box.b, initial=0.0))
 
 
 class TestBox:
@@ -115,11 +130,6 @@ class TestGaussianClosedForm:
         c = box_discrepancy_gaussian(FrequencySet(points=-S.points), p, box).d_squared
         assert a == pytest.approx(c, rel=1e-12)
 
-    def test_rejects_cauchy(self):
-        p = ProductDensity.cauchy(1.0, d=1)
-        with pytest.raises(ValueError, match="quadrature"):
-            box_discrepancy_gaussian(FrequencySet(points=[[0.0]]), p, Box(b=[1.0]))
-
     def test_duplicate_point_continuity(self):
         # exact duplicates ride through the sinc diagonal convention and
         # still agree with the quadrature oracle
@@ -129,6 +139,85 @@ class TestGaussianClosedForm:
         closed = box_discrepancy_gaussian(S2, p, box).d_squared
         quad = box_discrepancy_quadrature(S2, p, box)
         assert closed == pytest.approx(quad, rel=1e-8)
+
+
+class TestCauchyClosedForm:
+    def test_matches_quadrature(self):
+        rng = np.random.default_rng(19)
+        for _ in range(12):
+            d = int(rng.integers(1, 4))
+            s = int(rng.integers(1, 9))
+            sigma = rng.uniform(0.3, 4.0, d)
+            p = ProductDensity.cauchy(sigma)
+            box = Box(b=rng.uniform(0.5, 10.0, d))
+            S = FrequencySet(points=rng.standard_cauchy(size=(s, d)) / sigma)
+            closed = box_discrepancy_gaussian(S, p, box).d_squared
+            quad = box_discrepancy_quadrature(S, p, box, nodes=oracle_nodes(S, box))
+            assert closed == pytest.approx(quad, rel=1e-6)
+
+    def test_halton_frozen(self):
+        # Halton s=256, d=1, sigma=0.3, b=2: max |w| b = 543, which 200
+        # quadrature nodes do not resolve (they give 7.18e-5); 400 and more
+        # agree with the closed form to 1e-10.
+        p = ProductDensity.cauchy(0.3, d=1)
+        box = Box(b=[2.0])
+        S = transform(halton(256, 1), p)
+        closed = box_discrepancy_gaussian(S, p, box).d_squared
+        assert closed == pytest.approx(1.5351359e-4, rel=1e-6)
+        assert closed == pytest.approx(
+            box_discrepancy_quadrature(S, p, box, nodes=oracle_nodes(S, box)), rel=1e-9)
+
+    @pytest.mark.parametrize("sigma, b", [(0.3, 0.5), (1.0, 2.0), (4.0, 10.0)])
+    def test_factors_and_slopes_against_quadrature(self, sigma, b):
+        # g(x) = (1/pi) int_0^b e^{-beta/sigma} cos(x beta) dbeta and
+        # g'(x) = -(1/pi) int_0^b beta e^{-beta/sigma} sin(x beta) dbeta.
+        # Double-precision quadrature of the oscillating integrands is good
+        # to about 1e-9 here; the 50-digit complex form
+        # Re[(1 - e^{-(a - ix) b}) / (a - ix)] / pi, a = 1/sigma, and its
+        # derivative check the real-arithmetic rewriting to rounding.
+        import mpmath
+
+        p = ProductDensity.cauchy(sigma, d=1)
+        box = Box(b=[b])
+        x = np.array([[0.0], [1e-9], [0.37], [-2.5], [13.0], [-150.0]])
+        factors, slopes, const = density_factors(p, box)
+        G = factors(x)
+        dG = slopes(x, G)
+        nodes, weights = np.polynomial.legendre.leggauss(1200)
+        beta = 0.5 * b * (nodes + 1.0)
+        wq = 0.5 * b * weights * np.exp(-beta / sigma) / math.pi
+        assert G[:, 0] == pytest.approx(np.cos(x * beta) @ wq, rel=1e-8, abs=1e-15)
+        assert dG[:, 0] == pytest.approx(-(beta * np.sin(x * beta)) @ wq, rel=1e-8, abs=1e-15)
+        assert const == pytest.approx(float(np.exp(-beta / sigma) @ wq), rel=1e-12)
+
+        with mpmath.workdps(50):
+            a = 1 / mpmath.mpf(sigma)
+
+            def g(w):
+                z = a - 1j * w
+                return mpmath.re((1 - mpmath.exp(-z * b)) / z) / mpmath.pi
+
+            for xv, gv, dv in zip(x[:, 0], G[:, 0], dG[:, 0]):
+                assert gv == pytest.approx(float(g(mpmath.mpf(xv))), rel=1e-13)
+                assert dv == pytest.approx(float(mpmath.diff(g, mpmath.mpf(xv))),
+                                           rel=1e-12, abs=1e-20)
+
+    def test_degenerate_half_width_does_not_cancel(self):
+        # A constant feature gets b = 1e-12; then g(x) = b/pi (1 - b/(2 sigma)
+        # + O(b^2)) and the constant is b/pi (1 - b/sigma + O(b^2)).
+        b = 1e-12
+        p = ProductDensity.cauchy(1.0, d=1)
+        factors, _, const = density_factors(p, Box(b=[b]))
+        G = factors(np.array([[0.0], [0.5], [3.0], [-40.0]]))
+        assert G == pytest.approx(b / math.pi, rel=1e-11)
+        assert const == pytest.approx(b / math.pi, rel=1e-11)
+
+    def test_nonnegative_and_terms_recombine(self):
+        for seed in range(10):
+            S, p, box = _cauchy_setup(s=6, d=2, sigma=0.7, b=3.0, seed=seed)
+            rep = box_discrepancy_gaussian(S, p, box)
+            assert rep.d_squared == rep.term1 + rep.term2 + rep.term3
+            assert rep.d_squared >= -1e-10
 
 
 class TestQuadratureOracle:
@@ -214,9 +303,14 @@ class TestExpectedMcDiscrepancy:
         se = vals.std(ddof=1) / math.sqrt(len(vals))
         assert abs(vals.mean() - expected_mc_discrepancy(s, p, box)) <= 3 * se
 
-    def test_rejects_cauchy(self):
-        with pytest.raises(ValueError):
-            expected_mc_discrepancy(4, ProductDensity.cauchy(1.0, d=1), Box(b=[1.0]))
+    def test_cauchy_matches_empirical_mean(self):
+        p = ProductDensity.cauchy([1.0, 0.5])
+        box = Box(b=[1.0, 2.0])
+        s = 16
+        vals = np.array([box_discrepancy_gaussian(
+            transform(mc_uniform(s, 2, seed=seed), p), p, box).d_squared for seed in range(300)])
+        se = vals.std(ddof=1) / math.sqrt(len(vals))
+        assert abs(vals.mean() - expected_mc_discrepancy(s, p, box)) <= 3 * se
 
 
 class TestAssembleHv:
@@ -237,6 +331,12 @@ class TestAssembleHv:
         xi = np.full(S.s, 1.0 / S.s)
         quad_form = gaussian_mean_norm_sq(p, box) - 2.0 * v @ xi + xi @ H @ xi
         assert quad_form == pytest.approx(
+            box_discrepancy_gaussian(S, p, box).d_squared, abs=1e-12)
+
+    def test_cauchy_uniform_weights_reproduce_closed_form(self):
+        S, p, box = _cauchy_setup(s=9, d=2, seed=11)
+        xi = np.full(S.s, 1.0 / S.s)
+        assert weighted_discrepancy(S, xi, p, box) == pytest.approx(
             box_discrepancy_gaussian(S, p, box).d_squared, abs=1e-12)
 
 
@@ -280,6 +380,15 @@ class TestAverageCase:
         d1 = box_discrepancy_gaussian(S, p, box).d_squared
         d2 = box_discrepancy_gaussian(S_bad, p, box).d_squared
         assert r2.predicted / r1.predicted == pytest.approx(d2 / d1, rel=1e-12)
+
+    def test_cauchy_identity_within_three_standard_errors(self):
+        p = ProductDensity.cauchy([1.0, 2.0])
+        box = Box(b=[1.0, 1.5])
+        S = transform(halton(16, 2), p)
+        rep = average_case_mc_check(S, p, box, n_samples=200_000, seed=21)
+        assert abs(rep.empirical - rep.predicted) <= 3 * rep.stderr
+        assert rep.predicted == pytest.approx(
+            math.pi ** 2 / 1.5 * box_discrepancy_gaussian(S, p, box).d_squared, rel=1e-13)
 
     def test_requires_enough_samples(self):
         S, p, box = _gaussian_setup(s=2, d=1, seed=17)

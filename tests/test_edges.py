@@ -1,14 +1,17 @@
 """Property tests at the edges: a single frequency, bandwidths from 1e-8 to
-1e8, and coincident frequencies in the weight solve.
+1e8, coincident frequencies in the weight solve, and unit points at the
+clamp bounds under both densities.
 
 Every number a report holds must be finite, the weight solve's KKT residual
 must stay within 1e-8, and a squared discrepancy may fall below zero only by
 the rounding of its three summands, 8 eps (|term1| + |term2| + |term3|).
 """
 
+import itertools
 import math
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from qmcrff.adaptive import optimize_weights
@@ -17,7 +20,7 @@ from qmcrff.discrepancy import (
     Box,
     assemble_H_v,
     box_discrepancy_gaussian,
-    gaussian_mean_norm_sq,
+    density_factors,
     gaussian_value_and_grad,
 )
 from qmcrff.experiment import (
@@ -30,6 +33,7 @@ from qmcrff.experiment import (
     run_pipeline,
 )
 from qmcrff.featmap import WeightedFeatureMap, real_feature_matrix
+from qmcrff.sequences import UNIT_EPS, UnitPointSet
 
 EPS = np.finfo(float).eps
 KKT_TOL = 1e-8
@@ -54,7 +58,7 @@ def _rounding_floor(*terms):
 
 def _weighted_d2_and_floor(freqs, xi, density, box):
     H, v = assemble_H_v(freqs, density, box)
-    terms = (gaussian_mean_norm_sq(density, box), -2.0 * float(v @ xi), float(xi @ H @ xi))
+    terms = (density_factors(density, box)[2], -2.0 * float(v @ xi), float(xi @ H @ xi))
     return sum(terms), _rounding_floor(*terms)
 
 
@@ -134,3 +138,59 @@ class TestCoincidentWeights:
         assert kkt <= KKT_TOL
         value, floor = _weighted_d2_and_floor(freqs, xi, density, box)
         assert math.isfinite(value) and value >= floor
+
+
+class TestClampBounds:
+    """Unit coordinates at UNIT_EPS and 1 - UNIT_EPS, where the generators
+    clamp: the normal quantile maps them to about -+8.1 / sigma and the Cauchy
+    quantile to about -+1.4e15 / sigma."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(kind=st.sampled_from(["gaussian", "cauchy"]),
+           log_sigma=st.lists(_log_sigma, min_size=1, max_size=3), seed=st.integers(0, 2 ** 16))
+    @example(kind="cauchy", log_sigma=[0.0, 0.0], seed=0)
+    @example(kind="cauchy", log_sigma=[8.0], seed=0)
+    @example(kind="cauchy", log_sigma=[-8.0], seed=0)
+    def test_transform_discrepancy_gradient_weights(self, kind, log_sigma, seed):
+        d = len(log_sigma)
+        grid = list(itertools.product([UNIT_EPS, 0.5, 1.0 - UNIT_EPS], repeat=d))
+        density = ProductDensity(kind, 10.0 ** np.asarray(log_sigma))
+        freqs = transform(UnitPointSet(points=grid, generator="file"), density)
+        rng = np.random.default_rng(seed)
+        box = Box(b=rng.uniform(0.5, 6.0, d))
+        r = box_discrepancy_gaussian(freqs, density, box)
+        assert all(math.isfinite(v) for v in (r.term1, r.term2, r.term3))
+        assert r.d_squared >= _rounding_floor(r.term1, r.term2, r.term3)
+        value, grad = gaussian_value_and_grad(freqs.points, density, box)
+        assert math.isfinite(value) and np.all(np.isfinite(grad))
+        xi, kkt = optimize_weights(freqs, density, box)
+        assert np.all(np.isfinite(xi)) and kkt <= KKT_TOL
+        weighted, floor = _weighted_d2_and_floor(freqs, xi, density, box)
+        assert weighted >= floor
+        Z = real_feature_matrix(WeightedFeatureMap(freqs=freqs, weights=xi),
+                                rng.standard_normal((5, d)))
+        assert np.all(np.isfinite(Z))
+
+    @pytest.mark.parametrize("kernel", ["gaussian", "laplacian"])
+    @settings(max_examples=5, deadline=None)
+    @given(log_sigma=_log_sigma, d=st.integers(1, 3), seed=st.integers(0, 2 ** 16))
+    @example(log_sigma=0.0, d=2, seed=0)
+    def test_pipeline_with_the_lattice_origin(self, kernel, log_sigma, d, seed):
+        # The lattice's first point is the origin, clamped to UNIT_EPS.
+        ds = _dataset(d, seed)
+        cfg = ExperimentConfig(kernel=kernel, sigma=(10.0 ** log_sigma,),
+                               sequences=PIPELINE_SEQUENCES, s_grid=(1, 4), trials=2,
+                               seed=seed, adapt_iters=5)
+        report = run_pipeline(cfg, ds)
+        assert all(math.isfinite(v) for v in _numbers(report["cells"]))
+        _, density, box, _, _ = _prologue(cfg, ds)
+        for cell in report["cells"]:
+            assert "discrepancy" in cell
+            for freqs, xi in _frequency_maps_for_cell(cfg, density, box, cell["label"],
+                                                      cell["s"], d):
+                if xi is None:
+                    r = box_discrepancy_gaussian(freqs, density, box)
+                    value, floor = r.d_squared, _rounding_floor(r.term1, r.term2, r.term3)
+                else:
+                    value, floor = _weighted_d2_and_floor(freqs, xi, density, box)
+                assert value >= floor
