@@ -30,6 +30,7 @@ _MIN_STEP = 1e-16
 # Armijo sufficient-decrease constant and backtracking shrink factor.
 _ARMIJO_C = 1e-4
 _BACKTRACK = 0.5
+_KKT_TOL = 1e-8  # `optimize_weights` warns above this KKT residual
 
 
 @dataclass
@@ -55,7 +56,7 @@ class OptTrace:
     construction.  ``step_sizes`` holds the line-search step alpha for
     conjugate gradient runs and ||x_new - x|| for L-BFGS-B runs.  ``x`` is
     the final flattened iterate; wrappers attach the corresponding
-    FrequencySet (and weights, when applicable).
+    FrequencySet.
     """
 
     x: np.ndarray
@@ -66,7 +67,6 @@ class OptTrace:
     converged: bool = False
     line_search_failed: bool = False
     freqs: FrequencySet = None
-    weights: np.ndarray = None
 
     def to_json_dict(self):
         out = {
@@ -79,8 +79,6 @@ class OptTrace:
         }
         if self.freqs is not None:
             out["freqs"] = self.freqs.to_json_dict()
-        if self.weights is not None:
-            out["weights"] = [float(v) for v in self.weights]
         return out
 
 
@@ -90,10 +88,8 @@ def discrepancy_gradient(freqs, density, box):
     The gradient half of `gaussian_value_and_grad`, which documents the
     formula; it serves both densities.
     """
-    W = freqs.points
-    if not (W.shape[1] == density.d == box.d):
-        raise ValueError("dimension mismatch between frequencies, density and box")
-    return gaussian_value_and_grad(W, density, box)[1]
+    _check_dims(freqs.d, density, box)
+    return gaussian_value_and_grad(freqs.points, density, box)[1]
 
 
 def nonlinear_cg(objective, gradient, x0, opts):
@@ -352,7 +348,7 @@ def optimize_greedy(t_points, density, box, init_freqs, opts):
     return trace
 
 
-def optimize_weights(freqs, density, box, kkt_tol=1e-8):
+def optimize_weights(freqs, density, box):
     """Nonnegative weights minimizing xi.H.xi - 2 v.xi.
 
     Solves the convex quadratic program through scipy's NNLS on the
@@ -384,9 +380,9 @@ def optimize_weights(freqs, density, box, kkt_tol=1e-8):
     r_zero = float(np.maximum(-grad_half[zero], 0.0).max(initial=0.0))
     r_pos = float(np.abs(grad_half[~zero]).max(initial=0.0))
     kkt = max(r_neg, r_zero, r_pos)
-    if kkt > kkt_tol:
+    if kkt > _KKT_TOL:
         warnings.warn(
-            f"weight optimization stopped with KKT residual {kkt:.3e} > {kkt_tol:.1e}",
+            f"weight optimization stopped with KKT residual {kkt:.3e} > {_KKT_TOL:.1e}",
             RuntimeWarning,
         )
     return xi, kkt

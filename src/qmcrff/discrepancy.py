@@ -22,8 +22,8 @@ have them in closed form (`density_factors`):
         term3 = prod_j sigma_j (1 - exp(-2 b_j/sigma_j)) / (2 pi).
 
 The pairwise term is the same for every density.  Per-dimension numerical
-quadrature of the characteristic function (`box_discrepancy_quadrature`)
-is the independent oracle for the closed forms.
+quadrature of the characteristic function with a plain-sine pairwise term
+(`box_discrepancy_quadrature`) is the independent oracle for the closed forms.
 """
 
 import math
@@ -56,6 +56,12 @@ _NEAR_LAG = 0.25
 # last kept one still moves the slope by 5e-15 of its value.
 _SINC_SERIES = tuple((-1) ** k / math.factorial(2 * k + 1) for k in range(7))
 _SINC_SLOPE_SERIES = tuple(2 * k * c for k, c in enumerate(_SINC_SERIES))[1:]
+
+# `box_discrepancy_quadrature` refuses to derive more nodes: leggauss(2000)
+# takes 0.6 s, and a clamped Cauchy frequency (|w| ~ 1e15/sigma) asks for more.
+_MAX_QUADRATURE_NODES = 2000
+
+_MC_CHUNK = 65536  # box samples per batch of `average_case_mc_check`
 
 
 @dataclass
@@ -181,17 +187,18 @@ def sinc_kernel(box, u, v):
     v = np.asarray(v, dtype=float)
     if u.shape != (box.d,) or v.shape != (box.d,):
         raise ValueError(f"u and v must have shape ({box.d},)")
-    return float(np.prod(_sinc_factor(box.b, u - v)))
+    return float(np.prod(box.b / np.pi * np.sinc(box.b * (u - v) / np.pi)))
 
 
-def sinc_gram(box, W, V=None):
-    """Matrix of sinc-kernel values between the rows of W and V (default W)."""
+def sinc_gram(box, W):
+    """Sinc-kernel Gram matrix of the rows of W: the upper triangle from the
+    closed form's pair sweep, mirrored, so it is exactly symmetric."""
     W = np.asarray(W, dtype=float)
-    V = W if V is None else np.asarray(V, dtype=float)
-    out = np.ones((W.shape[0], V.shape[0]))
-    for j in range(box.d):
-        out *= _sinc_factor(box.b[j], W[:, j][:, None] - V[:, j][None, :])
-    return out
+    s = W.shape[0]
+    H = np.zeros((s, s))
+    for r0, r1, f, _ in _pair_blocks(W, box.b, slope=False):
+        np.prod(f, axis=0, out=H[r0:r1, r0:])
+    return np.triu(H) + np.triu(H, 1).T
 
 
 def gaussian_point_factors(density, box, W):
@@ -286,75 +293,77 @@ def _exclusive_products(F):
     return out
 
 
-def _discrepancy_pass(W, density, box, with_grad):
-    """Closed-form (term1, term2, term3) and, when ``with_grad``, the s x d
-    gradient of their sum, from one sweep over the upper triangle of the
-    pair grid.
+def _pair_blocks(W, b, slope):
+    """Upper triangle of the pair grid, row block [r0, r1) against columns
+    r0..s-1 (about _BLOCK_ENTRIES pairs per dimension), so each unordered
+    pair is met once and the block's diagonal square holds both orders of
+    its pairs.  Yields (r0, r1, f, df): f[j, i, k] = sin(b_j t) / (pi t) at
+    t = w_(r0+i)j - w_(r0+k)j, and df its slope in t when ``slope``.
 
-    Row block [r0, r1) is swept against columns r0..s-1, so each unordered
-    pair is met once.  The block's diagonal square holds both orders of its
-    pairs; the rectangle beyond it counts twice in the pair sum.  In the
-    gradient a rectangle term goes to row l and, negated, to row m, since
-    sinc' is odd in the lag and the other factors are even.  The product
-    over q != j comes from running prefix and suffix products, so a block
-    costs O(d) array operations rather than O(d^2).  A block holds about
-    _BLOCK_ENTRIES pairs in each dimension.
-
-    sin and cos of b_j (w_lj - w_mj) come from the per-point values by
-    angle addition, and the slope from d/dt sin(b t)/t = (b cos(b t) -
-    sin(b t)/t) / t.  Where |b_j (w_lj - w_mj)| < _NEAR_LAG the identity
-    loses relative accuracy, and `_sinc_series` evaluates those entries, so
-    no sine or cosine is taken on the pair grid.
+    sin and cos of b_j t come from the per-point values by angle addition,
+    and the slope from d/dt sin(b t)/t = (b cos(b t) - sin(b t)/t) / t.
+    Where |b_j t| < _NEAR_LAG the identity loses relative accuracy, and
+    `_sinc_series` evaluates those entries: no sine is taken on the grid.
     """
-    W = np.asarray(W, dtype=float)
     s, d = W.shape
-    if s < 1:
-        raise ValueError("the discrepancy requires at least one frequency (s >= 1)")
-    b = box.b
     sin_w, cos_w = _point_sincos(b, W)
     # In each dimension the lag w_l - w_m and the angle-addition grids
     # (sin_l cos_m - cos_l sin_m) / pi and (cos_l cos_m + sin_l sin_m) / pi
     # are products of per-point rows (lag, sin, cos) x 4 and columns 4 x s,
     # which BLAS writes in one pass.  The zero entries add exact zeros, so
     # the lag is the correctly rounded difference.
-    columns = np.empty((d, 4, s))
-    columns[:, 0] = 1.0
-    columns[:, 1] = -W.T
-    columns[:, 2] = cos_w.T / np.pi
-    columns[:, 3] = sin_w.T / np.pi
-    point_rows = np.zeros((3 if with_grad else 2, d, s, 4))
+    columns = np.stack([np.ones((d, s)), -W.T, cos_w.T / np.pi, sin_w.T / np.pi], axis=1)
+    point_rows = np.zeros((3 if slope else 2, d, s, 4))
     point_rows[0, :, :, 0] = W.T
     point_rows[0, :, :, 1] = 1.0
     point_rows[1, :, :, 2] = sin_w.T
     point_rows[1, :, :, 3] = -cos_w.T
-    if with_grad:
+    if slope:
         point_rows[2, :, :, 2] = cos_w.T
         point_rows[2, :, :, 3] = sin_w.T
     near = (_NEAR_LAG / b)[:, None, None]
-    pair_sum = 0.0
-    grad = np.zeros((s, d)) if with_grad else None
     r0 = 0
     while r0 < s:
         r1 = min(s, r0 + max(1, _BLOCK_ENTRIES // (s - r0)))
-        rows = r1 - r0
         # d x rows x (s - r0) grids of lags, sinc factors and their slopes.
         grids = point_rows[:, :, r0:r1] @ columns[:, :, r0:]
         t, f = grids[0], grids[1]
+        df = grids[2] if slope else None
         with np.errstate(divide="ignore", invalid="ignore"):
             f /= t
-            if with_grad:
-                df = grids[2]
+            if slope:
                 df *= b[:, None, None]
                 df -= f
                 df /= t
         idx = np.flatnonzero(np.abs(t) < near)
-        series = _sinc_series(b[idx // t[0].size], t.take(idx), slope=with_grad)
-        if not with_grad:
+        series = _sinc_series(b[idx // t[0].size], t.take(idx), slope=slope)
+        if not slope:
             f.put(idx, series)
-            prod = np.prod(f, axis=0)
         else:
             f.put(idx, series[0])
             df.put(idx, series[1])
+        yield r0, r1, f, df
+        r0 = r1
+
+
+def _discrepancy_pass(W, density, box, with_grad):
+    """Closed-form (term1, term2, term3) and, when ``with_grad``, the s x d
+    gradient of their sum, from one `_pair_blocks` sweep.  The rectangle
+    beyond a block's diagonal square counts twice in the pair sum; in the
+    gradient its term goes to row l and, negated, to row m, since sinc' is
+    odd in the lag and the other factors are even.  Prefix and suffix
+    products give the product over q != j in O(d) operations per block."""
+    W = np.asarray(W, dtype=float)
+    s, d = W.shape
+    if s < 1:
+        raise ValueError("the discrepancy requires at least one frequency (s >= 1)")
+    pair_sum = 0.0
+    grad = np.zeros((s, d)) if with_grad else None
+    for r0, r1, f, df in _pair_blocks(W, box.b, slope=with_grad):
+        rows = r1 - r0
+        if not with_grad:
+            prod = np.prod(f, axis=0)
+        else:
             # df[j] becomes the slope of factor j times all the other factors;
             # the suffix product may overwrite f, which is not needed again.
             prod = f[0].copy()
@@ -370,7 +379,6 @@ def _discrepancy_pass(W, density, box, with_grad):
             grad[r0:r1] += df.sum(axis=2).T
             grad[r1:] -= df[:, :, rows:].sum(axis=1).T
         pair_sum += float(prod[:, :rows].sum()) + 2.0 * float(prod[:, rows:].sum())
-        r0 = r1
 
     factors, slopes, term3 = density_factors(density, box)
     G = factors(W)
@@ -408,32 +416,37 @@ def box_discrepancy_gaussian(freqs, density, box):
     """Closed-form squared box discrepancy, for the Gaussian and the Cauchy
     density alike (the name predates the Cauchy closed form)."""
     _check_dims(freqs.d, density, box)
-    if freqs.s < 1:
-        raise ValueError("box_discrepancy_gaussian requires at least one frequency")
     term1, term2, term3 = gaussian_discrepancy_terms(freqs.points, density, box)
     return DiscrepancyReport(d_squared=term1 + term2 + term3,
                              term1=term1, term2=term2, term3=term3,
                              s=freqs.s, d=freqs.d)
 
 
-def box_discrepancy_quadrature(freqs, density, box, nodes=200):
+def box_discrepancy_quadrature(freqs, density, box, nodes=None):
     """Squared box discrepancy via per-dimension Gauss-Legendre quadrature.
 
     Evaluates the characteristic-function integrals int |phi_j|^2 and
     int phi_j cos(w beta) over [0, b_j] (both integrands are even) with
-    ``nodes`` Gauss-Legendre points per dimension.  Works for any product
-    density; restricted to d <= 3 because it serves as the test oracle for
-    the closed form.  With s = 0 only the squared kernel-mean norm remains.
+    ``nodes`` Gauss-Legendre points per dimension (by default max(200, 64 +
+    ceil(max_lj |w_lj| b_j)), well above the oscillations of cos(w beta),
+    refused beyond _MAX_QUADRATURE_NODES).  Works for any product density;
+    restricted to d <= 3 as the test oracle for the closed form.  With
+    s = 0 only the squared kernel-mean norm remains.
     """
     _check_dims(freqs.d, density, box)
     d = freqs.d
     if d > 3:
         raise ValueError(f"box_discrepancy_quadrature supports d <= 3, got d={d}")
+    W = freqs.points
+    s = W.shape[0]
+    if nodes is None:
+        nodes = max(200, 64 + math.ceil(float(np.max(np.abs(W) * box.b, initial=0.0))))
+        if nodes > _MAX_QUADRATURE_NODES:
+            raise ValueError(f"box_discrepancy_quadrature would need {nodes} nodes, "
+                             f"beyond {_MAX_QUADRATURE_NODES}; pass nodes= to force it")
     if nodes < 32:
         raise ValueError(f"box_discrepancy_quadrature requires nodes >= 32, got {nodes}")
     gl_x, gl_w = np.polynomial.legendre.leggauss(nodes)
-    W = freqs.points
-    s = W.shape[0]
 
     term1 = 1.0
     cross = np.ones(s)
@@ -449,7 +462,8 @@ def box_discrepancy_quadrature(freqs, density, box, nodes=200):
     if s == 0:
         return term1
     term2 = -2.0 / s * float(cross.sum())
-    term3 = float(sinc_gram(box, W).sum()) / (s * s)
+    lag = W[:, None, :] - W[None, :, :]
+    term3 = float(np.prod(box.b / np.pi * np.sinc(box.b * lag / np.pi), axis=2).sum()) / (s * s)
     return term1 + term2 + term3
 
 
@@ -511,7 +525,7 @@ class AverageCaseReport:
         }
 
 
-def average_case_mc_check(freqs, density, box, n_samples, seed, chunk=65536):
+def average_case_mc_check(freqs, density, box, n_samples, seed):
     """Monte Carlo check that the mean squared error over the box matches
     pi^d / prod_j b_j times the squared discrepancy.
 
@@ -529,7 +543,7 @@ def average_case_mc_check(freqs, density, box, n_samples, seed, chunk=65536):
     total_sq = 0.0
     remaining = n_samples
     while remaining > 0:
-        m = min(chunk, remaining)
+        m = min(_MC_CHUNK, remaining)
         u = rng.uniform(-box.b, box.b, size=(m, box.d))
         exact = np.ones(m)
         for j in range(box.d):

@@ -10,7 +10,7 @@ import json
 import warnings
 import zlib
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from datetime import datetime, timezone
 
 import numpy as np
@@ -41,7 +41,6 @@ class Dataset:
 
     X: np.ndarray
     y: np.ndarray = None
-    column_stats: list = field(default_factory=list)
 
     def __post_init__(self):
         self.X = np.asarray(self.X, dtype=float)
@@ -55,12 +54,6 @@ class Dataset:
                 raise DataError("target length must match the number of rows")
             if not np.all(np.isfinite(self.y)):
                 raise DataError("target contains non-finite entries")
-        if not self.column_stats:
-            self.column_stats = [
-                {"min": float(c.min()), "max": float(c.max()),
-                 "mean": float(c.mean()), "std": float(c.std())}
-                for c in self.X.T
-            ]
 
     @property
     def n(self):

@@ -7,7 +7,7 @@ import numpy as np
 
 from .densities import GAUSSIAN, FrequencySet
 
-DEFAULT_GRAM_CAP = 20000
+_GRAM_CAP = 20000  # rows gram_exact and gram_approx accept
 
 
 @dataclass
@@ -95,7 +95,7 @@ def approx_kernel(fmap, x, z):
     return complex(np.sum(fmap.weights * np.exp(-1j * phases)))
 
 
-def gram_exact(density, X, max_n=DEFAULT_GRAM_CAP):
+def gram_exact(density, X):
     """Exact kernel Gram matrix of the rows of X (PSD, unit diagonal).
 
     It is exactly symmetric: the Gaussian distances come from a symmetric
@@ -106,8 +106,8 @@ def gram_exact(density, X, max_n=DEFAULT_GRAM_CAP):
     n = X.shape[0]
     if n < 1:
         raise ValueError("gram_exact requires at least one row")
-    if n > max_n:
-        raise ValueError(f"n={n} exceeds the Gram cap {max_n}")
+    if n > _GRAM_CAP:
+        raise ValueError(f"n={n} exceeds the Gram cap {_GRAM_CAP}")
     Xs = X / density.scale[None, :]
     if density.kind == GAUSSIAN:
         sq = np.sum(Xs * Xs, axis=1)
@@ -120,7 +120,7 @@ def gram_exact(density, X, max_n=DEFAULT_GRAM_CAP):
     return np.exp(-acc)
 
 
-def gram_approx(fmap, X, max_n=DEFAULT_GRAM_CAP):
+def gram_approx(fmap, X):
     """Real part of the feature-map Gram estimate, Z Z' with Z the real
     feature matrix.
 
@@ -131,8 +131,8 @@ def gram_approx(fmap, X, max_n=DEFAULT_GRAM_CAP):
     n = X.shape[0]
     if n < 1:
         raise ValueError("gram_approx requires at least one row")
-    if n > max_n:
-        raise ValueError(f"n={n} exceeds the Gram cap {max_n}")
+    if n > _GRAM_CAP:
+        raise ValueError(f"n={n} exceeds the Gram cap {_GRAM_CAP}")
     Z = real_feature_matrix(fmap, X)
     return Z @ Z.T
 

@@ -10,6 +10,7 @@ change the output.
 
 import json
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 
@@ -37,9 +38,8 @@ def _first_primes(count):
 
 PRIMES = _first_primes(_PRIME_TABLE_SIZE)
 
-_PERM_CACHE = {}
 
-
+@cache
 def digit_reversal_permutation(base):
     """Deterministic reverse-radix digit permutation for the given base.
 
@@ -48,21 +48,17 @@ def digit_reversal_permutation(base):
     of the reversed scan) form the permutation.  0 maps to 0 in every base,
     and base 2 yields the identity.
     """
-    perm = _PERM_CACHE.get(base)
-    if perm is None:
-        nbits = max(1, (base - 1).bit_length())
-        perm = []
-        for k in range(1 << nbits):
-            rev = 0
-            v = k
-            for _ in range(nbits):
-                rev = (rev << 1) | (v & 1)
-                v >>= 1
-            if rev < base:
-                perm.append(rev)
-        perm = tuple(perm)
-        _PERM_CACHE[base] = perm
-    return perm
+    nbits = max(1, (base - 1).bit_length())
+    perm = []
+    for k in range(1 << nbits):
+        rev = 0
+        v = k
+        for _ in range(nbits):
+            rev = (rev << 1) | (v & 1)
+            v >>= 1
+        if rev < base:
+            perm.append(rev)
+    return tuple(perm)
 
 
 def radical_inverse(i, base, permutation=None):

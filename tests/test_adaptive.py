@@ -137,6 +137,7 @@ class TestSincSeries:
         monkeypatch.setattr(np, "cos", counting(np.cos))
         gaussian_value_and_grad(W, p, box)
         gaussian_discrepancy_terms(W, p, box)
+        sinc_gram(box, W)
         assert sizes and max(sizes) <= W.size
 
 
@@ -196,11 +197,12 @@ def _reference_value_and_grad(S, p, box):
     s, d = W.shape
     sigma, b = p.scale, box.b
     G = gaussian_point_factors(p, box, W)
-    value = (sinc_gram(box, W).sum() / (s * s) - 2.0 / s * np.prod(G, axis=1).sum()
+    delta = W[:, None, :] - W[None, :, :]
+    # Plain-sine factors: nothing shared with the pair sweep under test.
+    factors = np.moveaxis(b / np.pi * np.sinc(b * delta / np.pi), 2, 0)
+    value = (np.prod(factors, axis=0).sum() / (s * s) - 2.0 / s * np.prod(G, axis=1).sum()
              + float(np.prod(sigma / (2.0 * np.sqrt(np.pi)) * np.array(
                  [math.erf(v) for v in b / sigma]))))
-    delta = W[:, None, :] - W[None, :, :]
-    factors = np.stack([_sinc_factor(b[j], delta[:, :, j]) for j in range(d)])
     slopes = np.stack([_sinc_factor(b[j], delta[:, :, j], slope=True)[1] for j in range(d)])
     edge = np.sqrt(2.0 / np.pi) * sigma / np.sqrt(2.0 * np.pi) * sigma * np.exp(
         -b * b / (2.0 * sigma * sigma))
@@ -256,6 +258,25 @@ class TestFusedValueAndGradient:
         assert np.allclose(g_b, g, rtol=1e-13, atol=1e-16)
         value_terms = sum(gaussian_discrepancy_terms(S.points, p, box))
         assert value_terms == pytest.approx(value, rel=1e-13, abs=0.0)
+
+
+class TestSincGram:
+    @pytest.mark.parametrize("kind", ["gaussian", "cauchy"])
+    @pytest.mark.parametrize("S,p,box", _fused_cases())
+    def test_symmetric_and_sums_to_the_pass_pair_term(self, S, p, box, kind):
+        density = getattr(ProductDensity, kind)(p.scale)
+        H = sinc_gram(box, S.points)
+        assert np.array_equal(H, H.T)
+        term1 = gaussian_discrepancy_terms(S.points, density, box)[0]
+        assert H.sum() / S.s ** 2 == pytest.approx(term1, rel=1e-13, abs=0.0)
+
+    def test_row_blocks_are_invisible(self, monkeypatch):
+        S, _, box = _instance(9, 3, 24)
+        H = sinc_gram(box, S.points)
+        monkeypatch.setattr(discrepancy_module, "_BLOCK_ENTRIES", 2 * 9)
+        H_b = sinc_gram(box, S.points)
+        assert np.array_equal(H_b, H_b.T)
+        assert np.allclose(H_b, H, rtol=1e-13, atol=0.0)
 
 
 def _pair_envelope_weights(W, b):

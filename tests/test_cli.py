@@ -120,11 +120,6 @@ class TestLoadCsv:
         with pytest.raises(DataError, match="cannot open"):
             load_csv("/nonexistent/nope.csv", has_target=False)
 
-    def test_column_stats(self, tmp_path):
-        ds = load_csv(_write(tmp_path, "g.csv", "0\n1\n3\n"), has_target=False)
-        assert ds.column_stats[0]["min"] == 0.0
-        assert ds.column_stats[0]["max"] == 3.0
-
 
 class TestEstimateBox:
     def test_range(self):

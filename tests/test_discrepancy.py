@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from qmcrff.densities import FrequencySet, ProductDensity, transform
+import qmcrff.discrepancy as discrepancy_module
 from qmcrff.discrepancy import (
     Box,
     assemble_H_v,
@@ -252,6 +253,24 @@ class TestQuadratureOracle:
             box_discrepancy_quadrature(FrequencySet(points=[[0.0]]), p1, Box(b=[1.0]),
                                        nodes=16)
 
+    def test_default_nodes_follow_the_largest_frequency(self):
+        # max |w| b = 543 on Halton s=256, d=1, sigma=0.3, b=2; a fixed 200
+        # nodes gave 7.18e-5 here.
+        p = ProductDensity.cauchy(0.3, d=1)
+        box = Box(b=[2.0])
+        S = transform(halton(256, 1), p)
+        assert box_discrepancy_quadrature(S, p, box) == pytest.approx(
+            box_discrepancy_gaussian(S, p, box).d_squared, rel=1e-6)
+
+    def test_refuses_a_node_count_it_cannot_afford(self):
+        # A clamped Cauchy frequency: |w| ~ 1.4e15 / sigma.
+        p = ProductDensity.cauchy(0.3, d=1)
+        box = Box(b=[2.0])
+        S = FrequencySet(points=[[0.1], [1.4e15 / 0.3]])
+        with pytest.raises(ValueError, match=r"would need \d+ nodes"):
+            box_discrepancy_quadrature(S, p, box)
+        assert math.isfinite(box_discrepancy_quadrature(S, p, box, nodes=64))
+
     def test_cauchy_against_mc_oracle(self):
         # Direct Monte Carlo estimate of the double and single integrals of
         # the three-term expression, d = 1 Cauchy density.
@@ -262,17 +281,18 @@ class TestQuadratureOracle:
         S = FrequencySet(points=W)
         quad = box_discrepancy_quadrature(S, p, box, nodes=400)
 
-        from qmcrff.discrepancy import _sinc_factor
+        def kernel(lag):  # d = 1 sinc-kernel values by the plain sine
+            return box.b[0] / np.pi * np.sinc(box.b[0] * lag / np.pi)
 
         rng = np.random.default_rng(9)
         gamma = 1.0 / sigma
         om = rng.standard_cauchy(200_000) * gamma
         ph = rng.standard_cauchy(200_000) * gamma
-        term1_samples = _sinc_factor(box.b[0], om - ph)  # d=1 kernel values
+        term1_samples = kernel(om - ph)
         s = W.shape[0]
-        cross = sinc_gram(box, W, om[:100_000, None])    # (s, n) kernel values
+        cross = kernel(W - om[None, :100_000])    # (s, n) kernel values
         term2_samples = -2.0 / s * cross.sum(axis=0)
-        term3 = float(sinc_gram(box, W).sum()) / (s * s)
+        term3 = float(kernel(W - W.T).sum()) / (s * s)
         mc = term1_samples.mean() + term2_samples.mean() + term3
         se = math.sqrt(term1_samples.var(ddof=1) / term1_samples.size
                        + term2_samples.var(ddof=1) / term2_samples.size)
@@ -395,8 +415,10 @@ class TestAverageCase:
         with pytest.raises(ValueError):
             average_case_mc_check(S, p, box, n_samples=10, seed=0)
 
-    def test_chunking_is_invisible(self):
+    def test_chunking_is_invisible(self, monkeypatch):
         S, p, box = _gaussian_setup(s=4, d=2, seed=18)
-        a = average_case_mc_check(S, p, box, n_samples=5000, seed=3, chunk=512)
-        c = average_case_mc_check(S, p, box, n_samples=5000, seed=3, chunk=100000)
+        monkeypatch.setattr(discrepancy_module, "_MC_CHUNK", 512)
+        a = average_case_mc_check(S, p, box, n_samples=5000, seed=3)
+        monkeypatch.setattr(discrepancy_module, "_MC_CHUNK", 100000)
+        c = average_case_mc_check(S, p, box, n_samples=5000, seed=3)
         assert a.empirical == pytest.approx(c.empirical, rel=1e-12)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from qmcrff.densities import FrequencySet, ProductDensity, transform
+import qmcrff.featmap as featmap_module
 from qmcrff.featmap import (
     WeightedFeatureMap,
     approx_kernel,
@@ -231,12 +232,13 @@ class TestGram:
                 assert K[i, j] == pytest.approx(
                     approx_kernel(m, X[i], X[j]).real, abs=1e-12)
 
-    def test_size_cap(self):
+    def test_size_cap(self, monkeypatch):
         p = ProductDensity.gaussian(1.0, d=1)
+        monkeypatch.setattr(featmap_module, "_GRAM_CAP", 10)
         with pytest.raises(ValueError, match="cap"):
-            gram_exact(p, np.zeros((11, 1)), max_n=10)
+            gram_exact(p, np.zeros((11, 1)))
         with pytest.raises(ValueError, match="cap"):
-            gram_approx(_random_map(4, 1), np.zeros((11, 1)), max_n=10)
+            gram_approx(_random_map(4, 1), np.zeros((11, 1)))
 
 
 class TestRelativeErrors:

@@ -1,0 +1,61 @@
+"""The names the benchmark under perfbench/ looks up in qmcrff resolve.
+
+The benchmark reaches the package by name (attribute lookups and
+"module:function" strings), so a rename or a moved function would show up
+only when the benchmark runs.  These tests read the benchmark's sources
+with `ast` and import none of them.
+"""
+
+import ast
+import importlib
+from pathlib import Path
+
+import qmcrff
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+def _tree(name):
+    return ast.parse((PERFBENCH / name).read_text())
+
+
+def _assigned(tree, name):
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == name for t in node.targets):
+            return node.value
+    raise AssertionError(f"perfbench defines no {name}")
+
+
+def test_workload_entry_points_resolve_in_cli():
+    cli = importlib.import_module("qmcrff.cli")
+    names = ast.literal_eval(_assigned(_tree("workloads.py"), "_ENTRY_POINTS"))
+    assert names
+    assert [n for n in names if not hasattr(cli, n)] == []
+
+
+def test_trace_targets_resolve():
+    targets = [ast.literal_eval(entry.elts[1])
+               for entry in _assigned(_tree("tracing.py"), "TARGETS").elts]
+    missing = []
+    for target in targets:
+        module, function = target.split(":")
+        if not hasattr(importlib.import_module(module), function):
+            missing.append(target)
+    assert targets
+    assert missing == []
+
+
+def test_probe_names_resolve_in_the_package():
+    # Each probe receives the package as ``q``; `_gram` takes the name of
+    # the function it times.
+    tree = _tree("probes.py")
+    names = {node.attr for node in ast.walk(tree)
+             if isinstance(node, ast.Attribute)
+             and isinstance(node.value, ast.Name) and node.value.id == "q"}
+    names |= {arg.value for node in ast.walk(tree)
+              if isinstance(node, ast.Call)
+              and isinstance(node.func, ast.Name) and node.func.id == "_gram"
+              for arg in node.args}
+    assert names
+    assert sorted(n for n in names if not hasattr(qmcrff, n)) == []
