@@ -11,7 +11,7 @@ from .adaptive import (
     optimize_greedy,
     optimize_weights,
 )
-from .densities import FrequencySet, ProductDensity, characteristic, exact_kernel, transform
+from .densities import FrequencySet, ProductDensity, transform
 from .discrepancy import (
     AverageCaseReport,
     Box,
@@ -21,14 +21,11 @@ from .discrepancy import (
     box_discrepancy_gaussian,
     box_discrepancy_quadrature,
     expected_mc_discrepancy,
-    sinc_kernel,
     weighted_discrepancy,
 )
 from .featmap import (
-    GramErrorReport,
     WeightedFeatureMap,
     approx_kernel,
-    feature_matrix,
     feature_vector,
     gram_approx,
     gram_exact,
@@ -45,7 +42,6 @@ from .sequences import (
     lattice,
     mc_uniform,
     radical_inverse,
-    star_discrepancy_bruteforce,
 )
 
 __version__ = "0.1.0"
@@ -56,7 +52,6 @@ __all__ = [
     "DataError",
     "DiscrepancyReport",
     "FrequencySet",
-    "GramErrorReport",
     "NumericalError",
     "OptTrace",
     "OptimizerOptions",
@@ -68,11 +63,8 @@ __all__ = [
     "average_case_mc_check",
     "box_discrepancy_gaussian",
     "box_discrepancy_quadrature",
-    "characteristic",
     "discrepancy_gradient",
-    "exact_kernel",
     "expected_mc_discrepancy",
-    "feature_matrix",
     "feature_vector",
     "gram_approx",
     "gram_exact",
@@ -88,9 +80,7 @@ __all__ = [
     "real_feature_matrix",
     "real_feature_vector",
     "relative_errors",
-    "sinc_kernel",
     "spectral_norm",
-    "star_discrepancy_bruteforce",
     "transform",
     "weighted_discrepancy",
 ]

@@ -83,7 +83,7 @@ def _write_points(points, out):
         for row in points.points:
             print(",".join("%.17g" % v for v in row))
     else:
-        points.save_csv(out)
+        write_matrix_csv(out, points.points)
 
 
 def _cmd_generate(args):
@@ -151,7 +151,7 @@ def _cmd_optimize(args):
                                     OptimizerOptions(max_iters=args.max_iters, grad_tol=1e-10))
         payload, points = trace.to_json_dict(), trace.freqs
     if args.out_points:
-        points.save_csv(args.out_points)
+        write_matrix_csv(args.out_points, points.points)
     _emit(payload, args.out)
     return 0
 

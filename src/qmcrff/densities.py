@@ -8,7 +8,6 @@ deviation).  For the Laplacian kernel exp(-sum |delta_j|/sigma_j) the
 frequency density per dimension is Cauchy with scale 1/sigma_j.
 """
 
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -94,11 +93,6 @@ class FrequencySet:
     def d(self):
         return self.points.shape[1]
 
-    def save_csv(self, path):
-        from .ioutil import write_matrix_csv
-
-        write_matrix_csv(path, self.points)
-
     def to_json_dict(self):
         return {
             "s": self.s,
@@ -106,9 +100,6 @@ class FrequencySet:
             "provenance": self.provenance,
             "points": [[float(v) for v in row] for row in self.points],
         }
-
-    def to_json(self):
-        return json.dumps(self.to_json_dict())
 
 
 def transform(pointset, density):
@@ -136,30 +127,10 @@ def transform(pointset, density):
     return FrequencySet(points=freqs, provenance=provenance)
 
 
-def characteristic(density, j, beta):
-    """Characteristic function of the j-th marginal at beta."""
-    return float(characteristic_profile(density, j, beta))
-
-
 def characteristic_profile(density, j, betas):
-    """Vectorized `characteristic` over an array of arguments."""
+    """Characteristic function of the j-th marginal at each of ``betas``."""
     sigma = density.scale[j]
     betas = np.asarray(betas, dtype=float)
     if density.kind == GAUSSIAN:
         return np.exp(-(betas * betas) / (2.0 * sigma * sigma))
     return np.exp(-np.abs(betas) / sigma)
-
-
-def exact_kernel(density, x, z):
-    """Kernel value whose inverse Fourier transform is the density.
-
-    Equals prod_j characteristic(density, j, x_j - z_j): the Gaussian
-    kernel for the gaussian density and the Laplacian kernel for the
-    cauchy density.
-    """
-    delta = np.asarray(x, dtype=float) - np.asarray(z, dtype=float)
-    if delta.shape != (density.d,):
-        raise ValueError(f"x - z must have shape ({density.d},), got {delta.shape}")
-    if density.kind == GAUSSIAN:
-        return float(np.exp(-np.sum((delta / density.scale) ** 2) / 2.0))
-    return float(np.exp(-np.sum(np.abs(delta) / density.scale)))

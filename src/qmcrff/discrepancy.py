@@ -44,10 +44,11 @@ _SQRT_2_OVER_PI = math.sqrt(2.0 / math.pi)
 # per-dimension factor arrays hold about this many entries each.
 _BLOCK_ENTRIES = 1 << 14
 
-# Below this |b * lag| the pairwise sweep evaluates the sinc factor and its
-# slope by `_sinc_series` rather than by angle addition, whose absolute
-# rounding error grows relative to the slope there: just above it the slope
-# is off by up to ~15 eps of b^2/pi.
+# Below this |b * lag| the pairwise sweep and `_sinc_factor` evaluate the
+# sinc factor and its slope by `_sinc_series` rather than by angle addition
+# or sine and cosine, whose absolute rounding error grows relative to the
+# slope there: just above it the sweep's slope is off by up to ~15 eps of
+# b^2/pi.
 _NEAR_LAG = 0.25
 
 # Taylor coefficients of sin(z)/z in z^2, (-1)^k / (2k+1)! for k <= 6, and
@@ -137,12 +138,11 @@ def _sinc_series(b, t, slope=False):
 
 
 def _sinc_factor(b, t, slope=False):
-    """sin(b*t) / (pi*t) with the diagonal convention sin(b*0)/0 = b.
+    """sin(b*t) / (pi*t) with the diagonal convention sin(b*0)/0 = b, and
+    with ``slope`` its derivative in t, (b^2/pi) sinc'(b*t), as well.
 
-    `_sinc_series` takes over for |b*t| < 1e-6; this keeps the later
-    gradient free of cancellation near coincident coordinates.  With
-    ``slope`` the derivative in t, (b^2/pi) sinc'(b*t), comes back as well,
-    from the same sine and with the series below |b*t| = 1e-3.  ``b`` may
+    Below |b*t| = _NEAR_LAG both come from `_sinc_series`, as in the pair
+    sweep; there the slope cos(z)/z - sin(z)/z^2 would cancel.  ``b`` may
     be a vector that broadcasts against ``t``.
     """
     t = np.asarray(t, dtype=float)
@@ -152,16 +152,14 @@ def _sinc_factor(b, t, slope=False):
         factor = np.asarray(sin_bt / (np.pi * t))
         if slope:
             dfactor = np.asarray((np.cos(bt) / bt - sin_bt / (bt * bt)) * (b * b / np.pi))
-    abs_bt = np.abs(bt)
-    small = abs_bt < 1e-6
-    if small.any():
-        factor[small] = _sinc_series(np.broadcast_to(b, bt.shape)[small], t[small])
-    if not slope:
-        return factor
-    tiny = abs_bt < 1e-3
-    if tiny.any():
-        dfactor[tiny] = _sinc_series(np.broadcast_to(b, bt.shape)[tiny], t[tiny], slope=True)[1]
-    return factor, dfactor
+    near = np.abs(bt) < _NEAR_LAG
+    if near.any():
+        series = _sinc_series(np.broadcast_to(b, bt.shape)[near], t[near], slope=slope)
+        if not slope:
+            factor[near] = series
+        else:
+            factor[near], dfactor[near] = series
+    return (factor, dfactor) if slope else factor
 
 
 def _point_sincos(b, W):
@@ -179,15 +177,6 @@ def _point_sincos(b, W):
     err[~np.isfinite(err)] = 0.0
     sin_x, cos_x = np.sin(x), np.cos(x)
     return sin_x + err * cos_x, cos_x - err * sin_x
-
-
-def sinc_kernel(box, u, v):
-    """Reproducing kernel of the band-limited box: pi^-d prod_j sin(b_j du_j)/du_j."""
-    u = np.asarray(u, dtype=float)
-    v = np.asarray(v, dtype=float)
-    if u.shape != (box.d,) or v.shape != (box.d,):
-        raise ValueError(f"u and v must have shape ({box.d},)")
-    return float(np.prod(box.b / np.pi * np.sinc(box.b * (u - v) / np.pi)))
 
 
 def sinc_gram(box, W):

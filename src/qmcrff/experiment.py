@@ -24,7 +24,6 @@ from .featmap import (
     gram_norms,
     real_feature_matrix,
     relative_errors,
-    summarize_gram_errors,
 )
 from .ioutil import DataError, NumericalError, read_matrix_csv
 from .sequences import halton, lattice, mc_uniform
@@ -94,8 +93,8 @@ def estimate_box(ds, box_scale=1.0):
     return Box(b=b * box_scale)
 
 
-def korobov_vector(s, d, a=DEFAULT_KOROBOV_A):
-    """Default rank-1 generating vector (1, a, a^2, ...) mod s."""
+def korobov_vector(s, d):
+    """Default rank-1 generating vector (1, a, a^2, ...) mod s, a = DEFAULT_KOROBOV_A."""
     if s < 1:
         raise ValueError(f"korobov_vector requires s >= 1, got {s}")
     if d < 1:
@@ -103,7 +102,7 @@ def korobov_vector(s, d, a=DEFAULT_KOROBOV_A):
     z = np.empty(d, dtype=np.int64)
     z[0] = 1 % s if s > 1 else 0
     for j in range(1, d):
-        z[j] = (z[j - 1] * a) % s
+        z[j] = (z[j - 1] * DEFAULT_KOROBOV_A) % s
     return z
 
 
@@ -264,8 +263,10 @@ def _gram_cell(cfg, density, box, X, K, K_norms, seq, s, with_discrepancy=False,
             else:
                 discrepancies.append(
                     weighted_discrepancy(freqs, weights, density, box))
-    report = summarize_gram_errors(seq, s, pairs)
-    cell = report.to_json_dict()
+    spectral, frobenius = zip(*pairs)
+    cell = {"label": seq, "s": s, "trials": len(pairs),
+            "relative_spectral": _mean_std(spectral),
+            "relative_frobenius": _mean_std(frobenius)}
     if discrepancies:
         cell["discrepancy"] = {**_mean_std(discrepancies), "box_scale": cfg.box_scale}
     if errs:

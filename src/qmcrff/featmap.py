@@ -53,12 +53,6 @@ def real_feature_vector(fmap, x):
     return real_feature_matrix(fmap, np.asarray(x, dtype=float)[None])[0]
 
 
-def feature_matrix(fmap, X):
-    """Row i is feature_vector(fmap, X[i])."""
-    phases = np.asarray(X, dtype=float) @ fmap.freqs.points.T
-    return np.sqrt(fmap.weights)[None, :] * np.exp(-1j * phases)
-
-
 def real_feature_matrix(fmap, X):
     """Row i is real_feature_vector(fmap, X[i]); shape (n, 2s).
 
@@ -176,37 +170,3 @@ def relative_errors(K, K_approx, norms=None):
     rel_f = float(np.linalg.norm(E) / denom_f) if denom_f > 0 else 0.0
     rel_2 = float(spectral_norm(E) / denom_2) if denom_2 > 0 else 0.0
     return rel_2, rel_f
-
-
-@dataclass
-class GramErrorReport:
-    """Per-(sequence, s) Gram approximation errors aggregated over trials."""
-
-    label: str
-    s: int
-    trials: int
-    spectral_mean: float
-    spectral_std: float
-    frobenius_mean: float
-    frobenius_std: float
-
-    def to_json_dict(self):
-        return {
-            "label": self.label,
-            "s": self.s,
-            "trials": self.trials,
-            "relative_spectral": {"mean": self.spectral_mean, "std": self.spectral_std},
-            "relative_frobenius": {"mean": self.frobenius_mean, "std": self.frobenius_std},
-        }
-
-
-def summarize_gram_errors(label, s, pairs):
-    """Aggregate (spectral, frobenius) pairs from repeated trials."""
-    arr = np.asarray(pairs, dtype=float)
-    if arr.ndim != 2 or arr.shape[1] != 2:
-        raise ValueError("pairs must be a sequence of (spectral, frobenius) tuples")
-    std = arr.std(axis=0, ddof=1) if arr.shape[0] > 1 else np.zeros(2)
-    mean = arr.mean(axis=0)
-    return GramErrorReport(label=label, s=s, trials=arr.shape[0],
-                           spectral_mean=float(mean[0]), spectral_std=float(std[0]),
-                           frobenius_mean=float(mean[1]), frobenius_std=float(std[1]))

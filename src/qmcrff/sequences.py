@@ -1,6 +1,5 @@
 """Unit-cube point sets: Halton (plain and deterministically scrambled),
-rank-1 lattices, seeded Monte Carlo, and a brute-force star-discrepancy
-checker used for validation in up to two dimensions.
+rank-1 lattices and seeded Monte Carlo.
 
 Every generated coordinate is clamped into [eps, 1-eps] with eps = 2**-52 so
 that downstream inverse-CDF transforms stay finite.  Each point is a pure
@@ -8,7 +7,6 @@ function of its index, so generation order (or parallel generation) cannot
 change the output.
 """
 
-import json
 from dataclasses import dataclass
 from functools import cache
 
@@ -123,11 +121,6 @@ class UnitPointSet:
     def d(self):
         return self.points.shape[1]
 
-    def save_csv(self, path):
-        from .ioutil import write_matrix_csv
-
-        write_matrix_csv(path, self.points)
-
     def to_json_dict(self):
         return {
             "generator": self.generator,
@@ -136,17 +129,6 @@ class UnitPointSet:
             "seed_or_start": self.seed_or_start,
             "points": [[float(v) for v in row] for row in self.points],
         }
-
-    def to_json(self):
-        return json.dumps(self.to_json_dict())
-
-    @classmethod
-    def from_json_dict(cls, payload):
-        pts = np.asarray(payload["points"], dtype=float)
-        if pts.shape != (payload["s"], payload["d"]):
-            raise ValueError("point matrix shape disagrees with the declared s, d")
-        return cls(points=pts, generator=payload["generator"],
-                   seed_or_start=int(payload["seed_or_start"]))
 
 
 def halton(s, d, scramble=False, start_index=1):
@@ -200,43 +182,3 @@ def mc_uniform(s, d, seed):
     rng = np.random.Generator(np.random.PCG64(seed))
     points = rng.random((s, d))
     return UnitPointSet(points=_clamp_unit(points), generator="mc", seed_or_start=int(seed))
-
-
-def star_discrepancy_bruteforce(pointset):
-    """Exact star discrepancy for d <= 2 by enumerating the critical grid.
-
-    On each axis-aligned cell delimited by point coordinates the anchored
-    box count is constant while the volume grows, so the supremum of
-    |Vol - count/s| is attained at a cell corner; both corners of every
-    cell are inspected, which covers the open/closed counting limits.
-    Intended as a test utility: cost is O(s^2) in d = 2.
-    """
-    pts = pointset.points
-    s, d = pts.shape
-    if d > 2:
-        raise ValueError(f"star_discrepancy_bruteforce supports d <= 2, got d={d}")
-    if s > 2000:
-        raise ValueError(f"star_discrepancy_bruteforce supports s <= 2000, got s={s}")
-    if d == 1:
-        x = np.sort(pts[:, 0])
-        lo = np.concatenate(([0.0], x))           # cell lower edges
-        hi = np.concatenate((x, [1.0]))           # cell upper edges
-        counts = np.arange(s + 1) / s             # points <= lower edge
-        return float(np.max(np.maximum(np.abs(hi - counts), np.abs(lo - counts))))
-
-    xs = np.unique(pts[:, 0])
-    ys = np.unique(pts[:, 1])
-    lo_x = np.concatenate(([0.0], xs))
-    hi_x = np.concatenate((xs, [1.0]))
-    lo_y = np.concatenate(([0.0], ys))
-    hi_y = np.concatenate((ys, [1.0]))
-    # counts[i, j] = #{points with x <= lo_x[i] and y <= lo_y[j]}
-    ix = np.searchsorted(xs, pts[:, 0])
-    iy = np.searchsorted(ys, pts[:, 1])
-    hist = np.zeros((len(xs) + 1, len(ys) + 1))
-    np.add.at(hist, (ix + 1, iy + 1), 1.0)
-    counts = hist.cumsum(axis=0).cumsum(axis=1) / s
-    vol_hi = np.outer(hi_x, hi_y)
-    vol_lo = np.outer(lo_x, lo_y)
-    dev = np.maximum(np.abs(vol_hi - counts), np.abs(vol_lo - counts))
-    return float(dev.max())

@@ -1,0 +1,84 @@
+"""Independent reference implementations the tests check the package
+against.  None of them shares code with what it checks."""
+
+import numpy as np
+import pytest
+
+from qmcrff.densities import GAUSSIAN
+
+
+def sinc_kernel(box, u, v):
+    """Reproducing kernel of the band-limited box: pi^-d prod_j sin(b_j du_j)/du_j."""
+    u = np.asarray(u, dtype=float)
+    v = np.asarray(v, dtype=float)
+    if u.shape != (box.d,) or v.shape != (box.d,):
+        raise ValueError(f"u and v must have shape ({box.d},)")
+    return float(np.prod(box.b / np.pi * np.sinc(box.b * (u - v) / np.pi)))
+
+
+def sinc_reference(b, t):
+    """(b/pi) sinc(b t) and (b^2/pi) sinc'(b t) from 30-digit mpmath; the
+    slope is -j1, the spherical Bessel function, which does not cancel
+    near zero as cos(z)/z - sin(z)/z^2 does."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(30):
+        b, t = mpmath.mpf(float(b)), mpmath.mpf(float(t))
+        z = b * t
+        factor = mpmath.sin(z) / (mpmath.pi * t)
+        j1 = mpmath.sqrt(mpmath.pi / (2 * abs(z))) * mpmath.besselj(1.5, abs(z))
+        return float(factor), float(-b * b / mpmath.pi * mpmath.sign(z) * j1)
+
+
+def exact_kernel(density, x, z):
+    """Kernel value whose inverse Fourier transform is the density.
+
+    Equals prod_j characteristic_profile(density, j, x_j - z_j): the
+    Gaussian kernel for the gaussian density and the Laplacian kernel for
+    the cauchy density.
+    """
+    delta = np.asarray(x, dtype=float) - np.asarray(z, dtype=float)
+    if delta.shape != (density.d,):
+        raise ValueError(f"x - z must have shape ({density.d},), got {delta.shape}")
+    if density.kind == GAUSSIAN:
+        return float(np.exp(-np.sum((delta / density.scale) ** 2) / 2.0))
+    return float(np.exp(-np.sum(np.abs(delta) / density.scale)))
+
+
+def star_discrepancy_bruteforce(pointset):
+    """Exact star discrepancy for d <= 2 by enumerating the critical grid.
+
+    On each axis-aligned cell delimited by point coordinates the anchored
+    box count is constant while the volume grows, so the supremum of
+    |Vol - count/s| is attained at a cell corner; both corners of every
+    cell are inspected, which covers the open/closed counting limits.
+    Intended as a test utility: cost is O(s^2) in d = 2.
+    """
+    pts = pointset.points
+    s, d = pts.shape
+    if d > 2:
+        raise ValueError(f"star_discrepancy_bruteforce supports d <= 2, got d={d}")
+    if s > 2000:
+        raise ValueError(f"star_discrepancy_bruteforce supports s <= 2000, got s={s}")
+    if d == 1:
+        x = np.sort(pts[:, 0])
+        lo = np.concatenate(([0.0], x))           # cell lower edges
+        hi = np.concatenate((x, [1.0]))           # cell upper edges
+        counts = np.arange(s + 1) / s             # points <= lower edge
+        return float(np.max(np.maximum(np.abs(hi - counts), np.abs(lo - counts))))
+
+    xs = np.unique(pts[:, 0])
+    ys = np.unique(pts[:, 1])
+    lo_x = np.concatenate(([0.0], xs))
+    hi_x = np.concatenate((xs, [1.0]))
+    lo_y = np.concatenate(([0.0], ys))
+    hi_y = np.concatenate((ys, [1.0]))
+    # counts[i, j] = #{points with x <= lo_x[i] and y <= lo_y[j]}
+    ix = np.searchsorted(xs, pts[:, 0])
+    iy = np.searchsorted(ys, pts[:, 1])
+    hist = np.zeros((len(xs) + 1, len(ys) + 1))
+    np.add.at(hist, (ix + 1, iy + 1), 1.0)
+    counts = hist.cumsum(axis=0).cumsum(axis=1) / s
+    vol_hi = np.outer(hi_x, hi_y)
+    vol_lo = np.outer(lo_x, lo_y)
+    dev = np.maximum(np.abs(vol_hi - counts), np.abs(vol_lo - counts))
+    return float(dev.max())

@@ -32,6 +32,8 @@ from qmcrff.discrepancy import (
 )
 from qmcrff.sequences import halton
 
+from oracles import sinc_reference
+
 
 def _instance(s, d, seed, sigma_range=(0.5, 2.0), b_range=(0.5, 2.0)):
     rng = np.random.default_rng(seed)
@@ -66,7 +68,8 @@ class TestSincDerivative:
         assert _sincp(0.0) == 0.0
 
     def test_series_matches_exact_formula_at_cutoff(self):
-        for z in [2e-4, 9.9e-4, 1.01e-3, 5e-3]:
+        near = discrepancy_module._NEAR_LAG
+        for z in [0.2, 0.99 * near, 1.01 * near, 0.3]:
             exact = np.cos(z) / z - np.sin(z) / z ** 2
             assert float(_sincp(z)) == pytest.approx(exact, rel=1e-6)
 
@@ -74,19 +77,6 @@ class TestSincDerivative:
         z = np.linspace(0.5, 10.0, 50)
         expect = np.cos(z) / z - np.sin(z) / z ** 2
         assert np.allclose(_sincp(z), expect, rtol=1e-14)
-
-
-def _sinc_reference(b, t):
-    """(b/pi) sinc(b t) and (b^2/pi) sinc'(b t) from 30-digit mpmath; the
-    slope is -j1, the spherical Bessel function, which does not cancel
-    near zero as cos(z)/z - sin(z)/z^2 does."""
-    mpmath = pytest.importorskip("mpmath")
-    with mpmath.workdps(30):
-        b, t = mpmath.mpf(float(b)), mpmath.mpf(float(t))
-        z = b * t
-        factor = mpmath.sin(z) / (mpmath.pi * t)
-        j1 = mpmath.sqrt(mpmath.pi / (2 * abs(z))) * mpmath.besselj(1.5, abs(z))
-        return float(factor), float(-b * b / mpmath.pi * mpmath.sign(z) * j1)
 
 
 class TestSincSeries:
@@ -101,7 +91,7 @@ class TestSincSeries:
             factor, slope = discrepancy_module._sinc_series(b, t, slope=True)
             assert np.array_equal(discrepancy_module._sinc_series(b, t), factor)
             for tk, fk, dk in zip(t, factor, slope):
-                ref_f, ref_d = _sinc_reference(b, tk)
+                ref_f, ref_d = sinc_reference(b, tk)
                 assert fk == pytest.approx(ref_f, rel=4.0 * eps, abs=0.0)
                 assert dk == pytest.approx(ref_d, rel=4.0 * eps, abs=0.0)
 
@@ -113,13 +103,31 @@ class TestSincSeries:
 
     def test_sinc_factor_small_branches_use_the_series(self):
         b = np.array([0.5, 2.0, 3.0])
-        t = np.array([[0.0, 4e-7, -3e-7], [1e-9, 1e-4, -2e-4], [0.3, 0.1, 5.0]])
+        t = np.array([[0.0, 4e-7, -3e-7], [1e-9, 1e-4, -0.1], [0.08, 0.1, 5.0]])
         factor, slope = _sinc_factor(b, t, slope=True)
-        small, tiny = np.abs(b * t) < 1e-6, np.abs(b * t) < 1e-3
+        near = np.abs(b * t) < discrepancy_module._NEAR_LAG
         bb = np.broadcast_to(b, t.shape)
-        assert np.array_equal(factor[small], discrepancy_module._sinc_series(bb[small], t[small]))
-        assert np.array_equal(slope[tiny],
-                              discrepancy_module._sinc_series(bb[tiny], t[tiny], slope=True)[1])
+        series = discrepancy_module._sinc_series(bb[near], t[near], slope=True)
+        assert 0 < near.sum() < near.size
+        assert np.array_equal(factor[near], series[0])
+        assert np.array_equal(slope[near], series[1])
+        assert np.array_equal(_sinc_factor(b, t), factor)
+
+    def test_sinc_factor_slope_matches_mpmath(self):
+        # Relative accuracy on the series side of _NEAR_LAG; beyond it
+        # cos(z)/z - sin(z)/z^2 still cancels a few bits, so the bound
+        # there is in units of the slope's scale b^2/pi.
+        near = discrepancy_module._NEAR_LAG
+        eps = np.finfo(float).eps
+        z = np.concatenate([np.geomspace(1e-5, 0.5, 120), np.linspace(0.2, 0.5, 61)])
+        for b in (0.3, 1.0, 2.7):
+            t = z / b
+            factor, slope = _sinc_factor(b, t, slope=True)
+            for zk, tk, fk, dk in zip(z, t, factor, slope):
+                ref_f, ref_d = sinc_reference(b, tk)
+                scale = abs(ref_d) if zk < near else b * b / np.pi
+                assert fk == pytest.approx(ref_f, rel=4.0 * eps, abs=0.0)
+                assert abs(dk - ref_d) <= 8.0 * eps * scale
 
     def test_pass_takes_no_sine_or_cosine_on_the_pair_grid(self, monkeypatch):
         S, p, box = _instance(40, 3, 61)
@@ -715,6 +723,18 @@ class TestOptimizeGreedy:
                 FrequencySet(points=trace.freqs.points[:t + 1]), p, box).d_squared
             assert value == pytest.approx(full, rel=1e-12, abs=0.0)
         assert trace.objective_values[-1] < box_discrepancy_gaussian(init, p, box).d_squared
+
+    def test_inner_solves_reach_the_gradient_tolerance(self):
+        # The greedy_seq benchmark configuration.  An inner solve whose
+        # slope rounding leaves the gradient above grad_tol runs to the
+        # iteration cap.
+        p = ProductDensity.gaussian(1.0, d=2)
+        box = Box(b=[3.0, 3.0])
+        init = transform(halton(4, 2), p)
+        trace = optimize_greedy(4, p, box, init, OptimizerOptions(max_iters=200,
+                                                                  grad_tol=1e-10))
+        assert len(trace.grad_norms) == 4
+        assert max(trace.grad_norms) <= 1e-10
 
     def test_requires_enough_initializers(self):
         p = ProductDensity.gaussian(1.0, d=2)

@@ -12,6 +12,8 @@ from qmcrff.experiment import (
     PIPELINE_SEQUENCES,
     Dataset,
     ExperimentConfig,
+    _frequency_maps_for_cell,
+    _mean_std,
     _split_indices,
     estimate_box,
     korobov_vector,
@@ -33,7 +35,7 @@ from qmcrff.featmap import (
     real_feature_matrix,
     relative_errors,
 )
-from qmcrff.ioutil import DataError, read_matrix_csv
+from qmcrff.ioutil import DataError, read_matrix_csv, write_matrix_csv
 from qmcrff.sequences import halton
 
 
@@ -144,8 +146,8 @@ class TestEstimateBox:
 
 class TestSequenceFactory:
     def test_korobov_vector(self):
-        z = korobov_vector(101, 3, a=7)
-        assert z.tolist() == [1, 7, 49]
+        # 1571 = 56 mod 101 and 56^2 = 5 mod 101.
+        assert korobov_vector(101, 3).tolist() == [1, 56, 5]
 
     @pytest.mark.parametrize("s,d,name", [(3, 0, "d"), (3, -1, "d"), (0, 2, "s"), (-2, 2, "s")])
     def test_korobov_vector_rejects_empty_sizes(self, s, d, name):
@@ -321,6 +323,25 @@ class TestPipeline:
             err = regression_error(Z[test] @ beta, y[test])
             assert cell["regression_error"]["mean"] == pytest.approx(err, rel=1e-9, abs=0.0)
 
+    def test_mc_cells_summarize_the_trials(self, regression_data):
+        # Each mc cell holds the mean and ddof-1 std of its trials' errors.
+        cfg = ExperimentConfig(sigma=(1.0,), sequences=("mc",), s_grid=(8, 16),
+                               trials=3, seed=6)
+        report = run_pipeline(cfg, regression_data)
+        X = regression_data.X
+        density = ProductDensity.for_kernel("gaussian", (1.0,), X.shape[1])
+        box = Box(b=report["box"])
+        K = gram_exact(density, X)
+        for cell in report["cells"]:
+            maps = _frequency_maps_for_cell(cfg, density, box, "mc", cell["s"], X.shape[1])
+            errors = [relative_errors(K, gram_approx(WeightedFeatureMap(freqs=freqs), X),
+                                      gram_norms(K))
+                      for freqs, _ in maps]
+            assert cell["trials"] == len(errors) == 3
+            spectral, frobenius = zip(*errors)
+            assert cell["relative_spectral"] == _mean_std(spectral)
+            assert cell["relative_frobenius"] == _mean_std(frobenius)
+
     def test_laplacian_kernel_supported(self, regression_data):
         cfg = ExperimentConfig(kernel="laplacian", sigma=(2.0,),
                                sequences=("halton",), s_grid=(16,), trials=1, seed=0)
@@ -449,8 +470,9 @@ class TestCommandLine:
         # scipy.linalg and scipy.optimize take about a quarter second to
         # import, and these commands solve no linear system or program.
         cube = halton(16, 2)
-        cube.save_csv(str(tmp_path / "cube.csv"))
-        transform(cube, ProductDensity.gaussian(1.0, d=2)).save_csv(str(tmp_path / "freqs.csv"))
+        write_matrix_csv(str(tmp_path / "cube.csv"), cube.points)
+        write_matrix_csv(str(tmp_path / "freqs.csv"),
+                         transform(cube, ProductDensity.gaussian(1.0, d=2)).points)
         argv = {
             "generate": ["generate", "--seq", "halton", "--s", "16", "--d", "2"],
             "transform": ["transform", "--in", str(tmp_path / "cube.csv")],

@@ -7,6 +7,7 @@ from qmcrff.densities import FrequencySet, ProductDensity, transform
 import qmcrff.discrepancy as discrepancy_module
 from qmcrff.discrepancy import (
     Box,
+    _sinc_factor,
     assemble_H_v,
     average_case_mc_check,
     box_discrepancy_gaussian,
@@ -15,10 +16,11 @@ from qmcrff.discrepancy import (
     expected_mc_discrepancy,
     gaussian_mean_norm_sq,
     sinc_gram,
-    sinc_kernel,
     weighted_discrepancy,
 )
 from qmcrff.sequences import halton, mc_uniform
+
+from oracles import sinc_kernel, sinc_reference
 
 # Frozen from a 60-digit oracle evaluated before the implementation:
 # single zero frequency, d = 1, b = sigma = 1:
@@ -80,11 +82,22 @@ class TestSincKernel:
         assert sinc_kernel(box, [1.0], [0.0]) == pytest.approx(0.0, abs=1e-15)
 
     def test_series_branch_continuity(self):
-        # values just inside/outside the series cutoff agree
-        box = Box(b=[1.0])
-        lo = sinc_kernel(box, [9.9e-7], [0.0])
-        hi = sinc_kernel(box, [1.01e-6], [0.0])
-        assert lo == pytest.approx(hi, rel=1e-9)
+        # _sinc_factor switches from the series to sine and cosine at
+        # |b t| = _NEAR_LAG; on both sides factor and slope match mpmath,
+        # the slope to 8 eps of its scale b^2/pi.
+        near = discrepancy_module._NEAR_LAG
+        eps = np.finfo(float).eps
+        z = np.array([0.99 * near, np.nextafter(near, 0.0), near,
+                      np.nextafter(near, 1.0), 1.01 * near])
+        for b in (0.5, 1.0, 3.0):
+            for sign in (1.0, -1.0):
+                t = sign * z / b
+                factor, slope = _sinc_factor(b, t, slope=True)
+                assert (np.abs(b * t) < near).any() and (np.abs(b * t) >= near).any()
+                for tk, fk, dk in zip(t, factor, slope):
+                    ref_f, ref_d = sinc_reference(b, tk)
+                    assert fk == pytest.approx(ref_f, rel=4.0 * eps, abs=0.0)
+                    assert abs(dk - ref_d) <= 8.0 * eps * b * b / np.pi
 
     def test_gram_matches_scalar(self):
         box = Box(b=[1.5, 0.5])

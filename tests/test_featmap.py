@@ -8,7 +8,6 @@ import qmcrff.featmap as featmap_module
 from qmcrff.featmap import (
     WeightedFeatureMap,
     approx_kernel,
-    feature_matrix,
     feature_vector,
     gram_approx,
     gram_exact,
@@ -17,9 +16,10 @@ from qmcrff.featmap import (
     real_feature_vector,
     relative_errors,
     spectral_norm,
-    summarize_gram_errors,
 )
 from qmcrff.sequences import halton, mc_uniform
+
+from oracles import exact_kernel
 
 
 def _random_map(s, d, seed=0, weights=None):
@@ -92,13 +92,11 @@ class TestRealFeatures:
         m = _random_map(6, 2, seed=10)
         X = np.random.default_rng(11).normal(size=(4, 2))
         R = real_feature_matrix(m, X)
-        C = feature_matrix(m, X)
         for i, x in enumerate(X):
             # BLAS may sum a one-row product x.w in another order than a
             # four-row one, so the phases, and only they, can differ in the
             # last bit.
             assert np.allclose(R[i], real_feature_vector(m, x), rtol=0.0, atol=1e-15)
-            assert np.allclose(C[i], feature_vector(m, x))
         # With dyadic inputs every phase is exact in any order, and the
         # vector is bitwise the matrix row: both are one realization.
         rng = np.random.default_rng(12)
@@ -169,8 +167,6 @@ class TestApproxKernel:
         density = ProductDensity.gaussian(1.0, d=2)
         freqs = transform(mc_uniform(20_000, 2, seed=17), density)
         m = WeightedFeatureMap(freqs=freqs)
-        from qmcrff.densities import exact_kernel
-
         x, z = np.array([0.5, -0.2]), np.array([-0.1, 0.3])
         samples = np.cos(freqs.points @ (x - z))
         se = samples.std(ddof=1) / np.sqrt(freqs.s)
@@ -304,17 +300,3 @@ class TestRelativeErrors:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert spectral_norm(np.array([[-2.5]])) == 2.5
-
-
-class TestGramErrorReport:
-    def test_deterministic_sequence_has_zero_std(self):
-        rep = summarize_gram_errors("halton", 64, [(0.1, 0.2)])
-        assert rep.trials == 1
-        assert rep.spectral_std == 0.0 and rep.frobenius_std == 0.0
-
-    def test_aggregation(self):
-        rep = summarize_gram_errors("mc", 32, [(0.1, 0.2), (0.3, 0.4)])
-        assert rep.spectral_mean == pytest.approx(0.2)
-        assert rep.frobenius_mean == pytest.approx(0.3)
-        d = rep.to_json_dict()
-        assert d["relative_frobenius"]["mean"] == pytest.approx(0.3)

@@ -1,5 +1,3 @@
-import json
-
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -13,8 +11,9 @@ from qmcrff.sequences import (
     lattice,
     mc_uniform,
     radical_inverse,
-    star_discrepancy_bruteforce,
 )
+
+from oracles import star_discrepancy_bruteforce
 
 
 def _radical_inverse_reference(i, base, permutation=None):
@@ -186,21 +185,13 @@ class TestClamping:
 
 class TestUnitPointSetSerialization:
     def test_csv_round_trip(self, tmp_path):
-        from qmcrff.ioutil import read_matrix_csv
+        from qmcrff.ioutil import read_matrix_csv, write_matrix_csv
 
         pts = halton(7, 3)
         path = tmp_path / "pts.csv"
-        pts.save_csv(path)
+        write_matrix_csv(path, pts.points)
         back = read_matrix_csv(path)
         assert np.array_equal(back, pts.points)
-
-    def test_json_round_trip(self):
-        pts = mc_uniform(5, 2, seed=9)
-        payload = json.loads(pts.to_json())
-        back = UnitPointSet.from_json_dict(payload)
-        assert np.array_equal(back.points, pts.points)
-        assert back.generator == "mc"
-        assert back.seed_or_start == 9
 
     def test_rejects_out_of_cube(self):
         with pytest.raises(ValueError):
