@@ -64,6 +64,28 @@ _MAX_QUADRATURE_NODES = 2000
 
 _MC_CHUNK = 65536  # box samples per batch of `average_case_mc_check`
 
+# Below b_j max(|w_lj|, 1/sigma_j) = _SLOPE_CUTOFF the cross-factor slopes
+# come from `_slope_series`: the closed forms subtract two terms of order b
+# whose difference is O(b^3).  Against 50-digit mpmath the series is within
+# 3e-16 of the slope below the cutoff, and the closed forms within 1e-10
+# just above it.  Where b_j / sigma_j is below the cutoff but b_j |w_lj| is
+# not, the Gaussian closed form stays off by about 5 eps (sigma_j / b_j)^2.
+_SLOPE_CUTOFF = 1e-2
+
+
+def _slope_series_table(p_degree, rows, cols):
+    """C[m, n] = 1 / (m! (2n+1)! (p_degree m + 2n + 3)), the coefficients
+    of P^m Q^n in `_slope_series`."""
+    return np.array([[1.0 / (math.factorial(m) * math.factorial(2 * n + 1)
+                             * (p_degree * m + 2 * n + 3)) for n in range(cols)]
+                     for m in range(rows)])
+
+
+# Sized so that at the cutoff the first omitted term is below 1e-18 of the
+# sum: P is O(cutoff^2) for the Gaussian and O(cutoff) for the Cauchy density.
+_GAUSSIAN_SLOPE_SERIES = _slope_series_table(2, 4, 4)
+_CAUCHY_SLOPE_SERIES = _slope_series_table(1, 8, 4)
+
 
 @dataclass
 class Box:
@@ -190,6 +212,29 @@ def sinc_gram(box, W):
     return np.triu(H) + np.triu(H, 1).T
 
 
+def _slope_series(slope, W, b, sigma, P, table):
+    """``slope`` with its entries where b_j max(|w_lj|, 1/sigma_j) < _SLOPE_CUTOFF
+    replaced by the Taylor series in b of g_j'(x) = -(1/pi) int_0^b_j beta
+    phi_j(beta) sin(x beta) dbeta:
+
+        g_j'(x) = -(x b_j^3 / pi) sum_{m,n} table[m, n] P_j^m (-(b_j x)^2)^n,
+
+    with P_j = -b_j^2 / (2 sigma_j^2) and phi_j(beta) = e^{-beta^2/(2 sigma_j^2)}
+    for the Gaussian density, P_j = -b_j / sigma_j and phi_j(beta) =
+    e^{-beta/sigma_j} for the Cauchy one.  ``slope`` is overwritten.
+    """
+    dims = b < _SLOPE_CUTOFF * sigma
+    if not dims.any():
+        return slope
+    near = dims & (np.abs(b * W) < _SLOPE_CUTOFF)
+    x = W[near]
+    bn = np.broadcast_to(b, W.shape)[near]
+    Q = -(bn * x) ** 2
+    series = _horner([_horner(row, Q) for row in table], np.broadcast_to(P, W.shape)[near])
+    slope[near] = -(x * bn ** 3 / np.pi) * series
+    return slope
+
+
 def gaussian_point_factors(density, box, W):
     """Per-point, per-dimension cross factors g_j(w_lj) for the Gaussian density."""
     sigma = density.scale
@@ -201,11 +246,14 @@ def gaussian_point_factors(density, box, W):
 def gaussian_point_slopes(density, box, W, G):
     """Derivatives g_j'(w_lj) of the cross factors G = gaussian_point_factors(density, box, W):
 
-        g_j'(x) = -sigma_j^2 x g_j(x) + sqrt(2/pi) c_j sigma_j exp(-b_j^2/(2 sigma_j^2)) sin(b_j x).
+        g_j'(x) = -sigma_j^2 x g_j(x) + sqrt(2/pi) c_j sigma_j exp(-b_j^2/(2 sigma_j^2)) sin(b_j x),
+
+    or `_slope_series` where that cancels.
     """
     sigma, b = density.scale, box.b
     edge = _SQRT_2_OVER_PI * (sigma / _SQRT_2PI) * sigma * np.exp(-b * b / (2.0 * sigma * sigma))
-    return -(sigma * sigma) * W * G + edge * np.sin(b * W)
+    slope = -(sigma * sigma) * W * G + edge * np.sin(b * W)
+    return _slope_series(slope, W, b, sigma, -0.5 * (b / sigma) ** 2, _GAUSSIAN_SLOPE_SERIES)
 
 
 def gaussian_mean_norm_sq(density, box):
@@ -237,12 +285,15 @@ def cauchy_point_slopes(density, box, W, G):
     """Derivatives g_j'(w_lj) of the cross factors G = cauchy_point_factors(density, box, W):
 
         g_j'(x) = e^{-a_j b_j} ((a_j b_j + 1) sin(b_j x) + b_j x cos(b_j x)) / (pi (a_j^2 + x^2))
-                  - 2 x g_j(x) / (a_j^2 + x^2).
+                  - 2 x g_j(x) / (a_j^2 + x^2),
+
+    or `_slope_series` where that cancels.
     """
     a, b = 1.0 / density.scale, box.b
     bw = b * W
     edge = np.exp(-a * b) * ((a * b + 1.0) * np.sin(bw) + bw * np.cos(bw)) / np.pi
-    return (edge - 2.0 * W * G) / (a * a + W * W)
+    slope = (edge - 2.0 * W * G) / (a * a + W * W)
+    return _slope_series(slope, W, b, density.scale, -a * b, _CAUCHY_SLOPE_SERIES)
 
 
 def cauchy_mean_norm_sq(density, box):

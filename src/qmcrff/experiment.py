@@ -243,14 +243,19 @@ def _gram_cell(cfg, density, box, X, K, K_norms, seq, s, with_discrepancy=False,
 
     Each map's real feature matrix Z is built once.  It gives K~ = ZZ' and,
     when ``ridge`` is ``(y, train_idx, test_idx)``, trains and scores a ridge
-    model before the next map's Z is built.
+    model before the next map's Z is built.  K - K~ is written over K~, so
+    the cell holds one n x n array besides the shared K.  K~ is allocated
+    afresh for each map: with one buffer kept across maps the heap shrinks
+    and the ridge and discrepancy arrays page-fault in again.
     """
     pairs = []
     discrepancies = []
     errs = []
     for freqs, weights in _frequency_maps_for_cell(cfg, density, box, seq, s, X.shape[1]):
         Z = real_feature_matrix(WeightedFeatureMap(freqs=freqs, weights=weights), X)
-        pairs.append(relative_errors(K, Z @ Z.T, K_norms))
+        K_approx = Z @ Z.T
+        pairs.append(relative_errors(K, K_approx, K_norms, out=K_approx))
+        del K_approx
         if ridge is not None:
             y, train_idx, test_idx = ridge
             beta = krr_train(Z[train_idx], y[train_idx], cfg.ridge_lambda)

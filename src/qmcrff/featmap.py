@@ -92,9 +92,12 @@ def approx_kernel(fmap, x, z):
 def gram_exact(density, X):
     """Exact kernel Gram matrix of the rows of X (PSD, unit diagonal).
 
-    It is exactly symmetric: the Gaussian distances come from a symmetric
-    rank-k update ``Xs @ Xs.T`` plus a symmetric outer sum, the Laplacian
-    ones from |a - b| = |b - a|.
+    K is built in place, so at most two n x n arrays are alive: K and one
+    temporary.  The Gaussian exponent G_ij - (h_i + h_j), with G = Xs Xs'
+    and h = |Xs_i|^2 / 2, is bitwise -d2/2 for the squared distance
+    d2 = sq_i + sq_j - 2 G_ij, since halving is exact.  It is exactly
+    symmetric: G comes from a symmetric rank-k update and the outer sum is
+    symmetric, and the Laplacian distances come from |a - b| = |b - a|.
     """
     X = np.asarray(X, dtype=float)
     n = X.shape[0]
@@ -104,14 +107,19 @@ def gram_exact(density, X):
         raise ValueError(f"n={n} exceeds the Gram cap {_GRAM_CAP}")
     Xs = X / density.scale[None, :]
     if density.kind == GAUSSIAN:
-        sq = np.sum(Xs * Xs, axis=1)
-        d2 = sq[:, None] + sq[None, :] - 2.0 * (Xs @ Xs.T)
-        np.maximum(d2, 0.0, out=d2)
-        return np.exp(-0.5 * d2)
-    acc = np.zeros((n, n))
-    for j in range(X.shape[1]):
-        acc += np.abs(Xs[:, j][:, None] - Xs[:, j][None, :])
-    return np.exp(-acc)
+        h = 0.5 * np.sum(Xs * Xs, axis=1)
+        K = Xs @ Xs.T
+        K -= np.add.outer(h, h)
+        np.minimum(K, 0.0, out=K)
+    else:
+        K = np.zeros((n, n))
+        T = np.empty((n, n))
+        for c in Xs.T:
+            np.subtract.outer(c, c, out=T)
+            np.abs(T, out=T)
+            K += T
+        np.negative(K, out=K)
+    return np.exp(K, out=K)
 
 
 def gram_approx(fmap, X):
@@ -138,15 +146,22 @@ def spectral_norm(A):
     run to machine precision from a fixed PCG64(0) start vector, so repeated
     calls are bitwise identical.
     """
-    from scipy.sparse.linalg import eigsh
+    from scipy.sparse.linalg import ArpackError, eigsh
 
     A = np.asarray(A, dtype=float)
-    if A.shape[0] < 2 or not A.any():
-        # ARPACK fails on a zero matrix and falls back to a dense solver, with
-        # a warning, on a 1x1 one.
+    if A.shape[0] < 2:
+        # ARPACK falls back to a dense solver, with a warning, on a 1x1 matrix.
         return float(np.abs(A).max(initial=0.0))
     v0 = np.random.Generator(np.random.PCG64(0)).standard_normal(A.shape[0])
-    eig = eigsh(A, k=1, which="LM", tol=0, v0=v0, return_eigenvectors=False)
+    try:
+        eig = eigsh(A, k=1, which="LM", tol=0, v0=v0, return_eigenvectors=False)
+    except ArpackError:
+        # A zero matrix maps v0 to zero, and ARPACK stops with error -9
+        # ("starting vector is zero"); scanning for it only here keeps the
+        # scan off every other call.
+        if not A.any():
+            return 0.0
+        raise
     return float(abs(eig[0]))
 
 
@@ -156,16 +171,18 @@ def gram_norms(K):
     return spectral_norm(K), float(np.linalg.norm(K))
 
 
-def relative_errors(K, K_approx, norms=None):
+def relative_errors(K, K_approx, norms=None, out=None):
     """(spectral, frobenius) relative errors of K_approx against K.
 
-    ``norms`` is ``gram_norms(K)`` when the caller already has it.
+    ``norms`` is ``gram_norms(K)`` when the caller already has it.  The
+    error matrix K - K_approx is written to ``out`` when given, which may be
+    ``K_approx`` itself; by default it is a new array and neither input changes.
     """
     K = np.asarray(K, dtype=float)
     K_approx = np.asarray(K_approx, dtype=float)
     if K.shape != K_approx.shape:
         raise ValueError(f"shape mismatch: {K.shape} vs {K_approx.shape}")
-    E = K - K_approx
+    E = np.subtract(K, K_approx, out=out)
     denom_2, denom_f = gram_norms(K) if norms is None else norms
     rel_f = float(np.linalg.norm(E) / denom_f) if denom_f > 0 else 0.0
     rel_2 = float(spectral_norm(E) / denom_2) if denom_2 > 0 else 0.0

@@ -44,6 +44,40 @@ def exact_kernel(density, x, z):
     return float(np.exp(-np.sum(np.abs(delta) / density.scale)))
 
 
+def gram_exact_reference(density, X):
+    """The exact Gram matrix by the direct expressions: exp(-d2/2) with
+    d2 = max(sq_i + sq_j - 2 <x_i, x_j>, 0) on the scaled rows for the
+    Gaussian kernel, exp(-sum_j |x_ij - x_kj| / sigma_j) summed one
+    dimension at a time for the Laplacian one."""
+    Xs = np.asarray(X, dtype=float) / density.scale[None, :]
+    if density.kind == GAUSSIAN:
+        sq = np.sum(Xs * Xs, axis=1)
+        d2 = sq[:, None] + sq[None, :] - 2.0 * (Xs @ Xs.T)
+        np.maximum(d2, 0.0, out=d2)
+        return np.exp(-0.5 * d2)
+    acc = np.zeros((Xs.shape[0], Xs.shape[0]))
+    for j in range(Xs.shape[1]):
+        acc += np.abs(Xs[:, j][:, None] - Xs[:, j][None, :])
+    return np.exp(-acc)
+
+
+def cross_slope_reference(kind, sigma, b, x):
+    """g'(x) = -(1/pi) int_0^b beta phi(beta) sin(x beta) dbeta, the slope of
+    the discrepancy's cross factor, by 50-digit mpmath quadrature; phi is
+    e^{-beta^2/(2 sigma^2)} for the gaussian density, e^{-beta/sigma} for the
+    cauchy one."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(50):
+        sigma, b, x = mpmath.mpf(float(sigma)), mpmath.mpf(float(b)), mpmath.mpf(float(x))
+        if kind == "gaussian":
+            def phi(t):
+                return mpmath.exp(-t * t / (2 * sigma * sigma))
+        else:
+            def phi(t):
+                return mpmath.exp(-t / sigma)
+        return float(-mpmath.quad(lambda t: t * phi(t) * mpmath.sin(x * t), [0, b]) / mpmath.pi)
+
+
 def star_discrepancy_bruteforce(pointset):
     """Exact star discrepancy for d <= 2 by enumerating the critical grid.
 

@@ -20,7 +20,7 @@ from qmcrff.discrepancy import (
 )
 from qmcrff.sequences import halton, mc_uniform
 
-from oracles import sinc_kernel, sinc_reference
+from oracles import cross_slope_reference, sinc_kernel, sinc_reference
 
 # Frozen from a 60-digit oracle evaluated before the implementation:
 # single zero frequency, d = 1, b = sigma = 1:
@@ -232,6 +232,41 @@ class TestCauchyClosedForm:
             rep = box_discrepancy_gaussian(S, p, box)
             assert rep.d_squared == rep.term1 + rep.term2 + rep.term3
             assert rep.d_squared >= -1e-10
+
+
+class TestCrossSlopesNearZeroWidth:
+    """The slopes g'(x) against 50-digit mpmath where the closed forms
+    subtract two terms of order b whose difference is O(b^3)."""
+
+    @staticmethod
+    def _relative_errors(kind, sigma, b, xs):
+        p = getattr(ProductDensity, kind)(sigma, d=1)
+        factors, slopes, _ = density_factors(p, Box(b=[b]))
+        W = np.array(xs, dtype=float)[:, None]
+        got = slopes(W, factors(W))[:, 0]
+        ref = np.array([cross_slope_reference(kind, sigma, b, x) for x in xs])
+        return np.abs(got - ref) / np.abs(ref)
+
+    @pytest.mark.parametrize("kind", ["gaussian", "cauchy"])
+    @pytest.mark.parametrize("b", [1e-3, 1e-6, 1e-12])
+    def test_small_half_widths(self, kind, b):
+        # At b = 1e-6 the closed forms were off by 6.9e-4 (Gaussian) and
+        # 2.8e-4 (Cauchy); at b = 1e-12 the Gaussian slope was 0.
+        for sigma in (0.5, 1.0, 3.0):
+            assert self._relative_errors(kind, sigma, b, [0.7, -2.5, 1e-7]).max() <= 1e-15
+
+    @pytest.mark.parametrize("kind", ["gaussian", "cauchy"])
+    def test_both_sides_of_the_cutoff(self, kind):
+        # The series below b max(|x|, 1/sigma) = cutoff, the closed form above.
+        cutoff = discrepancy_module._SLOPE_CUTOFF
+        for sigma in (0.5, 3.0):
+            for side, rtol in ((0.99, 1e-15), (1.01, 2e-10)):
+                t = side * cutoff
+                # b / sigma sets the distance, or b |x| does with b / sigma = t / 3.
+                at_width = self._relative_errors(kind, sigma, t * sigma, [0.3 / sigma, -0.9 / sigma])
+                b = t * sigma / 3.0
+                at_lag = self._relative_errors(kind, sigma, b, [t / b, -t / b])
+                assert max(at_width.max(), at_lag.max()) <= rtol
 
 
 class TestQuadratureOracle:

@@ -1,3 +1,4 @@
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -19,7 +20,7 @@ from qmcrff.featmap import (
 )
 from qmcrff.sequences import halton, mc_uniform
 
-from oracles import exact_kernel
+from oracles import exact_kernel, gram_exact_reference
 
 
 def _random_map(s, d, seed=0, weights=None):
@@ -196,6 +197,20 @@ class TestGram:
                 K = gram_exact(ProductDensity.for_kernel(kernel, rng.uniform(0.5, 2.0, d)), X)
                 assert np.array_equal(K, K.T)
 
+    def test_exact_is_bitwise_the_direct_expressions(self):
+        # Built in place, K is bitwise the direct expressions' matrix, also
+        # with a duplicated row (zero distance) and a constant column.
+        rng = np.random.default_rng(27)
+        for n, d in ((1, 1), (2, 3), (37, 4), (300, 6)):
+            X = rng.normal(size=(n, d))
+            X[:, d // 2] = 1.7
+            X[-1] = X[0]
+            for kernel in ("gaussian", "laplacian"):
+                p = ProductDensity.for_kernel(kernel, rng.uniform(0.5, 2.0, d))
+                K = gram_exact(p, X)
+                assert np.array_equal(K, gram_exact_reference(p, X))
+                assert np.array_equal(K, K.T)
+
     def test_duplicated_rows_duplicate_entries(self):
         rng = np.random.default_rng(19)
         X = rng.normal(size=(5, 2))
@@ -259,6 +274,19 @@ class TestRelativeErrors:
         with pytest.raises(ValueError):
             relative_errors(np.eye(2), np.eye(3))
 
+    def test_out_buffer_gives_identical_errors(self):
+        X = np.random.default_rng(5).normal(size=(60, 3))
+        K = gram_exact(ProductDensity.gaussian(1.5, d=3), X)
+        K_approx = gram_approx(_random_map(16, 3, seed=6), X)
+        K_copy, K_approx_copy = K.copy(), K_approx.copy()
+        default = relative_errors(K, K_approx)
+        # The default call leaves both inputs as they were.
+        assert np.array_equal(K, K_copy)
+        assert np.array_equal(K_approx, K_approx_copy)
+        assert relative_errors(K, K_approx, gram_norms(K), out=K_approx) == default
+        assert np.array_equal(K_approx, K_copy - K_approx_copy)
+        assert np.array_equal(K, K_copy)
+
     def test_precomputed_norms_give_identical_errors(self):
         X = np.random.default_rng(4).normal(size=(40, 3))
         K = gram_exact(ProductDensity.gaussian(1.5, d=3), X)
@@ -294,9 +322,60 @@ class TestRelativeErrors:
         assert spectral_norm(E) == pytest.approx(np.linalg.norm(E, 2), rel=1e-12, abs=0.0)
 
     def test_spectral_norm_zero_matrix(self):
-        assert spectral_norm(np.zeros((4, 4))) == 0.0
+        # ARPACK stops on a zero matrix without a warning; the norm is 0.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for n in (2, 4, 5, 300):
+                assert spectral_norm(np.zeros((n, n))) == 0.0
+
+    def test_spectral_norm_reraises_arpack_errors_on_nonzero_matrices(self, monkeypatch):
+        import scipy.sparse.linalg
+
+        def failing_eigsh(*args, **kwargs):
+            raise scipy.sparse.linalg.ArpackError(-9999)
+
+        monkeypatch.setattr(scipy.sparse.linalg, "eigsh", failing_eigsh)
+        assert spectral_norm(np.zeros((3, 3))) == 0.0
+        with pytest.raises(scipy.sparse.linalg.ArpackError):
+            spectral_norm(np.eye(3))
 
     def test_spectral_norm_one_by_one_without_warning(self):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert spectral_norm(np.array([[-2.5]])) == 2.5
+
+
+def _traced_peak(f):
+    """Peak traced bytes of a call to f; numpy reports its buffers to tracemalloc."""
+    tracemalloc.start()
+    try:
+        f()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestGramMemory:
+    # At most two n x n arrays are alive at once: K and one temporary, or in
+    # the pipeline K and one K~ per worker, which the error is written over.
+    # A first run traces one-off scipy imports (about 27 MB), so the peak is
+    # taken on a second one.
+    N = 600
+
+    def test_gram_exact_peak(self):
+        X = np.random.default_rng(0).normal(size=(self.N, 3))
+        for kernel in ("gaussian", "laplacian"):
+            p = ProductDensity.for_kernel(kernel, [1.0, 2.0, 0.5])
+            _traced_peak(lambda: gram_exact(p, X))
+            assert _traced_peak(lambda: gram_exact(p, X)) <= 2.2 * self.N ** 2 * 8
+
+    def test_pipeline_peak(self):
+        from qmcrff.experiment import Dataset, ExperimentConfig, run_pipeline
+
+        rng = np.random.default_rng(1)
+        ds = Dataset(X=rng.normal(size=(self.N, 3)), y=rng.normal(size=self.N))
+        cfg = ExperimentConfig(sequences=("halton", "mc"), s_grid=(4, 64), trials=2)
+        for workers in (1, 2):
+            _traced_peak(lambda: run_pipeline(cfg, ds, workers=workers))
+            peak = _traced_peak(lambda: run_pipeline(cfg, ds, workers=workers))
+            assert peak <= (1.5 + workers) * self.N ** 2 * 8
