@@ -1,0 +1,118 @@
+"""Symmetric BLAS kernels on the lower triangle of row-major float64 arrays.
+
+The kernels come from the OpenBLAS bundled in numpy's wheel, so they run in
+the thread pool that numpy's own matrix products use.  Where numpy bundles
+no OpenBLAS, scipy's BLAS wrappers act on transposed views; scipy then
+shares numpy's BLAS.  Nothing is resolved until the first call: `import
+qmcrff` loads no library and no scipy module.
+"""
+
+from functools import cache
+
+import numpy as np
+
+_ROW_MAJOR, _LOWER, _NO_TRANS = 101, 122, 111  # CBLAS enum values
+
+
+@cache
+def bundled_openblas(package, symbol):
+    """ctypes handle of the OpenBLAS bundled in ``package``'s wheel that
+    exports ``symbol``, or None when the wheel bundles none."""
+    import ctypes
+    import glob
+    import importlib
+    import os
+
+    module = importlib.import_module(package)
+    site = os.path.dirname(os.path.dirname(os.path.abspath(module.__file__)))
+    for libdir in (f"{package}.libs", os.path.join(package, ".dylibs")):
+        for path in sorted(glob.glob(os.path.join(site, libdir, "*openblas*"))):
+            try:
+                lib = ctypes.CDLL(path)
+            except OSError:
+                continue
+            if hasattr(lib, symbol):
+                return lib
+    return None
+
+
+def _scipy_syrk(C, Z, alpha, beta):
+    from scipy.linalg.blas import dsyrk
+
+    # C.T is Fortran-ordered, and its upper triangle is C's lower one.
+    dsyrk(alpha, Z.T, beta=beta, c=C.T, trans=1, lower=0, overwrite_c=1)
+
+
+def _scipy_symv(A, x):
+    from scipy.linalg.blas import dsymv
+
+    return dsymv(1.0, A.T, x, lower=0)
+
+
+def _scipy_kernels():
+    return _scipy_syrk, _scipy_symv
+
+
+@cache
+def _kernels():
+    """(syrk, symv) on checked arguments: the ILP64 CBLAS entry points of
+    numpy's OpenBLAS, else scipy's wrappers."""
+    lib = bundled_openblas("numpy", "scipy_cblas_dsyrk64_")
+    if lib is None:
+        return _scipy_kernels()
+    import ctypes
+
+    enum, i64, dbl, ptr = ctypes.c_int, ctypes.c_int64, ctypes.c_double, ctypes.c_void_p
+    dsyrk, dsymv = lib.scipy_cblas_dsyrk64_, lib.scipy_cblas_dsymv64_
+    dsyrk.restype = dsymv.restype = None
+    dsyrk.argtypes = (enum, enum, enum, i64, i64, dbl, ptr, i64, dbl, ptr, i64)
+    dsymv.argtypes = (enum, enum, i64, dbl, ptr, i64, ptr, i64, dbl, ptr, i64)
+
+    def syrk(C, Z, alpha, beta):
+        n, k = Z.shape
+        dsyrk(_ROW_MAJOR, _LOWER, _NO_TRANS, n, k, alpha, Z.ctypes.data, max(k, 1),
+              beta, C.ctypes.data, max(n, 1))
+
+    def symv(A, x):
+        n = x.shape[0]
+        y = np.empty(n)
+        dsymv(_ROW_MAJOR, _LOWER, n, 1.0, A.ctypes.data, max(n, 1), x.ctypes.data, 1,
+              0.0, y.ctypes.data, 1)
+        return y
+
+    return syrk, symv
+
+
+def _check_square(name, A):
+    if not isinstance(A, np.ndarray) or A.dtype != np.float64:
+        raise ValueError(f"{name} must be a float64 array")
+    if A.ndim != 2 or A.shape[0] != A.shape[1]:
+        raise ValueError(f"{name} must be a square matrix, got shape {A.shape}")
+    if not A.flags.c_contiguous:
+        raise ValueError(f"{name} must be C-contiguous")
+
+
+def syrk_lower(C, Z, alpha, beta):
+    """C <- alpha Z Z' + beta C on the lower triangle of C, in place.
+
+    C is an n x n C-contiguous float64 array; its strict upper triangle is
+    neither read nor written.
+    """
+    _check_square("C", C)
+    Z = np.ascontiguousarray(Z, dtype=np.float64)
+    if Z.ndim != 2 or Z.shape[0] != C.shape[0]:
+        raise ValueError(f"Z of shape {Z.shape} does not match C of shape {C.shape}")
+    _kernels()[0](C, Z, float(alpha), float(beta))
+
+
+def symv_lower(A, x):
+    """A x for the symmetric matrix whose lower triangle A holds.
+
+    A is an n x n C-contiguous float64 array; its strict upper triangle is
+    not read.
+    """
+    _check_square("A", A)
+    x = np.ascontiguousarray(x, dtype=np.float64)
+    if x.shape != (A.shape[0],):
+        raise ValueError(f"x of shape {x.shape} does not match A of shape {A.shape}")
+    return _kernels()[1](A, x)

@@ -11,10 +11,10 @@ import threading
 import warnings
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from functools import cache
 
 import numpy as np
 
+from ._blas import bundled_openblas
 from .densities import FrequencySet
 from .discrepancy import (
     _check_dims,
@@ -167,28 +167,10 @@ def nonlinear_cg(objective, gradient, x0, opts):
     return trace
 
 
-@cache
 def _scipy_openblas():
     """ctypes handle of the OpenBLAS bundled in scipy's wheel, or None when
     scipy links the same BLAS as numpy."""
-    # Imported here, like scipy everywhere in the package: `import qmcrff`
-    # loads no scipy module.
-    import ctypes
-    import glob
-    import os
-
-    import scipy
-
-    site = os.path.dirname(os.path.dirname(os.path.abspath(scipy.__file__)))
-    for libdir in ("scipy.libs", os.path.join("scipy", ".dylibs")):
-        for path in sorted(glob.glob(os.path.join(site, libdir, "*openblas*"))):
-            try:
-                lib = ctypes.CDLL(path)
-            except OSError:
-                continue
-            if hasattr(lib, "scipy_openblas_set_num_threads"):
-                return lib
-    return None
+    return bundled_openblas("scipy", "scipy_openblas_set_num_threads")
 
 
 _pool_lock = threading.Lock()

@@ -1,13 +1,16 @@
 """Fourier feature maps, exact and approximate Gram matrices, and the
 relative-error metrics used to compare them."""
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
+from ._blas import symv_lower, syrk_lower
 from .densities import GAUSSIAN, FrequencySet
 
 _GRAM_CAP = 20000  # rows gram_exact and gram_approx accept
+_ROW_BLOCK = 64  # rows per block of gram_exact's Gaussian exponent
 
 
 @dataclass
@@ -92,12 +95,14 @@ def approx_kernel(fmap, x, z):
 def gram_exact(density, X):
     """Exact kernel Gram matrix of the rows of X (PSD, unit diagonal).
 
-    K is built in place, so at most two n x n arrays are alive: K and one
-    temporary.  The Gaussian exponent G_ij - (h_i + h_j), with G = Xs Xs'
-    and h = |Xs_i|^2 / 2, is bitwise -d2/2 for the squared distance
-    d2 = sq_i + sq_j - 2 G_ij, since halving is exact.  It is exactly
-    symmetric: G comes from a symmetric rank-k update and the outer sum is
-    symmetric, and the Laplacian distances come from |a - b| = |b - a|.
+    K is built in place.  The Gaussian exponent G_ij - (h_i + h_j), with
+    G = Xs Xs' and h = |Xs_i|^2 / 2, is bitwise -d2/2 for the squared
+    distance d2 = sq_i + sq_j - 2 G_ij, since halving is exact; it is
+    formed and exponentiated in blocks of `_ROW_BLOCK` rows, so the only
+    temporary is one block of outer sums.  The Laplacian distances
+    accumulate through one n x n temporary.  K is exactly symmetric: G
+    comes from a symmetric rank-k update and the outer sum is symmetric,
+    and the Laplacian distances come from |a - b| = |b - a|.
     """
     X = np.asarray(X, dtype=float)
     n = X.shape[0]
@@ -109,16 +114,22 @@ def gram_exact(density, X):
     if density.kind == GAUSSIAN:
         h = 0.5 * np.sum(Xs * Xs, axis=1)
         K = Xs @ Xs.T
-        K -= np.add.outer(h, h)
-        np.minimum(K, 0.0, out=K)
-    else:
-        K = np.zeros((n, n))
-        T = np.empty((n, n))
-        for c in Xs.T:
-            np.subtract.outer(c, c, out=T)
-            np.abs(T, out=T)
-            K += T
-        np.negative(K, out=K)
+        T = np.empty((min(n, _ROW_BLOCK), n))
+        for r0 in range(0, n, _ROW_BLOCK):
+            rows = K[r0:r0 + _ROW_BLOCK]
+            t = T[:rows.shape[0]]
+            np.add.outer(h[r0:r0 + _ROW_BLOCK], h, out=t)
+            rows -= t
+            np.minimum(rows, 0.0, out=rows)
+            np.exp(rows, out=rows)
+        return K
+    K = np.zeros((n, n))
+    T = np.empty((n, n))
+    for c in Xs.T:
+        np.subtract.outer(c, c, out=T)
+        np.abs(T, out=T)
+        K += T
+    np.negative(K, out=K)
     return np.exp(K, out=K)
 
 
@@ -127,7 +138,9 @@ def gram_approx(fmap, X):
     feature matrix.
 
     numpy computes ``Z @ Z.T`` as one symmetric rank-k update and mirrors
-    its triangle, so the result is exactly symmetric.
+    its triangle, so the result is exactly symmetric.  The pipeline forms
+    no K~: `_lower_gram_errors` writes K - ZZ' by one rank-k update of K's
+    lower triangle.
     """
     X = np.asarray(X, dtype=float)
     n = X.shape[0]
@@ -139,27 +152,37 @@ def gram_approx(fmap, X):
     return Z @ Z.T
 
 
+def _check_square(A):
+    if A.ndim != 2 or A.shape[0] != A.shape[1]:
+        raise ValueError(f"expected a square matrix, got shape {A.shape}")
+
+
 def spectral_norm(A):
-    """Largest singular value of a symmetric matrix, by ARPACK's Lanczos.
+    """Largest singular value of the symmetric matrix whose lower triangle
+    A holds; the strict upper triangle is not read.
 
     The largest-magnitude eigenvalue comes from ``scipy.sparse.linalg.eigsh``
     run to machine precision from a fixed PCG64(0) start vector, so repeated
-    calls are bitwise identical.
+    calls are bitwise identical.  Each Lanczos matvec is one BLAS ``dsymv``
+    on the lower triangle (see `qmcrff._blas`), which reads half the matrix.
     """
-    from scipy.sparse.linalg import ArpackError, eigsh
+    from scipy.sparse.linalg import ArpackError, LinearOperator, eigsh
 
-    A = np.asarray(A, dtype=float)
-    if A.shape[0] < 2:
+    A = np.ascontiguousarray(A, dtype=float)
+    _check_square(A)
+    n = A.shape[0]
+    if n < 2:
         # ARPACK falls back to a dense solver, with a warning, on a 1x1 matrix.
         return float(np.abs(A).max(initial=0.0))
-    v0 = np.random.Generator(np.random.PCG64(0)).standard_normal(A.shape[0])
+    op = LinearOperator((n, n), matvec=lambda v: symv_lower(A, v), dtype=np.float64)
+    v0 = np.random.Generator(np.random.PCG64(0)).standard_normal(n)
     try:
-        eig = eigsh(A, k=1, which="LM", tol=0, v0=v0, return_eigenvectors=False)
+        eig = eigsh(op, k=1, which="LM", tol=0, v0=v0, return_eigenvectors=False)
     except ArpackError:
         # A zero matrix maps v0 to zero, and ARPACK stops with error -9
         # ("starting vector is zero"); scanning for it only here keeps the
         # scan off every other call.
-        if not A.any():
+        if not np.tril(A).any():
             return 0.0
         raise
     return float(abs(eig[0]))
@@ -177,9 +200,11 @@ def relative_errors(K, K_approx, norms=None, out=None):
     ``norms`` is ``gram_norms(K)`` when the caller already has it.  The
     error matrix K - K_approx is written to ``out`` when given, which may be
     ``K_approx`` itself; by default it is a new array and neither input changes.
+    The spectral error reads the error matrix's lower triangle only.
     """
     K = np.asarray(K, dtype=float)
     K_approx = np.asarray(K_approx, dtype=float)
+    _check_square(K)
     if K.shape != K_approx.shape:
         raise ValueError(f"shape mismatch: {K.shape} vs {K_approx.shape}")
     E = np.subtract(K, K_approx, out=out)
@@ -187,3 +212,20 @@ def relative_errors(K, K_approx, norms=None, out=None):
     rel_f = float(np.linalg.norm(E) / denom_f) if denom_f > 0 else 0.0
     rel_2 = float(spectral_norm(E) / denom_2) if denom_2 > 0 else 0.0
     return rel_2, rel_f
+
+
+def _lower_gram_errors(K_lower, Z, norms):
+    """``relative_errors(K, Z @ Z.T, norms)`` from K's lower triangle.
+
+    ``K_lower`` holds K's lower triangle and zeros above it; ``norms`` is
+    ``gram_norms(K)``, nonzero since K has a unit diagonal.  The error
+    E = K - ZZ' is one symmetric rank-k update of a copy of ``K_lower``,
+    which writes E's lower triangle and leaves the zeros above it, so no
+    ZZ' is formed and E is the only n x n array made.  ||E||_F^2 is twice
+    the buffer's sum of squares less the diagonal's.
+    """
+    E = K_lower.copy()
+    syrk_lower(E, Z, -1.0, 1.0)
+    flat, diag = E.reshape(-1), np.diagonal(E)
+    denom_2, denom_f = norms
+    return spectral_norm(E) / denom_2, math.sqrt(2.0 * (flat @ flat) - diag @ diag) / denom_f

@@ -1,0 +1,138 @@
+"""The symmetric BLAS binding behind the Gram-error stage: which library it
+binds, its two routes, the lower-triangle contract and its input guards."""
+
+import json
+import os
+import subprocess
+import sys
+
+import numpy as np
+import pytest
+
+import qmcrff
+import qmcrff._blas as blas
+from qmcrff.densities import ProductDensity, transform
+from qmcrff.featmap import (
+    WeightedFeatureMap,
+    _lower_gram_errors,
+    gram_exact,
+    gram_norms,
+    real_feature_matrix,
+)
+from qmcrff.sequences import halton
+
+
+@pytest.fixture(params=["numpy-openblas", "scipy-blas"])
+def route(request, monkeypatch):
+    """Run the test on the ctypes route and again on scipy's wrappers."""
+    if request.param == "scipy-blas":
+        monkeypatch.setattr(blas, "_kernels", blas._scipy_kernels)
+    return request.param
+
+
+def _symmetric(n, seed):
+    A = np.random.default_rng(seed).normal(size=(n, n))
+    return A + A.T
+
+
+def _nan_above(A):
+    B = A.copy()
+    B[np.triu_indices(A.shape[0], 1)] = np.nan
+    return B
+
+
+def test_binds_numpy_bundled_openblas():
+    # numpy's wheel links its own ILP64 OpenBLAS; the kernels must come from
+    # it, so that they run in numpy's thread pool and the benchmark measures
+    # the ctypes route.
+    if np.show_config(mode="dicts")["Build Dependencies"]["blas"]["name"] != "scipy-openblas":
+        pytest.skip("numpy is not built on the bundled scipy-openblas")
+    assert blas.bundled_openblas("numpy", "scipy_cblas_dsyrk64_") is not None
+    assert blas._kernels() != blas._scipy_kernels()
+
+
+def test_import_resolves_no_library():
+    code = ("import json, sys\n"
+            "import qmcrff, qmcrff._blas as b\n"
+            "print(json.dumps([b._kernels.cache_info().currsize,"
+            " b.bundled_openblas.cache_info().currsize,"
+            " [m for m in sys.modules if m.startswith('scipy')]]))\n")
+    src = os.path.dirname(os.path.dirname(os.path.abspath(qmcrff.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True)
+    assert json.loads(out.stdout) == [0, 0, []]
+
+
+@pytest.mark.parametrize("n, k", [(1, 3), (5, 1), (64, 8), (300, 200)])
+def test_syrk_writes_the_lower_triangle_only(route, n, k):
+    rng = np.random.default_rng(n + k)
+    K, Z = _symmetric(n, n), rng.normal(size=(n, k))
+    C = _nan_above(K)
+    blas.syrk_lower(C, Z, -1.0, 1.0)
+    lower = np.tril_indices(n)
+    assert np.allclose(C[lower], (K - Z @ Z.T)[lower], rtol=0.0, atol=1e-12)
+    assert np.isnan(C[np.triu_indices(n, 1)]).all()
+
+
+@pytest.mark.parametrize("n", [1, 7, 300])
+def test_symv_reads_the_lower_triangle_only(route, n):
+    A = _symmetric(n, n)
+    x = np.random.default_rng(n).normal(size=n)
+    y = blas.symv_lower(_nan_above(A), x)
+    assert np.allclose(y, A @ x, rtol=0.0, atol=1e-12)
+
+
+def test_routes_give_the_same_gram_errors(monkeypatch):
+    X = np.random.default_rng(3).normal(size=(200, 3))
+    density = ProductDensity.gaussian(1.5, d=3)
+    K = gram_exact(density, X)
+    norms = gram_norms(K)
+    Z = real_feature_matrix(WeightedFeatureMap(freqs=transform(halton(48, 3), density)), X)
+    fast = _lower_gram_errors(np.tril(K), Z, norms)
+    monkeypatch.setattr(blas, "_kernels", blas._scipy_kernels)
+    assert _lower_gram_errors(np.tril(K), Z, norms) == pytest.approx(fast, rel=1e-12, abs=0.0)
+
+
+class TestGuards:
+    # Every argument is checked before the foreign call, so a bad one raises
+    # ValueError instead of reading or writing out of bounds.
+    @pytest.mark.parametrize("C", [
+        np.zeros(4),
+        np.zeros((3, 4)),
+        np.zeros((2, 2, 2)),
+        np.zeros((4, 4), dtype=np.float32),
+        np.zeros((4, 4), order="F"),
+        np.zeros((4, 8))[:, ::2],
+        [[0.0, 0.0], [0.0, 0.0]],
+    ])
+    def test_syrk_rejects_bad_outputs(self, C):
+        with pytest.raises(ValueError):
+            blas.syrk_lower(C, np.ones((len(C), 2)), 1.0, 0.0)
+
+    @pytest.mark.parametrize("Z", [np.ones((3, 2)), np.ones(4), np.ones((4, 2, 1))])
+    def test_syrk_rejects_mismatched_factors(self, Z):
+        C = np.zeros((4, 4))
+        with pytest.raises(ValueError, match="shape"):
+            blas.syrk_lower(C, Z, 1.0, 0.0)
+        assert not C.any()
+
+    @pytest.mark.parametrize("A", [np.zeros(4), np.zeros((4, 3)), np.zeros((4, 4), order="F")])
+    def test_symv_rejects_bad_matrices(self, A):
+        with pytest.raises(ValueError):
+            blas.symv_lower(A, np.ones(4))
+
+    @pytest.mark.parametrize("x", [np.ones(3), np.ones((4, 1)), np.ones((2, 2))])
+    def test_symv_rejects_mismatched_vectors(self, x):
+        with pytest.raises(ValueError, match="shape"):
+            blas.symv_lower(np.eye(4), x)
+
+    def test_factors_and_vectors_of_other_layouts_are_copied(self):
+        # Only the output and the matrix must be float64 and C-ordered; the
+        # n x k factor and the vector are small and are converted.
+        Z = np.asfortranarray(np.arange(8.0).reshape(4, 2))
+        C = np.zeros((4, 4))
+        blas.syrk_lower(C, Z, 1.0, 0.0)
+        assert np.allclose(np.tril(C), np.tril(Z @ Z.T))
+        assert np.allclose(blas.symv_lower(np.eye(4), np.arange(8)[::2]), [0, 2, 4, 6])

@@ -344,6 +344,31 @@ class TestRelativeErrors:
             warnings.simplefilter("error")
             assert spectral_norm(np.array([[-2.5]])) == 2.5
 
+    def test_spectral_norm_reads_the_lower_triangle_only(self):
+        rng = np.random.default_rng(29)
+        for n in (2, 30, 300):
+            A = rng.normal(size=(n, n))
+            B = np.tril(A)
+            B[np.triu_indices(n, 1)] = np.nan
+            symmetrized = np.tril(A) + np.tril(A, -1).T
+            assert spectral_norm(B) == pytest.approx(
+                np.linalg.norm(symmetrized, 2), rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("A", [np.ones(4), np.ones((2, 3)), np.ones((2, 2, 2)), 1.0])
+    def test_spectral_norm_rejects_non_square_input(self, A):
+        with pytest.raises(ValueError, match="shape"):
+            spectral_norm(A)
+
+    @pytest.mark.parametrize("K, K_approx", [
+        (np.ones(4), np.ones(4)),
+        (np.ones((2, 3)), np.ones((2, 3))),
+        (np.ones((2, 2, 2)), np.ones((2, 2, 2))),
+        (np.eye(3), np.eye(3)[:2]),
+    ])
+    def test_relative_errors_rejects_bad_shapes(self, K, K_approx):
+        with pytest.raises(ValueError, match="shape"):
+            relative_errors(K, K_approx)
+
 
 def _traced_peak(f):
     """Peak traced bytes of a call to f; numpy reports its buffers to tracemalloc."""
@@ -361,6 +386,13 @@ class TestGramMemory:
     # A first run traces one-off scipy imports (about 27 MB), so the peak is
     # taken on a second one.
     N = 600
+
+    def test_gram_exact_gaussian_peak(self):
+        # The Gaussian exponent is formed in row blocks: K plus one block.
+        X = np.random.default_rng(0).normal(size=(self.N, 3))
+        p = ProductDensity.gaussian([1.0, 2.0, 0.5])
+        _traced_peak(lambda: gram_exact(p, X))
+        assert _traced_peak(lambda: gram_exact(p, X)) <= 1.2 * self.N ** 2 * 8
 
     def test_gram_exact_peak(self):
         X = np.random.default_rng(0).normal(size=(self.N, 3))
