@@ -56,7 +56,8 @@ class OptTrace:
     construction.  ``step_sizes`` holds the line-search step alpha for
     conjugate gradient runs and ||x_new - x|| for L-BFGS-B runs.  ``x`` is
     the final flattened iterate; wrappers attach the corresponding
-    FrequencySet.
+    FrequencySet.  A greedy run has converged when every inner solve has,
+    and its line search failed when any inner solve's did.
     """
 
     x: np.ndarray
@@ -291,7 +292,7 @@ def optimize_greedy(t_points, density, box, init_freqs, opts):
     factors, slopes, term3 = density_factors(density, box)
     points = np.empty((t_points, d))
     pair_sum = cross_sum = 0.0
-    trace = OptTrace(x=np.empty(0))
+    trace = OptTrace(x=np.empty(0), converged=True)
     for t in range(t_points):
         fixed = points[:t]
         s = t + 1
@@ -322,6 +323,8 @@ def optimize_greedy(t_points, density, box, init_freqs, opts):
         trace.objective_values.append(inner.objective_values[-1])
         trace.grad_norms.append(inner.grad_norms[-1])
         trace.n_iters += inner.n_iters
+        trace.converged &= inner.converged
+        trace.line_search_failed |= inner.line_search_failed
     trace.x = points.ravel()
     trace.freqs = FrequencySet(
         points=points,

@@ -10,7 +10,7 @@ from ._blas import symv_lower, syrk_lower
 from .densities import GAUSSIAN, FrequencySet
 
 _GRAM_CAP = 20000  # rows gram_exact and gram_approx accept
-_ROW_BLOCK = 64  # rows per block of gram_exact's Gaussian exponent
+_ROW_BLOCK = 64  # rows per block of gram_exact's exponent
 
 
 @dataclass
@@ -95,14 +95,14 @@ def approx_kernel(fmap, x, z):
 def gram_exact(density, X):
     """Exact kernel Gram matrix of the rows of X (PSD, unit diagonal).
 
-    K is built in place.  The Gaussian exponent G_ij - (h_i + h_j), with
-    G = Xs Xs' and h = |Xs_i|^2 / 2, is bitwise -d2/2 for the squared
-    distance d2 = sq_i + sq_j - 2 G_ij, since halving is exact; it is
-    formed and exponentiated in blocks of `_ROW_BLOCK` rows, so the only
-    temporary is one block of outer sums.  The Laplacian distances
-    accumulate through one n x n temporary.  K is exactly symmetric: G
-    comes from a symmetric rank-k update and the outer sum is symmetric,
-    and the Laplacian distances come from |a - b| = |b - a|.
+    K is built in place, one block of `_ROW_BLOCK` rows at a time, so the
+    only temporary is one block.  The Gaussian exponent G_ij - (h_i + h_j),
+    with G = Xs Xs' and h = |Xs_i|^2 / 2, is bitwise -d2/2 for the squared
+    distance d2 = sq_i + sq_j - 2 G_ij, since halving is exact.  The
+    Laplacian exponent subtracts |Xs_ij - Xs_kj| from zero one dimension at
+    a time, which is bitwise the negated sum, since rounding is symmetric
+    under negation.  K is exactly symmetric: G comes from a symmetric
+    rank-k update, the outer sum is symmetric and |a - b| = |b - a|.
     """
     X = np.asarray(X, dtype=float)
     n = X.shape[0]
@@ -111,26 +111,25 @@ def gram_exact(density, X):
     if n > _GRAM_CAP:
         raise ValueError(f"n={n} exceeds the Gram cap {_GRAM_CAP}")
     Xs = X / density.scale[None, :]
-    if density.kind == GAUSSIAN:
+    gaussian = density.kind == GAUSSIAN
+    if gaussian:
         h = 0.5 * np.sum(Xs * Xs, axis=1)
         K = Xs @ Xs.T
-        T = np.empty((min(n, _ROW_BLOCK), n))
-        for r0 in range(0, n, _ROW_BLOCK):
-            rows = K[r0:r0 + _ROW_BLOCK]
-            t = T[:rows.shape[0]]
-            np.add.outer(h[r0:r0 + _ROW_BLOCK], h, out=t)
-            rows -= t
+    else:
+        K = np.zeros((n, n))
+    T = np.empty((min(n, _ROW_BLOCK), n))
+    for r0 in range(0, n, _ROW_BLOCK):
+        block = slice(r0, r0 + _ROW_BLOCK)
+        rows = K[block]
+        t = T[:rows.shape[0]]
+        if gaussian:
+            rows -= np.add.outer(h[block], h, out=t)
             np.minimum(rows, 0.0, out=rows)
-            np.exp(rows, out=rows)
-        return K
-    K = np.zeros((n, n))
-    T = np.empty((n, n))
-    for c in Xs.T:
-        np.subtract.outer(c, c, out=T)
-        np.abs(T, out=T)
-        K += T
-    np.negative(K, out=K)
-    return np.exp(K, out=K)
+        else:
+            for c in Xs.T:
+                rows -= np.abs(np.subtract.outer(c[block], c, out=t), out=t)
+        np.exp(rows, out=rows)
+    return K
 
 
 def gram_approx(fmap, X):
@@ -138,9 +137,7 @@ def gram_approx(fmap, X):
     feature matrix.
 
     numpy computes ``Z @ Z.T`` as one symmetric rank-k update and mirrors
-    its triangle, so the result is exactly symmetric.  The pipeline forms
-    no K~: `_lower_gram_errors` writes K - ZZ' by one rank-k update of K's
-    lower triangle.
+    its triangle, so the result is exactly symmetric.
     """
     X = np.asarray(X, dtype=float)
     n = X.shape[0]
@@ -189,33 +186,31 @@ def spectral_norm(A):
 
 
 def gram_norms(K):
-    """(spectral, frobenius) norms of K, to pass to repeated `relative_errors` calls."""
+    """(spectral, frobenius) norms of K, the denominators of the relative errors."""
     K = np.asarray(K, dtype=float)
     return spectral_norm(K), float(np.linalg.norm(K))
 
 
-def relative_errors(K, K_approx, norms=None, out=None):
+def relative_errors(K, K_approx):
     """(spectral, frobenius) relative errors of K_approx against K.
 
-    ``norms`` is ``gram_norms(K)`` when the caller already has it.  The
-    error matrix K - K_approx is written to ``out`` when given, which may be
-    ``K_approx`` itself; by default it is a new array and neither input changes.
-    The spectral error reads the error matrix's lower triangle only.
+    Neither input changes.  The spectral error reads the lower triangle of
+    K - K_approx only.
     """
     K = np.asarray(K, dtype=float)
     K_approx = np.asarray(K_approx, dtype=float)
     _check_square(K)
     if K.shape != K_approx.shape:
         raise ValueError(f"shape mismatch: {K.shape} vs {K_approx.shape}")
-    E = np.subtract(K, K_approx, out=out)
-    denom_2, denom_f = gram_norms(K) if norms is None else norms
+    E = K - K_approx
+    denom_2, denom_f = gram_norms(K)
     rel_f = float(np.linalg.norm(E) / denom_f) if denom_f > 0 else 0.0
     rel_2 = float(spectral_norm(E) / denom_2) if denom_2 > 0 else 0.0
     return rel_2, rel_f
 
 
 def _lower_gram_errors(K_lower, Z, norms):
-    """``relative_errors(K, Z @ Z.T, norms)`` from K's lower triangle.
+    """``relative_errors(K, Z @ Z.T)`` from K's lower triangle and K's norms.
 
     ``K_lower`` holds K's lower triangle and zeros above it; ``norms`` is
     ``gram_norms(K)``, nonzero since K has a unit diagonal.  The error

@@ -735,6 +735,16 @@ class TestOptimizeGreedy:
                                                                   grad_tol=1e-10))
         assert len(trace.grad_norms) == 4
         assert max(trace.grad_norms) <= 1e-10
+        assert trace.converged and not trace.line_search_failed
+
+    def test_one_unconverged_inner_solve_marks_the_run(self):
+        p = ProductDensity.gaussian(1.0, d=2)
+        box = Box(b=[3.0, 3.0])
+        init = transform(halton(4, 2), p)
+        trace = optimize_greedy(4, p, box, init, OptimizerOptions(max_iters=1,
+                                                                  grad_tol=1e-10))
+        assert max(trace.grad_norms) > 1e-10
+        assert not trace.converged
 
     def test_requires_enough_initializers(self):
         p = ProductDensity.gaussian(1.0, d=2)

@@ -335,7 +335,7 @@ class TestPipeline:
             assert cell["relative_frobenius"]["mean"] == frobenius
             # The per-map function agrees with the dense K - ZZ' path to the
             # tolerance of the spectral_norm oracle tests.
-            dense = relative_errors(K, gram_approx(fmap, X), gram_norms(K))
+            dense = relative_errors(K, gram_approx(fmap, X))
             assert (spectral, frobenius) == pytest.approx(dense, rel=1e-12, abs=0.0)
             beta = _primal_ridge(Z[train], y[train], cfg.ridge_lambda)
             err = regression_error(Z[test] @ beta, y[test])
@@ -359,7 +359,7 @@ class TestPipeline:
             spectral, frobenius = zip(*errors)
             assert cell["relative_spectral"] == _mean_std(spectral)
             assert cell["relative_frobenius"] == _mean_std(frobenius)
-            dense = [relative_errors(K, gram_approx(fmap, X), gram_norms(K)) for fmap in fmaps]
+            dense = [relative_errors(K, gram_approx(fmap, X)) for fmap in fmaps]
             for pair, reference in zip(errors, dense):
                 assert pair == pytest.approx(reference, rel=1e-12, abs=0.0)
 

@@ -2,7 +2,9 @@
 
 A name in ``qmcrff.__all__`` must be referenced (as a name, an attribute or
 an imported alias) by the package's own modules, by the benchmark under
-perfbench/, or by the acceptance tests.  A name only the unit tests call
+perfbench/, or by the acceptance tests.  The benchmark also looks names up
+by string: the "module:function" targets of its tracer and the names its
+probes pass to ``_gram``; those count too.  A name only the unit tests call
 belongs in tests/oracles.py or nowhere.  The sources are read with `ast`;
 none of perfbench/ is imported.
 """
@@ -11,6 +13,7 @@ import ast
 from pathlib import Path
 
 import qmcrff
+from test_perfbench_names import probe_names, trace_targets
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -35,5 +38,6 @@ def _referenced_names(path):
 
 def test_every_exported_name_has_a_caller():
     referenced = set().union(*(_referenced_names(p) for p in _callers()))
+    referenced |= {target.split(":")[1] for target in trace_targets()} | probe_names()
     assert qmcrff.__all__
     assert sorted(set(qmcrff.__all__) - referenced) == []
