@@ -29,7 +29,6 @@ from .featmap import (
     feature_vector,
     gram_approx,
     gram_exact,
-    gram_norms,
     real_feature_matrix,
     real_feature_vector,
     relative_errors,
@@ -68,7 +67,6 @@ __all__ = [
     "feature_vector",
     "gram_approx",
     "gram_exact",
-    "gram_norms",
     "halton",
     "lattice",
     "mc_uniform",

@@ -5,8 +5,13 @@ the thread pool that numpy's own matrix products use.  Where numpy bundles
 no OpenBLAS, scipy's BLAS wrappers act on transposed views; scipy then
 shares numpy's BLAS.  Nothing is resolved until the first call: `import
 qmcrff` loads no library and no scipy module.
+
+`_scipy_blas_single_thread` holds scipy's own bundled OpenBLAS, where there
+is one, at one thread while scipy's optimizers run.
 """
 
+import threading
+from contextlib import contextmanager
 from functools import cache
 
 import numpy as np
@@ -34,6 +39,42 @@ def bundled_openblas(package, symbol):
             if hasattr(lib, symbol):
                 return lib
     return None
+
+
+_pool_lock = threading.Lock()
+_pool_depth = 0
+_pool_saved = None
+
+
+@contextmanager
+def _scipy_blas_single_thread():
+    """Hold scipy's bundled OpenBLAS at one thread while the body runs.
+
+    L-BFGS-B makes a few small BLAS calls per iteration in the OpenBLAS
+    bundled with scipy, and that pool's worker threads then stay busy for
+    the whole solve, contending with numpy's pool on few cores.  The first
+    of overlapping entries (pipeline cells on worker threads) saves the
+    thread count and sets it to 1; the last exit restores it.  Where scipy
+    bundles no OpenBLAS it shares numpy's BLAS, and nothing is changed.
+    numpy's pool, which runs the heavy BLAS, is never touched.
+    """
+    global _pool_depth, _pool_saved
+    lib = bundled_openblas("scipy", "scipy_openblas_set_num_threads")
+    if lib is None:
+        yield
+        return
+    with _pool_lock:
+        if _pool_depth == 0:
+            _pool_saved = lib.scipy_openblas_get_num_threads()
+            lib.scipy_openblas_set_num_threads(1)
+        _pool_depth += 1
+    try:
+        yield
+    finally:
+        with _pool_lock:
+            _pool_depth -= 1
+            if _pool_depth == 0:
+                lib.scipy_openblas_set_num_threads(_pool_saved)
 
 
 def _scipy_syrk(C, Z, alpha, beta):

@@ -7,14 +7,12 @@ Both point optimizers stop after ``max_iters`` iterations or once the
 gradient's 2-norm is at most ``grad_tol``."""
 
 import math
-import threading
 import warnings
-from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._blas import bundled_openblas
+from ._blas import _scipy_blas_single_thread
 from .densities import FrequencySet
 from .discrepancy import (
     _check_dims,
@@ -89,7 +87,6 @@ def discrepancy_gradient(freqs, density, box):
     The gradient half of `gaussian_value_and_grad`, which documents the
     formula; it serves both densities.
     """
-    _check_dims(freqs.d, density, box)
     return gaussian_value_and_grad(freqs.points, density, box)[1]
 
 
@@ -168,48 +165,6 @@ def nonlinear_cg(objective, gradient, x0, opts):
     return trace
 
 
-def _scipy_openblas():
-    """ctypes handle of the OpenBLAS bundled in scipy's wheel, or None when
-    scipy links the same BLAS as numpy."""
-    return bundled_openblas("scipy", "scipy_openblas_set_num_threads")
-
-
-_pool_lock = threading.Lock()
-_pool_depth = 0
-_pool_saved = None
-
-
-@contextmanager
-def _scipy_blas_single_thread():
-    """Hold scipy's bundled OpenBLAS at one thread while the body runs.
-
-    L-BFGS-B makes a few small BLAS calls per iteration in the OpenBLAS
-    bundled with scipy, and that pool's worker threads then stay busy for
-    the whole solve, contending with numpy's pool on few cores.  The first
-    of overlapping entries (pipeline cells on worker threads) saves the
-    thread count and sets it to 1; the last exit restores it.  Where scipy
-    bundles no OpenBLAS it shares numpy's BLAS, and nothing is changed.
-    numpy's pool, which runs the heavy BLAS, is never touched.
-    """
-    global _pool_depth, _pool_saved
-    lib = _scipy_openblas()
-    if lib is None:
-        yield
-        return
-    with _pool_lock:
-        if _pool_depth == 0:
-            _pool_saved = lib.scipy_openblas_get_num_threads()
-            lib.scipy_openblas_set_num_threads(1)
-        _pool_depth += 1
-    try:
-        yield
-    finally:
-        with _pool_lock:
-            _pool_depth -= 1
-            if _pool_depth == 0:
-                lib.scipy_openblas_set_num_threads(_pool_saved)
-
-
 def optimize_global(freqs0, density, box, opts):
     """Jointly optimize all s*d frequency coordinates to shrink the discrepancy.
 
@@ -220,7 +175,6 @@ def optimize_global(freqs0, density, box, opts):
     the start and every iterate.
     """
     s, d = freqs0.points.shape
-    _check_dims(d, density, box)
     last = []  # (x, f, g) of the latest pass
 
     def value_and_grad(flat):
@@ -280,6 +234,7 @@ def optimize_greedy(t_points, density, box, init_freqs, opts):
     sinc-kernel sum and their cross-term sum, so one evaluation costs
     O(t d) and evaluates the erf at the candidate's d coordinates only.
     """
+    _check_dims(init_freqs.d, density, box)
     if t_points < 1:
         raise ValueError(f"optimize_greedy requires t_points >= 1, got {t_points}")
     if init_freqs.s < t_points:

@@ -395,6 +395,7 @@ def _discrepancy_pass(W, density, box, with_grad):
     products give the product over q != j in O(d) operations per block."""
     W = np.asarray(W, dtype=float)
     s, d = W.shape
+    _check_dims(d, density, box)
     if s < 1:
         raise ValueError("the discrepancy requires at least one frequency (s >= 1)")
     pair_sum = 0.0
@@ -455,7 +456,6 @@ def gaussian_value_and_grad(W, density, box):
 def box_discrepancy_gaussian(freqs, density, box):
     """Closed-form squared box discrepancy, for the Gaussian and the Cauchy
     density alike (the name predates the Cauchy closed form)."""
-    _check_dims(freqs.d, density, box)
     term1, term2, term3 = gaussian_discrepancy_terms(freqs.points, density, box)
     return DiscrepancyReport(d_squared=term1 + term2 + term3,
                              term1=term1, term2=term2, term3=term3,

@@ -18,13 +18,7 @@ import numpy as np
 from .adaptive import OptimizerOptions, optimize_global, optimize_greedy, optimize_weights
 from .densities import ProductDensity, transform
 from .discrepancy import Box, box_discrepancy_gaussian, weighted_discrepancy
-from .featmap import (
-    WeightedFeatureMap,
-    _lower_gram_errors,
-    gram_exact,
-    gram_norms,
-    real_feature_matrix,
-)
+from .featmap import ExactGram, WeightedFeatureMap, real_feature_matrix
 from .ioutil import DataError, NumericalError, read_matrix_csv
 from .sequences import halton, lattice, mc_uniform
 
@@ -236,15 +230,13 @@ def _mean_std(values):
             "std": float(np.std(values, ddof=1)) if len(values) > 1 else 0.0}
 
 
-def _gram_cell(cfg, density, box, X, K_lower, K_norms, seq, s, with_discrepancy=False,
-               ridge=None):
+def _gram_cell(cfg, density, box, X, gram, seq, s, with_discrepancy=False, ridge=None):
     """Gram errors, optional discrepancies and optional ridge errors for one
-    (sequence, s) cell.  ``K_lower`` holds the exact Gram matrix's lower
-    triangle and zeros above it, and ``K_norms`` is ``gram_norms(K)``.
+    (sequence, s) cell, against the shared `ExactGram` ``gram`` of X.
 
     Each map's real feature matrix Z is built once.  It gives the map's
-    Gram errors through `_lower_gram_errors`, which holds one n x n array
-    besides the shared ``K_lower``, and, when ``ridge`` is ``(y, train_idx,
+    Gram errors through ``gram.errors``, which holds one n x n array
+    besides the shared K, and, when ``ridge`` is ``(y, train_idx,
     test_idx)``, trains and scores a ridge model before the next map's Z is
     built.
     """
@@ -253,7 +245,7 @@ def _gram_cell(cfg, density, box, X, K_lower, K_norms, seq, s, with_discrepancy=
     errs = []
     for freqs, weights in _frequency_maps_for_cell(cfg, density, box, seq, s, X.shape[1]):
         Z = real_feature_matrix(WeightedFeatureMap(freqs=freqs, weights=weights), X)
-        pairs.append(_lower_gram_errors(K_lower, Z, K_norms))
+        pairs.append(gram.errors(Z))
         if ridge is not None:
             y, train_idx, test_idx = ridge
             beta = krr_train(Z[train_idx], y[train_idx], cfg.ridge_lambda)
@@ -278,26 +270,18 @@ def _gram_cell(cfg, density, box, X, K_lower, K_norms, seq, s, with_discrepancy=
 
 
 def _prologue(cfg, ds):
-    """The subsampled data, its density and box, the exact Gram matrix K's
-    lower triangle and K's norms, which every cell of an experiment shares.
-
-    The norms are taken on the full K; its strict upper triangle is then
-    zeroed in place, row by row, without a second n x n array.
-    """
+    """The subsampled data, its density and box, and its `ExactGram`, which
+    every cell of an experiment shares."""
     work = _subsample(ds, cfg.max_n, cfg.seed)
     density = ProductDensity.for_kernel(cfg.kernel, cfg.sigma, work.d)
     box = estimate_box(work, cfg.box_scale)
-    K = gram_exact(density, work.X)
-    norms = gram_norms(K)
-    for i in range(work.n - 1):
-        K[i, i + 1:] = 0.0
-    return work, density, box, K, norms
+    return work, density, box, ExactGram(density, work.X)
 
 
 def run_gram_experiment(cfg, ds):
     """Gram-error curves over the (sequence, s) grid; JSON-ready reports."""
-    work, density, box, K_lower, K_norms = _prologue(cfg, ds)
-    return [_gram_cell(cfg, density, box, work.X, K_lower, K_norms, seq, s)
+    work, density, box, gram = _prologue(cfg, ds)
+    return [_gram_cell(cfg, density, box, work.X, gram, seq, s)
             for seq in cfg.sequences for s in cfg.s_grid]
 
 
@@ -313,10 +297,6 @@ def krr_train(Z, y, ridge_lambda):
     contend with numpy's, which spin for a while after each call, and a
     scipy Cholesky right after numpy's product stalled for up to ~0.1 s on
     2 vCPUs.  The triangular solves act on one vector and stay on scipy.
-    The Gram-error stage's symmetric kernels run in numpy's pool as well,
-    through `qmcrff._blas`.  `optimize_global` makes many small BLAS calls
-    in scipy's pool, so it holds that pool at one thread while it runs; see
-    `_scipy_blas_single_thread` in `qmcrff.adaptive`.
     """
     # Imported here: scipy.linalg is slow to import and the CLI's
     # sequence commands never solve.
@@ -370,14 +350,14 @@ def run_pipeline(cfg, ds, workers=1):
     the worker count."""
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
-    work, density, box, K_lower, K_norms = _prologue(cfg, ds)
+    work, density, box, gram = _prologue(cfg, ds)
     ridge = None
     if work.y is not None:
         ridge = (work.y, *_split_indices(work.n, cfg.split, cfg.seed))
 
     def run_cell(args):
         seq, s = args
-        return _gram_cell(cfg, density, box, work.X, K_lower, K_norms, seq, s,
+        return _gram_cell(cfg, density, box, work.X, gram, seq, s,
                           with_discrepancy=True, ridge=ridge)
 
     grid = [(seq, s) for seq in cfg.sequences for s in cfg.s_grid]

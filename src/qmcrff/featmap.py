@@ -185,12 +185,6 @@ def spectral_norm(A):
     return float(abs(eig[0]))
 
 
-def gram_norms(K):
-    """(spectral, frobenius) norms of K, the denominators of the relative errors."""
-    K = np.asarray(K, dtype=float)
-    return spectral_norm(K), float(np.linalg.norm(K))
-
-
 def relative_errors(K, K_approx):
     """(spectral, frobenius) relative errors of K_approx against K.
 
@@ -203,24 +197,39 @@ def relative_errors(K, K_approx):
     if K.shape != K_approx.shape:
         raise ValueError(f"shape mismatch: {K.shape} vs {K_approx.shape}")
     E = K - K_approx
-    denom_2, denom_f = gram_norms(K)
+    denom_2, denom_f = spectral_norm(K), float(np.linalg.norm(K))
     rel_f = float(np.linalg.norm(E) / denom_f) if denom_f > 0 else 0.0
     rel_2 = float(spectral_norm(E) / denom_2) if denom_2 > 0 else 0.0
     return rel_2, rel_f
 
 
-def _lower_gram_errors(K_lower, Z, norms):
-    """``relative_errors(K, Z @ Z.T)`` from K's lower triangle and K's norms.
+class ExactGram:
+    """The exact Gram matrix K of the rows of X, held as its lower triangle,
+    and the relative errors of feature maps against it.
 
-    ``K_lower`` holds K's lower triangle and zeros above it; ``norms`` is
-    ``gram_norms(K)``, nonzero since K has a unit diagonal.  The error
-    E = K - ZZ' is one symmetric rank-k update of a copy of ``K_lower``,
-    which writes E's lower triangle and leaves the zeros above it, so no
-    ZZ' is formed and E is the only n x n array made.  ||E||_F^2 is twice
-    the buffer's sum of squares less the diagonal's.
+    ``norms`` is (spectral, frobenius) of the full K, taken before K's
+    strict upper triangle is zeroed in place, so K is the only n x n array
+    built.  ``lower`` holds K's lower triangle and zeros above it.
     """
-    E = K_lower.copy()
-    syrk_lower(E, Z, -1.0, 1.0)
-    flat, diag = E.reshape(-1), np.diagonal(E)
-    denom_2, denom_f = norms
-    return spectral_norm(E) / denom_2, math.sqrt(2.0 * (flat @ flat) - diag @ diag) / denom_f
+
+    def __init__(self, density, X):
+        K = gram_exact(density, X)
+        self.norms = spectral_norm(K), float(np.linalg.norm(K))
+        for i in range(K.shape[0] - 1):
+            K[i, i + 1:] = 0.0
+        self.lower = K
+
+    def errors(self, Z):
+        """``relative_errors(K, Z @ Z.T)`` for the real feature matrix Z.
+
+        The norms are nonzero since K has a unit diagonal.  The error
+        E = K - ZZ' is one symmetric rank-k update of a copy of ``lower``,
+        which writes E's lower triangle and leaves the zeros above it, so no
+        ZZ' is formed and E is the only n x n array made.  ||E||_F^2 is twice
+        the buffer's sum of squares less the diagonal's.
+        """
+        E = self.lower.copy()
+        syrk_lower(E, Z, -1.0, 1.0)
+        flat, diag = E.reshape(-1), np.diagonal(E)
+        denom_2, denom_f = self.norms
+        return spectral_norm(E) / denom_2, math.sqrt(2.0 * (flat @ flat) - diag @ diag) / denom_f

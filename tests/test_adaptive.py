@@ -1,12 +1,9 @@
 import math
-import sys
-import threading
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-import qmcrff.adaptive as adaptive_module
 from qmcrff.adaptive import (
     OptimizerOptions,
     discrepancy_gradient,
@@ -404,6 +401,16 @@ class TestEmptyFrequencySet:
                 call()
 
 
+class TestDimensionMismatch:
+    @pytest.mark.parametrize("d_W", [1, 3])
+    @pytest.mark.parametrize("entry", [gaussian_value_and_grad, gaussian_discrepancy_terms])
+    def test_fused_pass_rejects_other_frequency_dimensions(self, entry, d_W):
+        p = ProductDensity.gaussian(1.0, d=2)
+        W = np.random.default_rng(d_W).normal(size=(5, d_W))
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            entry(W, p, Box(b=[1.0, 1.0]))
+
+
 class TestNonlinearCg:
     def _quadratic(self, seed=0, n=5):
         rng = np.random.default_rng(seed)
@@ -586,96 +593,6 @@ class TestOptimizeGlobalTrace:
         assert box_discrepancy_gaussian(trace.freqs, p, box).d_squared <= bound
 
 
-@pytest.fixture
-def scipy_blas():
-    """scipy's bundled OpenBLAS, set to two threads for the test."""
-    lib = adaptive_module._scipy_openblas()
-    if lib is None:
-        pytest.skip("scipy bundles no OpenBLAS of its own; it shares numpy's BLAS")
-    saved = lib.scipy_openblas_get_num_threads()
-    lib.scipy_openblas_set_num_threads(2)
-    yield lib
-    lib.scipy_openblas_set_num_threads(saved)
-
-
-class TestScipyBlasScope:
-    def test_one_thread_inside_restored_after(self, scipy_blas):
-        with adaptive_module._scipy_blas_single_thread():
-            assert scipy_blas.scipy_openblas_get_num_threads() == 1
-        assert scipy_blas.scipy_openblas_get_num_threads() == 2
-
-    def test_restored_when_body_raises(self, scipy_blas):
-        with pytest.raises(RuntimeError):
-            with adaptive_module._scipy_blas_single_thread():
-                raise RuntimeError("body failed")
-        assert scipy_blas.scipy_openblas_get_num_threads() == 2
-
-    def test_overlapping_threads_restore_once(self, scipy_blas):
-        # a enters, b enters, a leaves, b leaves.  The count must stay 1
-        # until the last exit and then return to 2, not to the 1 a second
-        # save would have read.
-        a_in, b_in, a_out = threading.Event(), threading.Event(), threading.Event()
-        seen = {}
-
-        def a():
-            with adaptive_module._scipy_blas_single_thread():
-                a_in.set()
-                seen["b entered"] = b_in.wait(5)
-            a_out.set()
-
-        def b():
-            seen["a entered"] = a_in.wait(5)
-            with adaptive_module._scipy_blas_single_thread():
-                b_in.set()
-                seen["a left"] = a_out.wait(5)
-                seen["threads"] = scipy_blas.scipy_openblas_get_num_threads()
-
-        threads = [threading.Thread(target=a), threading.Thread(target=b)]
-        for th in threads:
-            th.start()
-        for th in threads:
-            th.join(10)
-            assert not th.is_alive()
-        assert seen == {"a entered": True, "b entered": True, "a left": True, "threads": 1}
-        assert scipy_blas.scipy_openblas_get_num_threads() == 2
-
-    def test_many_threads_keep_one_thread_inside(self, scipy_blas):
-        inside = []
-
-        def work():
-            for _ in range(200):
-                with adaptive_module._scipy_blas_single_thread():
-                    inside.append(scipy_blas.scipy_openblas_get_num_threads())
-
-        switch = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            threads = [threading.Thread(target=work) for _ in range(8)]
-            for th in threads:
-                th.start()
-            for th in threads:
-                th.join(30)
-                assert not th.is_alive()
-        finally:
-            sys.setswitchinterval(switch)
-        assert inside == [1] * 1600
-        assert scipy_blas.scipy_openblas_get_num_threads() == 2
-
-    def test_without_bundled_library_does_nothing(self, scipy_blas, monkeypatch):
-        monkeypatch.setattr(adaptive_module, "_scipy_openblas", lambda: None)
-        with adaptive_module._scipy_blas_single_thread():
-            assert scipy_blas.scipy_openblas_get_num_threads() == 2
-        assert scipy_blas.scipy_openblas_get_num_threads() == 2
-
-    def test_optimize_global_restores_the_count(self, scipy_blas):
-        p = ProductDensity.gaussian(1.0, d=2)
-        box = Box(b=[1.0, 1.0])
-        trace = optimize_global(transform(halton(8, 2), p), p, box,
-                                OptimizerOptions(max_iters=10))
-        assert trace.n_iters > 0
-        assert scipy_blas.scipy_openblas_get_num_threads() == 2
-
-
 class TestOptimizeGreedy:
     def test_single_point_beats_initializer(self):
         p = ProductDensity.gaussian(1.0, d=2)
@@ -751,6 +668,12 @@ class TestOptimizeGreedy:
         init = transform(halton(2, 2), p)
         with pytest.raises(ValueError):
             optimize_greedy(5, p, Box(b=[1.0, 1.0]), init, OptimizerOptions())
+
+    def test_rejects_initializers_of_another_dimension(self):
+        p = ProductDensity.gaussian(1.0, d=1)
+        init = transform(halton(4, 2), ProductDensity.gaussian(1.0, d=2))
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            optimize_greedy(4, p, Box(b=[1.0]), init, OptimizerOptions())
 
 
 class TestNnls:

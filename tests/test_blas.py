@@ -1,24 +1,22 @@
 """The symmetric BLAS binding behind the Gram-error stage: which library it
-binds, its two routes, the lower-triangle contract and its input guards."""
+binds, its two routes, the lower-triangle contract and its input guards; and
+the guard that holds scipy's bundled OpenBLAS at one thread."""
 
 import json
 import os
 import subprocess
 import sys
+import threading
 
 import numpy as np
 import pytest
 
 import qmcrff
 import qmcrff._blas as blas
+from qmcrff.adaptive import OptimizerOptions, optimize_global
 from qmcrff.densities import ProductDensity, transform
-from qmcrff.featmap import (
-    WeightedFeatureMap,
-    _lower_gram_errors,
-    gram_exact,
-    gram_norms,
-    real_feature_matrix,
-)
+from qmcrff.discrepancy import Box
+from qmcrff.featmap import ExactGram, WeightedFeatureMap, real_feature_matrix
 from qmcrff.sequences import halton
 
 
@@ -87,12 +85,11 @@ def test_symv_reads_the_lower_triangle_only(route, n):
 def test_routes_give_the_same_gram_errors(monkeypatch):
     X = np.random.default_rng(3).normal(size=(200, 3))
     density = ProductDensity.gaussian(1.5, d=3)
-    K = gram_exact(density, X)
-    norms = gram_norms(K)
+    gram = ExactGram(density, X)
     Z = real_feature_matrix(WeightedFeatureMap(freqs=transform(halton(48, 3), density)), X)
-    fast = _lower_gram_errors(np.tril(K), Z, norms)
+    fast = gram.errors(Z)
     monkeypatch.setattr(blas, "_kernels", blas._scipy_kernels)
-    assert _lower_gram_errors(np.tril(K), Z, norms) == pytest.approx(fast, rel=1e-12, abs=0.0)
+    assert gram.errors(Z) == pytest.approx(fast, rel=1e-12, abs=0.0)
 
 
 class TestGuards:
@@ -136,3 +133,93 @@ class TestGuards:
         blas.syrk_lower(C, Z, 1.0, 0.0)
         assert np.allclose(np.tril(C), np.tril(Z @ Z.T))
         assert np.allclose(blas.symv_lower(np.eye(4), np.arange(8)[::2]), [0, 2, 4, 6])
+
+
+@pytest.fixture
+def scipy_blas():
+    """scipy's bundled OpenBLAS, set to two threads for the test."""
+    lib = blas.bundled_openblas("scipy", "scipy_openblas_set_num_threads")
+    if lib is None:
+        pytest.skip("scipy bundles no OpenBLAS of its own; it shares numpy's BLAS")
+    saved = lib.scipy_openblas_get_num_threads()
+    lib.scipy_openblas_set_num_threads(2)
+    yield lib
+    lib.scipy_openblas_set_num_threads(saved)
+
+
+class TestScipyBlasScope:
+    def test_one_thread_inside_restored_after(self, scipy_blas):
+        with blas._scipy_blas_single_thread():
+            assert scipy_blas.scipy_openblas_get_num_threads() == 1
+        assert scipy_blas.scipy_openblas_get_num_threads() == 2
+
+    def test_restored_when_body_raises(self, scipy_blas):
+        with pytest.raises(RuntimeError):
+            with blas._scipy_blas_single_thread():
+                raise RuntimeError("body failed")
+        assert scipy_blas.scipy_openblas_get_num_threads() == 2
+
+    def test_overlapping_threads_restore_once(self, scipy_blas):
+        # a enters, b enters, a leaves, b leaves.  The count must stay 1
+        # until the last exit and then return to 2, not to the 1 a second
+        # save would have read.
+        a_in, b_in, a_out = threading.Event(), threading.Event(), threading.Event()
+        seen = {}
+
+        def a():
+            with blas._scipy_blas_single_thread():
+                a_in.set()
+                seen["b entered"] = b_in.wait(5)
+            a_out.set()
+
+        def b():
+            seen["a entered"] = a_in.wait(5)
+            with blas._scipy_blas_single_thread():
+                b_in.set()
+                seen["a left"] = a_out.wait(5)
+                seen["threads"] = scipy_blas.scipy_openblas_get_num_threads()
+
+        threads = [threading.Thread(target=a), threading.Thread(target=b)]
+        for th in threads:
+            th.start()
+        for th in threads:
+            th.join(10)
+            assert not th.is_alive()
+        assert seen == {"a entered": True, "b entered": True, "a left": True, "threads": 1}
+        assert scipy_blas.scipy_openblas_get_num_threads() == 2
+
+    def test_many_threads_keep_one_thread_inside(self, scipy_blas):
+        inside = []
+
+        def work():
+            for _ in range(200):
+                with blas._scipy_blas_single_thread():
+                    inside.append(scipy_blas.scipy_openblas_get_num_threads())
+
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work) for _ in range(8)]
+            for th in threads:
+                th.start()
+            for th in threads:
+                th.join(30)
+                assert not th.is_alive()
+        finally:
+            sys.setswitchinterval(switch)
+        assert inside == [1] * 1600
+        assert scipy_blas.scipy_openblas_get_num_threads() == 2
+
+    def test_without_bundled_library_does_nothing(self, scipy_blas, monkeypatch):
+        monkeypatch.setattr(blas, "bundled_openblas", lambda package, symbol: None)
+        with blas._scipy_blas_single_thread():
+            assert scipy_blas.scipy_openblas_get_num_threads() == 2
+        assert scipy_blas.scipy_openblas_get_num_threads() == 2
+
+    def test_optimize_global_restores_the_count(self, scipy_blas):
+        p = ProductDensity.gaussian(1.0, d=2)
+        box = Box(b=[1.0, 1.0])
+        trace = optimize_global(transform(halton(8, 2), p), p, box,
+                                OptimizerOptions(max_iters=10))
+        assert trace.n_iters > 0
+        assert scipy_blas.scipy_openblas_get_num_threads() == 2

@@ -28,11 +28,10 @@ from qmcrff.experiment import (
 from qmcrff.densities import FrequencySet, ProductDensity, transform
 from qmcrff.discrepancy import Box, box_discrepancy_gaussian, box_discrepancy_quadrature
 from qmcrff.featmap import (
+    ExactGram,
     WeightedFeatureMap,
-    _lower_gram_errors,
     gram_approx,
     gram_exact,
-    gram_norms,
     real_feature_matrix,
     relative_errors,
 )
@@ -323,14 +322,14 @@ class TestPipeline:
         report = run_pipeline(cfg, regression_data)
         X, y = regression_data.X, regression_data.y
         density = ProductDensity.for_kernel("gaussian", (1.0,), X.shape[1])
-        K = gram_exact(density, X)
+        K, gram = gram_exact(density, X), ExactGram(density, X)
         train, test = _split_indices(len(y), cfg.split, cfg.seed)
         assert len(train) == 40
         for cell in report["cells"]:
             fmap = WeightedFeatureMap(
                 freqs=transform(make_pointset(cell["label"], cell["s"], X.shape[1]), density))
             Z = real_feature_matrix(fmap, X)
-            spectral, frobenius = _lower_gram_errors(np.tril(K), Z, gram_norms(K))
+            spectral, frobenius = gram.errors(Z)
             assert cell["relative_spectral"]["mean"] == spectral
             assert cell["relative_frobenius"]["mean"] == frobenius
             # The per-map function agrees with the dense K - ZZ' path to the
@@ -349,12 +348,11 @@ class TestPipeline:
         X = regression_data.X
         density = ProductDensity.for_kernel("gaussian", (1.0,), X.shape[1])
         box = Box(b=report["box"])
-        K = gram_exact(density, X)
+        K, gram = gram_exact(density, X), ExactGram(density, X)
         for cell in report["cells"]:
             maps = _frequency_maps_for_cell(cfg, density, box, "mc", cell["s"], X.shape[1])
             fmaps = [WeightedFeatureMap(freqs=freqs) for freqs, _ in maps]
-            errors = [_lower_gram_errors(np.tril(K), real_feature_matrix(fmap, X), gram_norms(K))
-                      for fmap in fmaps]
+            errors = [gram.errors(real_feature_matrix(fmap, X)) for fmap in fmaps]
             assert cell["trials"] == len(errors) == 3
             spectral, frobenius = zip(*errors)
             assert cell["relative_spectral"] == _mean_std(spectral)

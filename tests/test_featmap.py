@@ -7,6 +7,7 @@ import pytest
 from qmcrff.densities import FrequencySet, ProductDensity, transform
 import qmcrff.featmap as featmap_module
 from qmcrff.featmap import (
+    ExactGram,
     WeightedFeatureMap,
     approx_kernel,
     feature_vector,
@@ -209,6 +210,15 @@ class TestGram:
                 K = gram_exact(p, X)
                 assert np.array_equal(K, gram_exact_reference(p, X))
                 assert np.array_equal(K, K.T)
+
+    @pytest.mark.parametrize("kernel", ["gaussian", "laplacian"])
+    def test_exact_gram_keeps_the_lower_triangle_and_the_full_norms(self, kernel):
+        # The norms are taken on the full K, before its upper triangle is zeroed.
+        X = np.random.default_rng(28).normal(size=(150, 3))
+        p = ProductDensity.for_kernel(kernel, [1.0, 2.0, 0.5])
+        K, gram = gram_exact(p, X), ExactGram(p, X)
+        assert gram.norms == (spectral_norm(K), np.linalg.norm(K))
+        assert np.array_equal(gram.lower, np.tril(K))
 
     def test_duplicated_rows_duplicate_entries(self):
         rng = np.random.default_rng(19)
