@@ -9,6 +9,7 @@ Exit codes: 0 success, 2 usage error, 3 data error, 4 numerical failure.
 import argparse
 import json
 import sys
+from dataclasses import fields
 
 import numpy as np
 
@@ -59,22 +60,19 @@ def _read_finite_csv(path, skip_header=False):
     return M
 
 
-def _sigma_from_args(args, d):
-    sigma = args.sigma if len(args.sigma) > 1 else (args.sigma[0],) * d
-    if len(sigma) != d:
-        raise DataError(f"--sigma needs 1 or {d} values, got {len(args.sigma)}")
-    return sigma
+def _per_dim(values, d, flag):
+    """A flag's 1 or d values as d values; another count is a data error."""
+    if len(values) not in (1, d):
+        raise DataError(f"{flag} needs 1 or {d} values, got {len(values)}")
+    return values if len(values) == d else values * d
 
 
 def _density_from_args(args, d):
-    return ProductDensity.for_kernel(args.kernel, _sigma_from_args(args, d), d)
+    return ProductDensity.for_kernel(args.kernel, _per_dim(args.sigma, d, "--sigma"), d)
 
 
 def _box_from_args(args, d):
-    b = args.b if len(args.b) > 1 else (args.b[0],) * d
-    if len(b) != d:
-        raise DataError(f"--b needs 1 or {d} values, got {len(args.b)}")
-    return Box(b=np.asarray(b)).scaled(args.box_scale)
+    return Box(b=np.asarray(_per_dim(args.b, d, "--b"))).scaled(args.box_scale)
 
 
 def _write_points(points, out):
@@ -129,6 +127,8 @@ def _cmd_optimize(args):
                             provenance={"source": "file", "path": args.infile})
         if init.d != d or init.s < args.s:
             raise DataError(f"--in must provide at least {args.s} rows of dimension {d}")
+    elif args.infile:
+        raise DataError("--in is read only with --init file")
     else:
         init = transform(halton(args.s, d), density)
 
@@ -143,12 +143,9 @@ def _cmd_optimize(args):
         }
         points = base
     else:
-        if args.mode == "global":
-            trace = optimize_global(base, density, box,
-                                    OptimizerOptions(max_iters=args.max_iters))
-        else:
-            trace = optimize_greedy(args.s, density, box, init,
-                                    OptimizerOptions(max_iters=args.max_iters, grad_tol=1e-10))
+        opts = OptimizerOptions(max_iters=args.max_iters)
+        trace = (optimize_global(base, density, box, opts) if args.mode == "global"
+                 else optimize_greedy(args.s, density, box, init, opts))
         payload, points = trace.to_json_dict(), trace.freqs
     if args.out_points:
         write_matrix_csv(args.out_points, points.points)
@@ -157,22 +154,13 @@ def _cmd_optimize(args):
 
 
 def _experiment_from_args(args, has_target):
-    """The dataset and `ExperimentConfig` of `gram-error` and `pipeline`."""
+    """The dataset and `ExperimentConfig` of `gram-error` and `pipeline`: each flag
+    given sets the field its dest names, and an omitted one keeps the default."""
     ds = load_csv(args.data, has_target=has_target, skip_header=args.header)
-    _sigma_from_args(args, ds.d)
-    cfg = ExperimentConfig(
-        kernel=args.kernel,
-        sigma=args.sigma,
-        sequences=args.seq,
-        s_grid=args.s,
-        trials=args.trials,
-        box_scale=args.box_scale,
-        ridge_lambda=getattr(args, "ridge_lambda", 1e-6),
-        split=getattr(args, "split", 0.5),
-        seed=args.seed,
-        max_n=args.max_n,
-        adapt_iters=args.max_iters,
-    )
+    given = vars(args)
+    cfg = ExperimentConfig(**{f.name: given[f.name] for f in fields(ExperimentConfig)
+                              if f.name in given})
+    _per_dim(cfg.sigma, ds.d, "--sigma")
     return cfg, ds
 
 
@@ -231,36 +219,44 @@ def build_parser():
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
+    # Settings that ExperimentConfig names take its defaults; the gram-error and
+    # pipeline parsers suppress every default, so only given flags reach the config.
     def add_kernel_flags(p):
-        p.add_argument("--kernel", choices=("gaussian", "laplacian"), default="gaussian")
-        p.add_argument("--sigma", type=_parse_floats, default=(1.0,),
+        p.add_argument("--kernel", choices=("gaussian", "laplacian"),
+                       default=p.argument_default or ExperimentConfig.kernel)
+        p.add_argument("--sigma", type=_parse_floats,
+                       default=p.argument_default or ExperimentConfig.sigma,
                        help="bandwidth, single value or comma list")
 
     def add_box_flags(p):
         p.add_argument("--b", type=_parse_floats, default=(1.0,),
                        help="box half-widths, single value or comma list")
-        p.add_argument("--box-scale", type=float, default=1.0,
+        p.add_argument("--box-scale", type=float, default=ExperimentConfig.box_scale,
                        help="shrink factor applied to the box (e.g. 0.5)")
 
-    def add_experiment_flags(p):
+    def add_experiment_parser(name, help):
+        p = sub.add_parser(name, help=help, argument_default=argparse.SUPPRESS)
         p.add_argument("--data", required=True)
-        p.add_argument("--header", action="store_true")
+        p.add_argument("--header", action="store_true", default=False)
         add_kernel_flags(p)
-        p.add_argument("--s", type=_parse_ints, required=True,
+        p.add_argument("--s", dest="s_grid", metavar="S", type=_parse_ints, required=True,
                        help="comma list of feature counts")
-        p.add_argument("--seq", type=lambda t: tuple(t.split(",")), required=True)
-        p.add_argument("--trials", type=int, default=10)
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--max-n", type=int, default=2000)
-        p.add_argument("--box-scale", type=float, default=1.0)
-        p.add_argument("--max-iters", type=int, default=50)
+        p.add_argument("--seq", dest="sequences", metavar="SEQ",
+                       type=lambda t: tuple(t.split(",")), required=True)
+        p.add_argument("--trials", type=int)
+        p.add_argument("--seed", type=int)
+        p.add_argument("--max-n", type=int)
+        p.add_argument("--box-scale", type=float)
+        p.add_argument("--max-iters", dest="adapt_iters", metavar="MAX_ITERS", type=int,
+                       help="iteration cap of both adaptive optimizers")
         p.add_argument("--out", default=None)
+        return p
 
     p = sub.add_parser("generate", help="emit a unit-cube point set as CSV")
     p.add_argument("--seq", choices=BASE_SEQUENCES, required=True)
     p.add_argument("--s", type=int, required=True)
     p.add_argument("--d", type=int, required=True)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, default=ExperimentConfig.seed)
     p.add_argument("--start", type=int, default=1, help="halton start index")
     p.add_argument("--z", type=_parse_ints, default=None, help="lattice generating vector")
     p.add_argument("--json", action="store_true", help="emit the JSON envelope instead")
@@ -289,15 +285,14 @@ def build_parser():
     p.add_argument("--d", type=int, required=True)
     add_kernel_flags(p)
     add_box_flags(p)
-    p.add_argument("--max-iters", type=int, default=50)
+    p.add_argument("--max-iters", type=int, default=OptimizerOptions.max_iters)
     p.add_argument("--init", choices=("halton", "file"), default="halton")
     p.add_argument("--in", dest="infile", default=None)
     p.add_argument("--out", default=None, help="trace/report JSON")
     p.add_argument("--out-points", default=None, help="final point set CSV")
     p.set_defaults(func=_cmd_optimize)
 
-    p = sub.add_parser("gram-error", help="Gram approximation error curves")
-    add_experiment_flags(p)
+    p = add_experiment_parser("gram-error", help="Gram approximation error curves")
     p.set_defaults(func=_cmd_gram_error)
 
     p = sub.add_parser("krr", help="ridge regression on feature-mapped data")
@@ -306,9 +301,10 @@ def build_parser():
     add_kernel_flags(p)
     p.add_argument("--s", type=int, required=True)
     p.add_argument("--seq", choices=BASE_SEQUENCES, default="halton")
-    p.add_argument("--lambda", dest="ridge_lambda", type=float, default=1e-6)
-    p.add_argument("--split", type=float, default=0.5)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--lambda", dest="ridge_lambda", type=float,
+                   default=ExperimentConfig.ridge_lambda)
+    p.add_argument("--split", type=float, default=ExperimentConfig.split)
+    p.add_argument("--seed", type=int, default=ExperimentConfig.seed)
     p.add_argument("--features-out", default=None,
                    help="also export the cos/sin feature matrix as CSV")
     p.add_argument("--out", default=None)
@@ -321,16 +317,15 @@ def build_parser():
     add_box_flags(p)
     p.add_argument("--seq", choices=BASE_SEQUENCES, default="halton")
     p.add_argument("--samples", type=int, default=200000)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, default=ExperimentConfig.seed)
     p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_avgcase_check)
 
-    p = sub.add_parser("pipeline", help="full experiment report")
-    add_experiment_flags(p)
-    p.add_argument("--target", action="store_true",
+    p = add_experiment_parser("pipeline", help="full experiment report")
+    p.add_argument("--target", action="store_true", default=False,
                    help="treat the last column as a regression target")
-    p.add_argument("--lambda", dest="ridge_lambda", type=float, default=1e-6)
-    p.add_argument("--split", type=float, default=0.5)
+    p.add_argument("--lambda", dest="ridge_lambda", type=float)
+    p.add_argument("--split", type=float)
     p.add_argument("--workers", type=int, default=1)
     p.set_defaults(func=_cmd_pipeline)
 

@@ -120,7 +120,10 @@ def _cell_seed(*parts):
 
 @dataclass
 class ExperimentConfig:
-    """Settings for the Gram-error and pipeline experiments."""
+    """Settings for the Gram-error and pipeline experiments, and the one
+    source of the CLI's defaults for them: an omitted flag keeps the default
+    here.  ``adapt_iters`` caps both adaptive optimizers, L-BFGS-B in
+    adaptive-global and each inner conjugate-gradient solve in adaptive-greedy."""
 
     kernel: str = "gaussian"
     sigma: tuple = (1.0,)
@@ -200,7 +203,8 @@ def _frequency_maps_for_cell(cfg, density, box, seq, s, d):
 
     Deterministic sequences produce a single trial; mc produces
     cfg.trials independently seeded ones.  Seeds depend only on the
-    configuration and cell coordinates, never on execution order.
+    configuration and cell coordinates, never on execution order.  Both
+    adaptive optimizers start from Halton under one ``cfg.adapt_iters`` cap.
     """
     if seq == "mc":
         out = []
@@ -213,11 +217,10 @@ def _frequency_maps_for_cell(cfg, density, box, seq, s, d):
         return [(transform(make_pointset(seq, s, d), density), None)]
 
     base = transform(halton(s, d), density)
+    opts = OptimizerOptions(max_iters=cfg.adapt_iters)
     if seq == "adaptive-global":
-        opts = OptimizerOptions(max_iters=cfg.adapt_iters)
         return [(optimize_global(base, density, box, opts).freqs, None)]
     if seq == "adaptive-greedy":
-        opts = OptimizerOptions(max_iters=200, grad_tol=1e-10)
         return [(optimize_greedy(s, density, box, base, opts).freqs, None)]
     if seq == "weighted":
         xi, _ = optimize_weights(base, density, box)

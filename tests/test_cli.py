@@ -2,12 +2,14 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
 import qmcrff
-from qmcrff.cli import main
+from qmcrff.adaptive import OptimizerOptions, optimize_greedy
+from qmcrff.cli import _experiment_from_args, build_parser, main
 from qmcrff.experiment import (
     PIPELINE_SEQUENCES,
     Dataset,
@@ -381,6 +383,43 @@ class TestPipeline:
         assert d2["adaptive-greedy"] <= d2["halton"]
         assert d2["weighted"] <= d2["halton"]
 
+    def test_adapt_iters_caps_the_greedy_inner_solves(self):
+        density = ProductDensity.gaussian(1.0, d=2)
+        box = Box(b=[1.0, 3.0])
+        cfg = ExperimentConfig(sequences=("adaptive-greedy",), s_grid=(6,), adapt_iters=1)
+        [(freqs, weights)] = _frequency_maps_for_cell(cfg, density, box, "adaptive-greedy", 6, 2)
+        ref = optimize_greedy(6, density, box, transform(halton(6, 2), density),
+                              OptimizerOptions(max_iters=1))
+        assert weights is None
+        assert np.array_equal(freqs.points, ref.freqs.points)
+
+
+class TestConfigFromFlags:
+    # ExperimentConfig owns the defaults: gram-error and pipeline pass only
+    # the flags given, each to the config field its dest names.
+    @staticmethod
+    def _config(tmp_path, flags):
+        data = _write(tmp_path, "x.csv", "0,1\n1,0\n2,2\n")
+        args = build_parser().parse_args(["pipeline", "--data", data] + flags)
+        return _experiment_from_args(args, has_target=False)[0]
+
+    def test_omitted_flags_keep_the_config_defaults(self, tmp_path):
+        cfg = self._config(tmp_path, ["--s", "4", "--seq", "halton"])
+        assert cfg == ExperimentConfig(sequences=("halton",), s_grid=(4,))
+
+    def test_every_field_is_set_by_a_pipeline_flag(self, tmp_path):
+        cfg = self._config(tmp_path, [
+            "--kernel", "laplacian", "--sigma", "2", "--seq", "mc,lattice", "--s", "2,8",
+            "--trials", "3", "--box-scale", "0.5", "--lambda", "1e-3", "--split", "0.25",
+            "--seed", "4", "--max-n", "100", "--max-iters", "7"])
+        assert cfg.to_json_dict() == {
+            "kernel": "laplacian", "sigma": [2.0], "sequences": ["mc", "lattice"],
+            "s_grid": [2, 8], "trials": 3, "box_scale": 0.5, "ridge_lambda": 1e-3,
+            "split": 0.25, "seed": 4, "max_n": 100, "adapt_iters": 7}
+        default = ExperimentConfig().to_json_dict()
+        assert sorted(default) == sorted(f.name for f in fields(ExperimentConfig))
+        assert [k for k, v in cfg.to_json_dict().items() if v == default[k]] == []
+
 
 class TestCommandLine:
     def test_generate_stdout(self, capsys):
@@ -557,6 +596,12 @@ class TestCommandLine:
             final, rel=1e-12, abs=0.0)
         assert final < box_discrepancy_gaussian(
             transform(halton(8, 2), density), density, box).d_squared
+
+    def test_optimize_in_needs_init_file(self, tmp_path, capsys):
+        code = main(["optimize", "--mode", "greedy", "--s", "2", "--d", "2",
+                     "--in", str(tmp_path / "does-not-exist.csv")])
+        assert code == 3
+        assert "--init file" in capsys.readouterr().err
 
     def test_optimize_has_no_seed_flag(self):
         with pytest.raises(SystemExit) as err:
