@@ -288,13 +288,23 @@ def optimize_greedy(t_points, density, box, init_freqs, opts):
     return trace
 
 
+def _kkt_residual(H, v, xi):
+    grad_half = H @ xi - v
+    zero = xi <= 0.0
+    r_neg = max(0.0, float(-xi.min(initial=0.0)))
+    r_zero = float(np.maximum(-grad_half[zero], 0.0).max(initial=0.0))
+    r_pos = float(np.abs(grad_half[~zero]).max(initial=0.0))
+    return max(r_neg, r_zero, r_pos)
+
+
 def optimize_weights(freqs, density, box):
     """Nonnegative weights minimizing xi.H.xi - 2 v.xi.
 
     Solves the convex quadratic program through scipy's NNLS on the
     Cholesky factor of H (jittered by 1e-12 trace(H)/s on the diagonal for
-    clustered point sets).  Returns the weights and the max-norm KKT
-    residual max(||min(xi,0)||, ||min(Hxi-v,0)|| on xi=0, ||Hxi-v|| on xi>0).
+    clustered point sets), re-solved on its positive set when it stops loose.
+    Returns the weights and the max-norm KKT residual
+    max(||min(xi,0)||, ||min(Hxi-v,0)|| on xi=0, ||Hxi-v|| on xi>0).
     """
     H, v = assemble_H_v(freqs, density, box)
     s = H.shape[0]
@@ -313,13 +323,16 @@ def optimize_weights(freqs, density, box):
 
     rhs = solve_triangular(L, v, lower=True)
     xi, _ = nnls(L.T, rhs)
-
-    grad_half = H @ xi - v
-    zero = xi <= 0.0
-    r_neg = max(0.0, float(-xi.min(initial=0.0)))
-    r_zero = float(np.maximum(-grad_half[zero], 0.0).max(initial=0.0))
-    r_pos = float(np.abs(grad_half[~zero]).max(initial=0.0))
-    kkt = max(r_neg, r_zero, r_pos)
+    kkt = _kkt_residual(H, v, xi)
+    if kkt > _KKT_TOL:
+        # scipy's NNLS can stop loose even on a well-conditioned H.
+        P = xi > 0.0
+        polished = np.zeros_like(xi)
+        polished[P] = np.maximum(np.linalg.solve(
+            H[np.ix_(P, P)] + jitter * np.eye(P.sum()), v[P]), 0.0)
+        polished_kkt = _kkt_residual(H, v, polished)
+        if polished_kkt < kkt:
+            xi, kkt = polished, polished_kkt
     if kkt > _KKT_TOL:
         warnings.warn(
             f"weight optimization stopped with KKT residual {kkt:.3e} > {_KKT_TOL:.1e}",

@@ -14,7 +14,7 @@ from dataclasses import fields
 import numpy as np
 
 from .adaptive import OptimizerOptions, optimize_global, optimize_greedy, optimize_weights
-from .densities import FrequencySet, ProductDensity, transform
+from .densities import KERNELS, FrequencySet, ProductDensity, per_dimension, transform
 from .discrepancy import Box, average_case_mc_check, box_discrepancy_gaussian, weighted_discrepancy
 from .experiment import (
     BASE_SEQUENCES,
@@ -31,7 +31,7 @@ from .experiment import (
 # Not used here: perfbench looks these entry points up in this module.
 from .experiment import Dataset, estimate_box  # noqa: F401
 from .featmap import WeightedFeatureMap, real_feature_matrix
-from .ioutil import DataError, NumericalError, read_matrix_csv, write_matrix_csv
+from .ioutil import DataError, NumericalError, open_output, read_matrix_csv, write_matrix_csv
 from .sequences import UnitPointSet, _clamp_unit, halton
 
 
@@ -44,12 +44,8 @@ def _parse_ints(text):
 
 
 def _emit(payload, out):
-    text = json.dumps(payload, indent=2, sort_keys=True)
-    if out in (None, "-"):
-        print(text)
-    else:
-        with open(out, "w") as fh:
-            fh.write(text + "\n")
+    with open_output(out) as fh:
+        fh.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
 def _read_finite_csv(path, skip_header=False):
@@ -60,28 +56,12 @@ def _read_finite_csv(path, skip_header=False):
     return M
 
 
-def _per_dim(values, d, flag):
-    """A flag's 1 or d values as d values; another count is a data error."""
-    if len(values) not in (1, d):
-        raise DataError(f"{flag} needs 1 or {d} values, got {len(values)}")
-    return values if len(values) == d else values * d
-
-
 def _density_from_args(args, d):
-    return ProductDensity.for_kernel(args.kernel, _per_dim(args.sigma, d, "--sigma"), d)
+    return ProductDensity.for_kernel(args.kernel, per_dimension(args.sigma, d, "--sigma"))
 
 
 def _box_from_args(args, d):
-    return Box(b=np.asarray(_per_dim(args.b, d, "--b"))).scaled(args.box_scale)
-
-
-def _write_points(points, out):
-    """A point or frequency set as CSV, to stdout when ``out`` is None or "-"."""
-    if out in (None, "-"):
-        for row in points.points:
-            print(",".join("%.17g" % v for v in row))
-    else:
-        write_matrix_csv(out, points.points)
+    return Box(b=per_dimension(args.b, d, "--b")).scaled(args.box_scale)
 
 
 def _cmd_generate(args):
@@ -92,7 +72,7 @@ def _cmd_generate(args):
     if args.json:
         _emit(pts.to_json_dict(), args.out)
     else:
-        _write_points(pts, args.out)
+        write_matrix_csv(args.out, pts.points)
     return 0
 
 
@@ -101,7 +81,7 @@ def _cmd_transform(args):
     if M.min() < 0.0 or M.max() > 1.0:
         raise DataError(f"{args.infile}: coordinates must lie in [0, 1]")
     pts = UnitPointSet(points=_clamp_unit(M), generator="file", seed_or_start=0)
-    _write_points(transform(pts, _density_from_args(args, pts.d)), args.out)
+    write_matrix_csv(args.out, transform(pts, _density_from_args(args, pts.d)).points)
     return 0
 
 
@@ -120,15 +100,11 @@ def _cmd_optimize(args):
     d = args.d
     density = _density_from_args(args, d)
     box = _box_from_args(args, d)
-    if args.init == "file":
-        if not args.infile:
-            raise DataError("--init file requires --in with a frequency CSV")
+    if args.infile:
         init = FrequencySet(points=_read_finite_csv(args.infile),
                             provenance={"source": "file", "path": args.infile})
         if init.d != d or init.s < args.s:
             raise DataError(f"--in must provide at least {args.s} rows of dimension {d}")
-    elif args.infile:
-        raise DataError("--in is read only with --init file")
     else:
         init = transform(halton(args.s, d), density)
 
@@ -160,7 +136,7 @@ def _experiment_from_args(args, has_target):
     given = vars(args)
     cfg = ExperimentConfig(**{f.name: given[f.name] for f in fields(ExperimentConfig)
                               if f.name in given})
-    _per_dim(cfg.sigma, ds.d, "--sigma")
+    per_dimension(cfg.sigma, ds.d, "--sigma")
     return cfg, ds
 
 
@@ -222,7 +198,7 @@ def build_parser():
     # Settings that ExperimentConfig names take its defaults; the gram-error and
     # pipeline parsers suppress every default, so only given flags reach the config.
     def add_kernel_flags(p):
-        p.add_argument("--kernel", choices=("gaussian", "laplacian"),
+        p.add_argument("--kernel", choices=KERNELS,
                        default=p.argument_default or ExperimentConfig.kernel)
         p.add_argument("--sigma", type=_parse_floats,
                        default=p.argument_default or ExperimentConfig.sigma,
@@ -286,8 +262,7 @@ def build_parser():
     add_kernel_flags(p)
     add_box_flags(p)
     p.add_argument("--max-iters", type=int, default=OptimizerOptions.max_iters)
-    p.add_argument("--init", choices=("halton", "file"), default="halton")
-    p.add_argument("--in", dest="infile", default=None)
+    p.add_argument("--in", dest="infile", default=None, help="start from this frequency CSV")
     p.add_argument("--out", default=None, help="trace/report JSON")
     p.add_argument("--out-points", default=None, help="final point set CSV")
     p.set_defaults(func=_cmd_optimize)

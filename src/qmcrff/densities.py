@@ -12,9 +12,29 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .ioutil import DataError
+
 GAUSSIAN = "gaussian"
 CAUCHY = "cauchy"
-_KINDS = (GAUSSIAN, CAUCHY)
+KERNELS = {"gaussian": GAUSSIAN, "laplacian": CAUCHY}
+_KINDS = tuple(KERNELS.values())
+
+
+def per_dimension(values, d, name):
+    """A number or 1-or-d numbers as a float vector, of length d when d is
+    given; another count is a data error naming ``name``."""
+    arr = np.atleast_1d(np.asarray(values, dtype=float))
+    if d is not None and arr.size not in (1, d):
+        raise DataError(f"{name} needs 1 or {d} values, got {arr.size}")
+    return np.full(d, arr[0]) if d is not None and arr.size == 1 else arr
+
+
+def positive_vector(values, name):
+    """``values`` as a 1-D float vector whose entries are positive and finite."""
+    arr = np.atleast_1d(np.asarray(values, dtype=float))
+    if arr.ndim != 1 or arr.size < 1 or not np.all(np.isfinite(arr) & (arr > 0.0)):
+        raise ValueError(f"{name} must be a nonempty 1-D vector of positive, finite values")
+    return arr
 
 
 @dataclass
@@ -31,11 +51,7 @@ class ProductDensity:
                 "The multivariate t density (Matern kernel) has no per-dimension "
                 "product form and is rejected."
             )
-        self.scale = np.atleast_1d(np.asarray(self.scale, dtype=float))
-        if self.scale.ndim != 1 or self.scale.size < 1:
-            raise ValueError("scale must be a 1-D vector")
-        if not np.all(np.isfinite(self.scale)) or np.any(self.scale <= 0.0):
-            raise ValueError("all scales must be strictly positive and finite")
+        self.scale = positive_vector(self.scale, "scale")
 
     @property
     def d(self):
@@ -43,32 +59,21 @@ class ProductDensity:
 
     @classmethod
     def gaussian(cls, sigma, d=None):
-        return cls(kind=GAUSSIAN, scale=_expand_scale(sigma, d))
+        return cls(kind=GAUSSIAN, scale=per_dimension(sigma, d, "sigma"))
 
     @classmethod
     def cauchy(cls, sigma, d=None):
-        return cls(kind=CAUCHY, scale=_expand_scale(sigma, d))
+        return cls(kind=CAUCHY, scale=per_dimension(sigma, d, "sigma"))
 
     @classmethod
     def for_kernel(cls, kernel, sigma, d=None):
         """Density whose Fourier transform is the named kernel."""
-        if kernel == "gaussian":
-            return cls.gaussian(sigma, d)
-        if kernel == "laplacian":
-            return cls.cauchy(sigma, d)
-        raise ValueError(f"unknown kernel {kernel!r}; valid kernels: gaussian, laplacian")
+        if kernel not in KERNELS:
+            raise ValueError(f"unknown kernel {kernel!r}; valid kernels: {', '.join(KERNELS)}")
+        return cls(kind=KERNELS[kernel], scale=per_dimension(sigma, d, "sigma"))
 
     def to_json_dict(self):
         return {"kind": self.kind, "scale": [float(v) for v in self.scale]}
-
-
-def _expand_scale(sigma, d):
-    arr = np.atleast_1d(np.asarray(sigma, dtype=float))
-    if d is not None and arr.size == 1:
-        arr = np.full(d, arr[0])
-    if d is not None and arr.size != d:
-        raise ValueError(f"sigma needs 1 or {d} values, got {arr.size}")
-    return arr
 
 
 @dataclass

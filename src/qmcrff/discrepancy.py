@@ -32,7 +32,7 @@ from functools import partial
 
 import numpy as np
 
-from .densities import GAUSSIAN, characteristic_profile
+from .densities import GAUSSIAN, characteristic_profile, positive_vector
 from .specfun import re_erf_damped_grid
 
 _SQRT_2 = math.sqrt(2.0)
@@ -94,11 +94,7 @@ class Box:
     b: np.ndarray
 
     def __post_init__(self):
-        self.b = np.atleast_1d(np.asarray(self.b, dtype=float))
-        if self.b.ndim != 1 or self.b.size < 1:
-            raise ValueError("b must be a 1-D vector")
-        if not np.all(np.isfinite(self.b)) or np.any(self.b <= 0.0):
-            raise ValueError("all half-widths must be strictly positive and finite")
+        self.b = positive_vector(self.b, "b")
 
     @property
     def d(self):

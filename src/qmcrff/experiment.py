@@ -10,13 +10,13 @@ import json
 import warnings
 import zlib
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from datetime import datetime, timezone
 
 import numpy as np
 
 from .adaptive import OptimizerOptions, optimize_global, optimize_greedy, optimize_weights
-from .densities import ProductDensity, transform
+from .densities import KERNELS, ProductDensity, transform
 from .discrepancy import Box, box_discrepancy_gaussian, weighted_discrepancy
 from .featmap import ExactGram, WeightedFeatureMap, real_feature_matrix
 from .ioutil import DataError, NumericalError, read_matrix_csv
@@ -84,7 +84,7 @@ def estimate_box(ds, box_scale=1.0):
             RuntimeWarning,
         )
         b = np.where(flat, 1e-12, b)
-    return Box(b=b * box_scale)
+    return Box(b=b).scaled(box_scale)
 
 
 def korobov_vector(s, d):
@@ -138,8 +138,11 @@ class ExperimentConfig:
     adapt_iters: int = 50
 
     def __post_init__(self):
-        if self.kernel not in ("gaussian", "laplacian"):
-            raise ValueError(f"unknown kernel {self.kernel!r}; valid: gaussian, laplacian")
+        self.sigma = tuple(float(v) for v in self.sigma)
+        self.sequences = tuple(self.sequences)
+        self.s_grid = tuple(int(v) for v in self.s_grid)
+        if self.kernel not in KERNELS:
+            raise ValueError(f"unknown kernel {self.kernel!r}; valid: {', '.join(KERNELS)}")
         bad = [q for q in self.sequences if q not in PIPELINE_SEQUENCES]
         if bad:
             raise ValueError(
@@ -169,19 +172,7 @@ class ExperimentConfig:
             raise ValueError(f"adapt_iters must be >= 0, got {self.adapt_iters}")
 
     def to_json_dict(self):
-        return {
-            "kernel": self.kernel,
-            "sigma": [float(v) for v in self.sigma],
-            "sequences": list(self.sequences),
-            "s_grid": [int(v) for v in self.s_grid],
-            "trials": self.trials,
-            "box_scale": self.box_scale,
-            "ridge_lambda": self.ridge_lambda,
-            "split": self.split,
-            "seed": self.seed,
-            "max_n": self.max_n,
-            "adapt_iters": self.adapt_iters,
-        }
+        return {k: list(v) if isinstance(v, tuple) else v for k, v in asdict(self).items()}
 
     def hash(self):
         canon = json.dumps(self.to_json_dict(), sort_keys=True)

@@ -597,11 +597,26 @@ class TestCommandLine:
         assert final < box_discrepancy_gaussian(
             transform(halton(8, 2), density), density, box).d_squared
 
-    def test_optimize_in_needs_init_file(self, tmp_path, capsys):
+    def test_optimize_in_missing_file_is_data_error(self, tmp_path, capsys):
         code = main(["optimize", "--mode", "greedy", "--s", "2", "--d", "2",
                      "--in", str(tmp_path / "does-not-exist.csv")])
         assert code == 3
-        assert "--init file" in capsys.readouterr().err
+        assert "cannot open" in capsys.readouterr().err
+
+    def test_optimize_starts_from_the_in_file(self, tmp_path):
+        data = _write(tmp_path, "init.csv", "0.25,-0.5\n1.5,0.75\n-1,2\n")
+        out = tmp_path / "trace.json"
+        assert main(["optimize", "--mode", "greedy", "--s", "2", "--d", "2",
+                     "--in", data, "--out", str(out)]) == 0
+        init = json.loads(out.read_text())["freqs"]["provenance"]["init"]
+        assert init == {"source": "file", "path": data}
+
+    def test_optimize_has_no_init_flag(self, tmp_path):
+        data = _write(tmp_path, "init.csv", "0.25,-0.5\n1.5,0.75\n")
+        with pytest.raises(SystemExit) as err:
+            main(["optimize", "--mode", "greedy", "--s", "2", "--d", "2",
+                  "--init", "file", "--in", data])
+        assert err.value.code == 2
 
     def test_optimize_has_no_seed_flag(self):
         with pytest.raises(SystemExit) as err:
@@ -672,10 +687,8 @@ class TestCommandLine:
         (["transform", "--kernel", "gaussian", "--sigma", "1", "--in"], "nan"),
         (["discrepancy", "--sigma", "1", "--b", "1", "--freqs"], "nan"),
         (["discrepancy", "--sigma", "1", "--b", "1", "--freqs"], "1e400"),
-        (["optimize", "--mode", "global", "--s", "2", "--d", "2", "--init", "file",
-          "--in"], "nan"),
-        (["optimize", "--mode", "global", "--s", "2", "--d", "2", "--init", "file",
-          "--in"], "1e400"),
+        (["optimize", "--mode", "global", "--s", "2", "--d", "2", "--in"], "nan"),
+        (["optimize", "--mode", "global", "--s", "2", "--d", "2", "--in"], "1e400"),
     ])
     def test_non_finite_input_file_is_data_error(self, tmp_path, capsys, command, entry):
         data = _write(tmp_path, "bad.csv", f"0.25,0.5\n{entry},0.75\n0.5,0.125\n")
@@ -683,6 +696,48 @@ class TestCommandLine:
         assert code == 3
         err = capsys.readouterr().err
         assert "data error" in err and data in err and "finite" in err
+
+    @pytest.mark.parametrize("command", [
+        ["pipeline", "--s", "4", "--seq", "halton", "--data"],
+        ["discrepancy", "--sigma", "1", "--b", "1", "--freqs"],
+    ])
+    def test_undecodable_input_file_is_data_error(self, tmp_path, capsys, command):
+        path = tmp_path / "binary.csv"
+        path.write_bytes(b"\xff\xfe\x00\x01,2\n")
+        assert main(command + [str(path)]) == 3
+        err = capsys.readouterr().err
+        assert "cannot read" in err and str(path) in err
+
+    @pytest.mark.parametrize("command,flag", [
+        (["pipeline", "--s", "4", "--seq", "halton", "--target"], "--out"),
+        (["generate", "--seq", "halton", "--s", "4", "--d", "2"], "--out"),
+        (["optimize", "--mode", "global", "--s", "2", "--d", "2", "--max-iters", "2"],
+         "--out-points"),
+        (["krr", "--s", "4"], "--features-out"),
+    ])
+    def test_unwritable_output_is_data_error(self, tmp_path, capsys, command, flag):
+        if command[0] in ("pipeline", "krr"):
+            command = command + ["--data", _xy_csv(tmp_path, np.eye(4) + 0.5)]
+        target = str(tmp_path / "missing-dir" / "out.csv")
+        assert main(command + [flag, target]) == 3
+        err = capsys.readouterr().err
+        assert "cannot write" in err and target in err
+
+    @pytest.mark.parametrize("command", [
+        ["generate", "--seq", "halton-scrambled", "--s", "5", "--d", "3"],
+        ["transform", "--kernel", "laplacian", "--sigma", "0.5,2"],
+    ])
+    def test_stdout_and_out_file_hold_the_same_bytes(self, tmp_path, capsys, command):
+        if command[0] == "transform":
+            cube = tmp_path / "cube.csv"
+            write_matrix_csv(str(cube), halton(6, 2).points)
+            command = command + ["--in", str(cube)]
+        assert main(command) == 0
+        stdout = capsys.readouterr().out
+        out = tmp_path / "out.csv"
+        assert main(command + ["--out", str(out)]) == 0
+        assert capsys.readouterr().out == ""
+        assert out.read_text() == stdout and stdout.count("\n") >= 5
 
     @pytest.mark.parametrize("command", [
         ["krr", "--s", "8"],

@@ -151,6 +151,11 @@ class TestClampBounds:
     @example(kind="cauchy", log_sigma=[0.0, 0.0], seed=0)
     @example(kind="cauchy", log_sigma=[8.0], seed=0)
     @example(kind="cauchy", log_sigma=[-8.0], seed=0)
+    # Draws on which scipy's NNLS alone stopped with KKT residuals 1.2e-7,
+    # 2.1e-7 and 4.1e-8.
+    @example(kind="gaussian", log_sigma=[-1.0, -0.75, 0.78125], seed=1355)
+    @example(kind="gaussian", log_sigma=[0.5, -0.375, -0.65625], seed=44571)
+    @example(kind="gaussian", log_sigma=[-0.96875, 0.40625, -0.625], seed=57814)
     def test_transform_discrepancy_gradient_weights(self, kind, log_sigma, seed):
         d = len(log_sigma)
         grid = list(itertools.product([UNIT_EPS, 0.5, 1.0 - UNIT_EPS], repeat=d))
