@@ -19,7 +19,6 @@ from .discrepancy import (
     assemble_H_v,
     average_case_mc_check,
     box_discrepancy_gaussian,
-    box_discrepancy_quadrature,
     expected_mc_discrepancy,
     weighted_discrepancy,
 )
@@ -61,7 +60,6 @@ __all__ = [
     "assemble_H_v",
     "average_case_mc_check",
     "box_discrepancy_gaussian",
-    "box_discrepancy_quadrature",
     "discrepancy_gradient",
     "expected_mc_discrepancy",
     "feature_vector",

@@ -306,6 +306,8 @@ def optimize_weights(freqs, density, box):
     Returns the weights and the max-norm KKT residual
     max(||min(xi,0)||, ||min(Hxi-v,0)|| on xi=0, ||Hxi-v|| on xi>0).
     """
+    if freqs.s < 1:
+        raise ValueError(f"optimize_weights requires s >= 1, got {freqs.s}")
     H, v = assemble_H_v(freqs, density, box)
     s = H.shape[0]
     jitter = 1e-12 * float(np.trace(H)) / s

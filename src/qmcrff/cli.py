@@ -8,7 +8,9 @@ Exit codes: 0 success, 2 usage error, 3 data error, 4 numerical failure.
 
 import argparse
 import json
+import os
 import sys
+from contextlib import ExitStack
 from dataclasses import fields
 
 import numpy as np
@@ -43,9 +45,22 @@ def _parse_ints(text):
     return tuple(int(v) for v in text.split(","))
 
 
-def _emit(payload, out):
-    with open_output(out) as fh:
-        fh.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+def _open_outputs(args, stack):
+    """Replace each output path in ``args`` by its stream, opened on ``stack``:
+    `--out` always (stdout when omitted), `--out-points` and `--features-out`
+    when given.  An output may not name an input, which opening would empty."""
+    inputs = {os.path.realpath(getattr(args, dest)) for dest in ("infile", "freqs", "data")
+              if getattr(args, dest, None) is not None}
+    for dest in ("out", "out_points", "features_out"):
+        path = getattr(args, dest, None)
+        if path not in (None, "-") and os.path.realpath(path) in inputs:
+            raise ValueError(f"output {path} is also an input file")
+        if dest == "out" or path is not None:
+            setattr(args, dest, stack.enter_context(open_output(path)))
+
+
+def _emit(payload, fh):
+    fh.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
 def _read_finite_csv(path, skip_header=False):
@@ -73,7 +88,6 @@ def _cmd_generate(args):
         _emit(pts.to_json_dict(), args.out)
     else:
         write_matrix_csv(args.out, pts.points)
-    return 0
 
 
 def _cmd_transform(args):
@@ -82,7 +96,6 @@ def _cmd_transform(args):
         raise DataError(f"{args.infile}: coordinates must lie in [0, 1]")
     pts = UnitPointSet(points=_clamp_unit(M), generator="file", seed_or_start=0)
     write_matrix_csv(args.out, transform(pts, _density_from_args(args, pts.d)).points)
-    return 0
 
 
 def _cmd_discrepancy(args):
@@ -93,10 +106,11 @@ def _cmd_discrepancy(args):
     payload = box_discrepancy_gaussian(freqs, density, box).to_json_dict()
     payload["box_scale"] = args.box_scale
     _emit(payload, args.out)
-    return 0
 
 
 def _cmd_optimize(args):
+    if args.s < 1:
+        raise ValueError(f"optimize requires s >= 1, got {args.s}")
     d = args.d
     density = _density_from_args(args, d)
     box = _box_from_args(args, d)
@@ -126,7 +140,6 @@ def _cmd_optimize(args):
     if args.out_points:
         write_matrix_csv(args.out_points, points.points)
     _emit(payload, args.out)
-    return 0
 
 
 def _experiment_from_args(args, has_target):
@@ -143,7 +156,6 @@ def _experiment_from_args(args, has_target):
 def _cmd_gram_error(args):
     cfg, ds = _experiment_from_args(args, has_target=False)
     _emit({"cells": run_gram_experiment(cfg, ds)}, args.out)
-    return 0
 
 
 def _cmd_krr(args):
@@ -166,7 +178,6 @@ def _cmd_krr(args):
         "n_test": int(len(test_idx)),
     }
     _emit(payload, args.out)
-    return 0
 
 
 def _cmd_avgcase_check(args):
@@ -178,13 +189,11 @@ def _cmd_avgcase_check(args):
     payload = report.to_json_dict()
     payload["within_3se"] = abs(report.empirical - report.predicted) <= 3 * report.stderr
     _emit(payload, args.out)
-    return 0
 
 
 def _cmd_pipeline(args):
     cfg, ds = _experiment_from_args(args, has_target=args.target)
     _emit(run_pipeline(cfg, ds, workers=args.workers), args.out)
-    return 0
 
 
 def build_parser():
@@ -311,7 +320,9 @@ def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        with ExitStack() as stack:
+            _open_outputs(args, stack)
+            args.func(args)
     except DataError as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return 3
@@ -321,6 +332,7 @@ def main(argv=None):
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    return 0
 
 
 if __name__ == "__main__":

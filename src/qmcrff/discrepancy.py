@@ -21,9 +21,9 @@ have them in closed form (`density_factors`):
         [a_j (1 - e^{-a_j b_j} cos b_j x) + e^{-a_j b_j} x sin b_j x] / (pi (a_j^2 + x^2));
         term3 = prod_j sigma_j (1 - exp(-2 b_j/sigma_j)) / (2 pi).
 
-The pairwise term is the same for every density.  Per-dimension numerical
-quadrature of the characteristic function with a plain-sine pairwise term
-(`box_discrepancy_quadrature`) is the independent oracle for the closed forms.
+The pairwise term is the same for every density.  The closed forms are
+the only evaluation here; the tests check them against per-dimension
+Gauss-Legendre integration of the integrals above.
 """
 
 import math
@@ -57,10 +57,6 @@ _NEAR_LAG = 0.25
 # last kept one still moves the slope by 5e-15 of its value.
 _SINC_SERIES = tuple((-1) ** k / math.factorial(2 * k + 1) for k in range(7))
 _SINC_SLOPE_SERIES = tuple(2 * k * c for k, c in enumerate(_SINC_SERIES))[1:]
-
-# `box_discrepancy_quadrature` refuses to derive more nodes: leggauss(2000)
-# takes 0.6 s, and a clamped Cauchy frequency (|w| ~ 1e15/sigma) asks for more.
-_MAX_QUADRATURE_NODES = 2000
 
 _MC_CHUNK = 65536  # box samples per batch of `average_case_mc_check`
 
@@ -458,51 +454,6 @@ def box_discrepancy_gaussian(freqs, density, box):
                              s=freqs.s, d=freqs.d)
 
 
-def box_discrepancy_quadrature(freqs, density, box, nodes=None):
-    """Squared box discrepancy via per-dimension Gauss-Legendre quadrature.
-
-    Evaluates the characteristic-function integrals int |phi_j|^2 and
-    int phi_j cos(w beta) over [0, b_j] (both integrands are even) with
-    ``nodes`` Gauss-Legendre points per dimension (by default max(200, 64 +
-    ceil(max_lj |w_lj| b_j)), well above the oscillations of cos(w beta),
-    refused beyond _MAX_QUADRATURE_NODES).  Works for any product density;
-    restricted to d <= 3 as the test oracle for the closed form.  With
-    s = 0 only the squared kernel-mean norm remains.
-    """
-    _check_dims(freqs.d, density, box)
-    d = freqs.d
-    if d > 3:
-        raise ValueError(f"box_discrepancy_quadrature supports d <= 3, got d={d}")
-    W = freqs.points
-    s = W.shape[0]
-    if nodes is None:
-        nodes = max(200, 64 + math.ceil(float(np.max(np.abs(W) * box.b, initial=0.0))))
-        if nodes > _MAX_QUADRATURE_NODES:
-            raise ValueError(f"box_discrepancy_quadrature would need {nodes} nodes, "
-                             f"beyond {_MAX_QUADRATURE_NODES}; pass nodes= to force it")
-    if nodes < 32:
-        raise ValueError(f"box_discrepancy_quadrature requires nodes >= 32, got {nodes}")
-    gl_x, gl_w = np.polynomial.legendre.leggauss(nodes)
-
-    term1 = 1.0
-    cross = np.ones(s)
-    for j in range(d):
-        beta = 0.5 * box.b[j] * (gl_x + 1.0)
-        wq = 0.5 * box.b[j] * gl_w
-        phi = characteristic_profile(density, j, beta)
-        i1 = 2.0 * float(np.sum(wq * phi * phi))
-        term1 *= i1 / (2.0 * math.pi)
-        if s:
-            i2 = 2.0 * (np.cos(np.outer(W[:, j], beta)) @ (wq * phi))
-            cross *= i2 / (2.0 * math.pi)
-    if s == 0:
-        return term1
-    term2 = -2.0 / s * float(cross.sum())
-    lag = W[:, None, :] - W[None, :, :]
-    term3 = float(np.prod(box.b / np.pi * np.sinc(box.b * lag / np.pi), axis=2).sum()) / (s * s)
-    return term1 + term2 + term3
-
-
 def expected_mc_discrepancy(s, density, box):
     """Expected squared discrepancy of s i.i.d. frequencies drawn from the density.
 
@@ -570,6 +521,8 @@ def average_case_mc_check(freqs, density, box, n_samples, seed):
     values) minus the plain empirical average over the frequencies.
     """
     _check_dims(freqs.d, density, box)
+    if freqs.s < 1:
+        raise ValueError(f"average_case_mc_check requires s >= 1, got {freqs.s}")
     if n_samples < 1000:
         raise ValueError(f"average_case_mc_check requires n_samples >= 1000, got {n_samples}")
     rng = np.random.Generator(np.random.PCG64(seed))

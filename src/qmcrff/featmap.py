@@ -24,6 +24,8 @@ class WeightedFeatureMap:
     weights: np.ndarray = None
 
     def __post_init__(self):
+        if self.freqs.s < 1:
+            raise ValueError(f"a feature map requires s >= 1, got {self.freqs.s}")
         if self.weights is None:
             self.weights = np.full(self.freqs.s, 1.0 / self.freqs.s)
         self.weights = np.asarray(self.weights, dtype=float)

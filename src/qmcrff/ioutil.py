@@ -29,12 +29,10 @@ def open_output(out):
         yield fh
 
 
-def write_matrix_csv(out, matrix):
-    """One row per line, full double precision (%.17g), no header, to `open_output(out)`."""
-    matrix = np.atleast_2d(np.asarray(matrix, dtype=float))
-    with open_output(out) as fh:
-        for row in matrix:
-            fh.write(",".join("%.17g" % v for v in row) + "\n")
+def write_matrix_csv(fh, matrix):
+    """One row per line, full double precision (%.17g), no header, to the text stream ``fh``."""
+    for row in np.atleast_2d(np.asarray(matrix, dtype=float)):
+        fh.write(",".join("%.17g" % v for v in row) + "\n")
 
 
 def read_matrix_csv(path, skip_header=False):

@@ -1,6 +1,8 @@
 """Independent reference implementations the tests check the package
 against.  None of them shares code with what it checks."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -59,6 +61,62 @@ def gram_exact_reference(density, X):
     for j in range(Xs.shape[1]):
         acc += np.abs(Xs[:, j][:, None] - Xs[:, j][None, :])
     return np.exp(-acc)
+
+
+# `box_discrepancy_quadrature` refuses to derive more nodes: leggauss(2000)
+# takes 0.6 s, and a clamped Cauchy frequency (|w| ~ 1e15/sigma) asks for more.
+_MAX_QUADRATURE_NODES = 2000
+
+
+def box_discrepancy_quadrature(freqs, density, box, nodes=None):
+    """Squared box discrepancy via per-dimension Gauss-Legendre quadrature.
+
+    Evaluates the characteristic-function integrals int |phi_j|^2 and
+    int phi_j cos(w beta) over [0, b_j] (both integrands are even) with
+    ``nodes`` Gauss-Legendre points per dimension (by default max(200, 64 +
+    ceil(max_lj |w_lj| b_j)), well above the oscillations of cos(w beta),
+    refused beyond _MAX_QUADRATURE_NODES); phi_j is exp(-beta^2/(2 sigma_j^2))
+    for the gaussian density and exp(-|beta|/sigma_j) for the cauchy one.
+    The pairwise term sums plain sines (`np.sinc`).  Restricted to d <= 3.
+    With s = 0 only the squared kernel-mean norm remains.
+    """
+    W = freqs.points
+    s, d = W.shape
+    if not (d == density.d == box.d):
+        raise ValueError(
+            f"dimension mismatch: frequencies d={d}, density d={density.d}, box d={box.d}")
+    if d > 3:
+        raise ValueError(f"box_discrepancy_quadrature supports d <= 3, got d={d}")
+    if nodes is None:
+        nodes = max(200, 64 + math.ceil(float(np.max(np.abs(W) * box.b, initial=0.0))))
+        if nodes > _MAX_QUADRATURE_NODES:
+            raise ValueError(f"box_discrepancy_quadrature would need {nodes} nodes, "
+                             f"beyond {_MAX_QUADRATURE_NODES}; pass nodes= to force it")
+    if nodes < 32:
+        raise ValueError(f"box_discrepancy_quadrature requires nodes >= 32, got {nodes}")
+    gl_x, gl_w = np.polynomial.legendre.leggauss(nodes)
+
+    term1 = 1.0
+    cross = np.ones(s)
+    for j in range(d):
+        beta = 0.5 * box.b[j] * (gl_x + 1.0)
+        wq = 0.5 * box.b[j] * gl_w
+        sigma = density.scale[j]
+        if density.kind == GAUSSIAN:
+            phi = np.exp(-(beta * beta) / (2.0 * sigma * sigma))
+        else:
+            phi = np.exp(-np.abs(beta) / sigma)
+        i1 = 2.0 * float(np.sum(wq * phi * phi))
+        term1 *= i1 / (2.0 * math.pi)
+        if s:
+            i2 = 2.0 * (np.cos(np.outer(W[:, j], beta)) @ (wq * phi))
+            cross *= i2 / (2.0 * math.pi)
+    if s == 0:
+        return term1
+    term2 = -2.0 / s * float(cross.sum())
+    lag = W[:, None, :] - W[None, :, :]
+    term3 = float(np.prod(box.b / np.pi * np.sinc(box.b * lag / np.pi), axis=2).sum()) / (s * s)
+    return term1 + term2 + term3
 
 
 def cross_slope_reference(kind, sigma, b, x):

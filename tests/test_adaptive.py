@@ -18,6 +18,7 @@ from qmcrff.discrepancy import (
     Box,
     _sinc_factor,
     assemble_H_v,
+    average_case_mc_check,
     box_discrepancy_gaussian,
     gaussian_discrepancy_terms,
     gaussian_mean_norm_sq,
@@ -27,6 +28,7 @@ from qmcrff.discrepancy import (
     sinc_gram,
     weighted_discrepancy,
 )
+from qmcrff.featmap import WeightedFeatureMap
 from qmcrff.sequences import halton
 
 from oracles import sinc_reference
@@ -399,6 +401,20 @@ class TestEmptyFrequencySet:
                      lambda: discrepancy_gradient(FrequencySet(points=W), p, box)):
             with pytest.raises(ValueError, match="s >= 1"):
                 call()
+
+    @pytest.mark.parametrize("entry", ["optimize_weights", "WeightedFeatureMap",
+                                       "average_case_mc_check"])
+    def test_entry_points_dividing_by_s_reject_it_up_front(self, entry):
+        # Under the suite's error::RuntimeWarning filter, a warning emitted on
+        # the way (such as a 0/0 in the Monte Carlo loop) would fail this too.
+        p = ProductDensity.gaussian(1.0, d=2)
+        box = Box(b=[1.0, 1.0])
+        S = FrequencySet(points=np.empty((0, 2)))
+        call = {"optimize_weights": lambda: optimize_weights(S, p, box),
+                "WeightedFeatureMap": lambda: WeightedFeatureMap(freqs=S),
+                "average_case_mc_check": lambda: average_case_mc_check(S, p, box, 1000, 0)}
+        with pytest.raises(ValueError, match="s >= 1"):
+            call[entry]()
 
 
 class TestDimensionMismatch:

@@ -28,7 +28,7 @@ from qmcrff.experiment import (
     run_pipeline,
 )
 from qmcrff.densities import FrequencySet, ProductDensity, transform
-from qmcrff.discrepancy import Box, box_discrepancy_gaussian, box_discrepancy_quadrature
+from qmcrff.discrepancy import Box, box_discrepancy_gaussian
 from qmcrff.featmap import (
     ExactGram,
     WeightedFeatureMap,
@@ -39,6 +39,8 @@ from qmcrff.featmap import (
 )
 from qmcrff.ioutil import DataError, read_matrix_csv, write_matrix_csv
 from qmcrff.sequences import halton
+
+from oracles import box_discrepancy_quadrature
 
 
 def _write(tmp_path, name, text):
@@ -528,9 +530,10 @@ class TestCommandLine:
         # scipy.linalg and scipy.optimize take about a quarter second to
         # import, and these commands solve no linear system or program.
         cube = halton(16, 2)
-        write_matrix_csv(str(tmp_path / "cube.csv"), cube.points)
-        write_matrix_csv(str(tmp_path / "freqs.csv"),
-                         transform(cube, ProductDensity.gaussian(1.0, d=2)).points)
+        with open(tmp_path / "cube.csv", "w") as fh:
+            write_matrix_csv(fh, cube.points)
+        with open(tmp_path / "freqs.csv", "w") as fh:
+            write_matrix_csv(fh, transform(cube, ProductDensity.gaussian(1.0, d=2)).points)
         argv = {
             "generate": ["generate", "--seq", "halton", "--s", "16", "--d", "2"],
             "transform": ["transform", "--in", str(tmp_path / "cube.csv")],
@@ -602,6 +605,14 @@ class TestCommandLine:
                      "--in", str(tmp_path / "does-not-exist.csv")])
         assert code == 3
         assert "cannot open" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("mode,s", [("global", "-1"), ("weights", "0"), ("greedy", "0")])
+    def test_optimize_s_below_one_is_usage_error(self, tmp_path, capsys, mode, s):
+        # Checked before --in is read, so a missing file is never reached.
+        data = _write(tmp_path, "init.csv", "0.25,-0.5\n1.5,0.75\n-1,2\n")
+        for infile in (data, str(tmp_path / "missing.csv")):
+            assert main(["optimize", "--mode", mode, "--s", s, "--d", "2", "--in", infile]) == 2
+            assert "s >= 1" in capsys.readouterr().err
 
     def test_optimize_starts_from_the_in_file(self, tmp_path):
         data = _write(tmp_path, "init.csv", "0.25,-0.5\n1.5,0.75\n-1,2\n")
@@ -714,14 +725,39 @@ class TestCommandLine:
         (["optimize", "--mode", "global", "--s", "2", "--d", "2", "--max-iters", "2"],
          "--out-points"),
         (["krr", "--s", "4"], "--features-out"),
+        (["optimize", "--mode", "global", "--s", "2", "--d", "2", "--max-iters", "2",
+          "--out-points", "ok.csv"], "--out"),
+        (["krr", "--s", "4", "--features-out", "ok.csv"], "--out"),
     ])
-    def test_unwritable_output_is_data_error(self, tmp_path, capsys, command, flag):
+    def test_unwritable_output_is_data_error(self, tmp_path, capsys, monkeypatch,
+                                             command, flag):
+        # Every output is opened before the command runs: the run never
+        # starts, and the other output the command names stays unwritten.
+        monkeypatch.chdir(tmp_path)
+        calls = []
+        monkeypatch.setattr("qmcrff.cli.run_pipeline", lambda *a, **k: calls.append(a))
         if command[0] in ("pipeline", "krr"):
             command = command + ["--data", _xy_csv(tmp_path, np.eye(4) + 0.5)]
         target = str(tmp_path / "missing-dir" / "out.csv")
         assert main(command + [flag, target]) == 3
         err = capsys.readouterr().err
         assert "cannot write" in err and target in err
+        assert calls == [] and not (tmp_path / "ok.csv").exists()
+
+    @pytest.mark.parametrize("command,inflag,outflag", [
+        (["transform"], "--in", "--out"),
+        (["discrepancy"], "--freqs", "--out"),
+        (["optimize", "--mode", "global", "--s", "1", "--d", "2"], "--in", "--out-points"),
+    ])
+    def test_output_naming_the_input_is_usage_error(self, tmp_path, capsys,
+                                                    command, inflag, outflag):
+        # Opening the output first would empty the input before it is read.
+        path = tmp_path / "in.csv"
+        path.write_text("0.25,0.5\n")
+        alias = str(tmp_path / "." / "in.csv")
+        assert main(command + [inflag, str(path), outflag, alias]) == 2
+        assert "also an input" in capsys.readouterr().err
+        assert path.read_text() == "0.25,0.5\n"
 
     @pytest.mark.parametrize("command", [
         ["generate", "--seq", "halton-scrambled", "--s", "5", "--d", "3"],
@@ -730,7 +766,8 @@ class TestCommandLine:
     def test_stdout_and_out_file_hold_the_same_bytes(self, tmp_path, capsys, command):
         if command[0] == "transform":
             cube = tmp_path / "cube.csv"
-            write_matrix_csv(str(cube), halton(6, 2).points)
+            with open(cube, "w") as fh:
+                write_matrix_csv(fh, halton(6, 2).points)
             command = command + ["--in", str(cube)]
         assert main(command) == 0
         stdout = capsys.readouterr().out

@@ -150,5 +150,6 @@ class TestFrequencySet:
 
         freqs = transform(halton(6, 2), ProductDensity.gaussian(1.0, d=2))
         path = tmp_path / "freqs.csv"
-        write_matrix_csv(path, freqs.points)
+        with open(path, "w") as fh:
+            write_matrix_csv(fh, freqs.points)
         assert np.array_equal(read_matrix_csv(path), freqs.points)

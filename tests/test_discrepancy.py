@@ -11,7 +11,6 @@ from qmcrff.discrepancy import (
     assemble_H_v,
     average_case_mc_check,
     box_discrepancy_gaussian,
-    box_discrepancy_quadrature,
     density_factors,
     expected_mc_discrepancy,
     gaussian_mean_norm_sq,
@@ -20,7 +19,12 @@ from qmcrff.discrepancy import (
 )
 from qmcrff.sequences import halton, mc_uniform
 
-from oracles import cross_slope_reference, sinc_kernel, sinc_reference
+from oracles import (
+    box_discrepancy_quadrature,
+    cross_slope_reference,
+    sinc_kernel,
+    sinc_reference,
+)
 
 # Frozen from a 60-digit oracle evaluated before the implementation:
 # single zero frequency, d = 1, b = sigma = 1:

@@ -189,7 +189,8 @@ class TestUnitPointSetSerialization:
 
         pts = halton(7, 3)
         path = tmp_path / "pts.csv"
-        write_matrix_csv(path, pts.points)
+        with open(path, "w") as fh:
+            write_matrix_csv(fh, pts.points)
         back = read_matrix_csv(path)
         assert np.array_equal(back, pts.points)
 
