@@ -16,7 +16,7 @@ from functools import cache
 
 import numpy as np
 
-_ROW_MAJOR, _LOWER, _NO_TRANS = 101, 122, 111  # CBLAS enum values
+_ROW_MAJOR, _LOWER, _NO_TRANS, _TRANS = 101, 122, 111, 112  # CBLAS enum values
 
 
 @cache
@@ -111,7 +111,9 @@ def _kernels():
 
     def syrk(C, Z, alpha, beta):
         n, k = Z.shape
-        dsyrk(_ROW_MAJOR, _LOWER, _NO_TRANS, n, k, alpha, Z.ctypes.data, max(k, 1),
+        # A Fortran-ordered Z is its row-major transpose, read with Trans.
+        trans, lda = (_NO_TRANS, k) if Z.flags.c_contiguous else (_TRANS, n)
+        dsyrk(_ROW_MAJOR, _LOWER, trans, n, k, alpha, Z.ctypes.data, max(lda, 1),
               beta, C.ctypes.data, max(n, 1))
 
     def symv(A, x):
@@ -137,10 +139,13 @@ def syrk_lower(C, Z, alpha, beta):
     """C <- alpha Z Z' + beta C on the lower triangle of C, in place.
 
     C is an n x n C-contiguous float64 array; its strict upper triangle is
-    neither read nor written.
+    neither read nor written.  Z is read in place when it is C- or
+    Fortran-contiguous float64, and copied otherwise.
     """
     _check_square("C", C)
-    Z = np.ascontiguousarray(Z, dtype=np.float64)
+    Z = np.asarray(Z, dtype=np.float64)
+    if not Z.flags.f_contiguous:
+        Z = np.ascontiguousarray(Z)
     if Z.ndim != 2 or Z.shape[0] != C.shape[0]:
         raise ValueError(f"Z of shape {Z.shape} does not match C of shape {C.shape}")
     _kernels()[0](C, Z, float(alpha), float(beta))

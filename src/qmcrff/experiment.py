@@ -7,6 +7,7 @@ over this module.
 
 import hashlib
 import json
+import threading
 import warnings
 import zlib
 from concurrent.futures import ThreadPoolExecutor
@@ -15,6 +16,7 @@ from datetime import datetime, timezone
 
 import numpy as np
 
+from ._blas import syrk_lower
 from .adaptive import OptimizerOptions, optimize_global, optimize_greedy, optimize_weights
 from .densities import KERNELS, ProductDensity, transform
 from .discrepancy import Box, box_discrepancy_gaussian, weighted_discrepancy
@@ -224,27 +226,43 @@ def _mean_std(values):
             "std": float(np.std(values, ddof=1)) if len(values) > 1 else 0.0}
 
 
-def _gram_cell(cfg, density, box, X, gram, seq, s, with_discrepancy=False, ridge=None):
+class _Workspace:
+    """The buffers one worker reuses for every map of an experiment.
+
+    ``gram`` (n x n) takes the lower triangle of each map's ZZ', which
+    `ExactGram.errors` then overwrites with K - ZZ'; its strict upper
+    triangle stays zero throughout.  ``features`` holds each map's Z, sized
+    for the grid's largest s.  Reusing them keeps the heap steady: fresh
+    arrays per map would be returned to the system and faulted back in.
+    """
+
+    def __init__(self, n, s_max):
+        self.gram = np.zeros((n, n))
+        self.features = np.empty(2 * n * s_max)
+
+
+def _gram_cell(cfg, density, box, X, gram, workspace, seq, s, with_discrepancy=False,
+               ridge=None):
     """Gram errors, optional discrepancies and optional ridge errors for one
     (sequence, s) cell, against the shared `ExactGram` ``gram`` of X.
 
-    Each map's real feature matrix Z is built once.  It gives the map's
-    Gram errors through ``gram.errors``, which holds one n x n array
-    besides the shared K, and, when ``ridge`` is ``(y, train_idx,
-    test_idx)``, trains and scores a ridge model before the next map's Z is
-    built.
+    Each map's real feature matrix Z and the lower triangle of its ZZ' (one
+    symmetric rank-k update) are built once, in ``workspace``.  When
+    ``ridge`` is ``(y, m)``, with the train rows first in X, a ridge model
+    is trained on the first m rows and scored on the rest (`_ridge_error`)
+    before ``gram.errors`` turns ZZ' into K - ZZ'.
     """
     pairs = []
     discrepancies = []
     errs = []
+    G = workspace.gram
     for freqs, weights in _frequency_maps_for_cell(cfg, density, box, seq, s, X.shape[1]):
-        Z = real_feature_matrix(WeightedFeatureMap(freqs=freqs, weights=weights), X)
-        pairs.append(gram.errors(Z))
+        fmap = WeightedFeatureMap(freqs=freqs, weights=weights)
+        Z = real_feature_matrix(fmap, X, out=workspace.features)
+        syrk_lower(G, Z, 1.0, 0.0)
         if ridge is not None:
-            y, train_idx, test_idx = ridge
-            beta = krr_train(Z[train_idx], y[train_idx], cfg.ridge_lambda)
-            errs.append(regression_error(krr_predict(beta, Z[test_idx]), y[test_idx]))
-        del Z  # one n x 2s matrix alive at a time
+            errs.append(_ridge_error(Z, G, *ridge, cfg.ridge_lambda))
+        pairs.append(gram.errors(G))
         if with_discrepancy:
             if weights is None:
                 discrepancies.append(
@@ -265,8 +283,16 @@ def _gram_cell(cfg, density, box, X, gram, seq, s, with_discrepancy=False, ridge
 
 def _prologue(cfg, ds):
     """The subsampled data, its density and box, and its `ExactGram`, which
-    every cell of an experiment shares."""
+    every cell of an experiment shares.
+
+    When the data has a target, its rows are reordered once, the ridge
+    split's train rows first, so a map's train Gram matrix is the leading
+    block of ZZ' and its test x train block lies in the lower triangle.
+    """
     work = _subsample(ds, cfg.max_n, cfg.seed)
+    if work.y is not None:
+        order = np.concatenate(_split_indices(work.n, cfg.split, cfg.seed))
+        work = Dataset(X=work.X[order], y=work.y[order])
     density = ProductDensity.for_kernel(cfg.kernel, cfg.sigma, work.d)
     box = estimate_box(work, cfg.box_scale)
     return work, density, box, ExactGram(density, work.X)
@@ -275,16 +301,15 @@ def _prologue(cfg, ds):
 def run_gram_experiment(cfg, ds):
     """Gram-error curves over the (sequence, s) grid; JSON-ready reports."""
     work, density, box, gram = _prologue(cfg, ds)
-    return [_gram_cell(cfg, density, box, work.X, gram, seq, s)
+    workspace = _Workspace(work.n, max(cfg.s_grid))
+    return [_gram_cell(cfg, density, box, work.X, gram, workspace, seq, s)
             for seq in cfg.sequences for s in cfg.s_grid]
 
 
-def krr_train(Z, y, ridge_lambda):
-    """Ridge solution of (Z'Z + lambda I) beta = Z'y by Cholesky.
-
-    A wide Z (fewer rows than columns) solves the smaller dual system
-    (ZZ' + lambda I) alpha = y instead and returns beta = Z'alpha, the same
-    beta by the push-through identity.
+def _ridge_solve(A, b, ridge_lambda):
+    """x solving (A + lambda I) x = b by Cholesky, for the symmetric A whose
+    lower triangle A holds; A's strict upper triangle is not read, and A is
+    left as it was (its diagonal is restored bitwise).
 
     The factorization runs on numpy's LAPACK, in the OpenBLAS that formed
     the matrix.  scipy bundles a second OpenBLAS; on few cores its threads
@@ -296,22 +321,34 @@ def krr_train(Z, y, ridge_lambda):
     # sequence commands never solve.
     from scipy.linalg import solve_triangular
 
-    if ridge_lambda <= 0.0:
-        raise ValueError("ridge lambda must be positive")
-    Z = np.asarray(Z, dtype=float)
-    y = np.asarray(y, dtype=float)
-    dual = Z.shape[0] < Z.shape[1]
-    A = Z @ Z.T if dual else Z.T @ Z
-    A[np.diag_indices_from(A)] += ridge_lambda
+    saved = np.diagonal(A).copy()
+    np.fill_diagonal(A, saved + ridge_lambda)
     try:
         L = np.linalg.cholesky(A)
     except np.linalg.LinAlgError as exc:
         raise NumericalError(
             "ridge system could not be factorized; try a larger --lambda"
         ) from exc
-    x = solve_triangular(L, y if dual else Z.T @ y, lower=True)
-    x = solve_triangular(L, x, lower=True, trans="T")
-    return Z.T @ x if dual else x
+    finally:
+        np.fill_diagonal(A, saved)
+    x = solve_triangular(L, b, lower=True)
+    return solve_triangular(L, x, lower=True, trans="T")
+
+
+def krr_train(Z, y, ridge_lambda):
+    """Ridge solution of (Z'Z + lambda I) beta = Z'y by Cholesky (`_ridge_solve`).
+
+    A wide Z (fewer rows than columns) solves the smaller dual system
+    (ZZ' + lambda I) alpha = y instead and returns beta = Z'alpha, the same
+    beta by the push-through identity.
+    """
+    if ridge_lambda <= 0.0:
+        raise ValueError("ridge lambda must be positive")
+    Z = np.asarray(Z, dtype=float)
+    y = np.asarray(y, dtype=float)
+    if Z.shape[0] < Z.shape[1]:
+        return Z.T @ _ridge_solve(Z @ Z.T, y, ridge_lambda)
+    return _ridge_solve(Z.T @ Z, Z.T @ y, ridge_lambda)
 
 
 def krr_predict(beta, Z):
@@ -323,6 +360,22 @@ def regression_error(y_hat, y):
     norm = float(np.linalg.norm(y))
     err = float(np.linalg.norm(y_hat - y))
     return err / norm if norm > 0.0 else err
+
+
+def _ridge_error(Z, G, y, m, ridge_lambda):
+    """Test error of the ridge model trained on the first m rows of Z and
+    scored on the others, for G holding the lower triangle of ZZ'.
+
+    Z's row blocks are views, so no rows are copied.  A narrow train block
+    (2s <= m) solves the primal system (`krr_train`).  A wide one solves the
+    dual system on G's leading m x m block, which is Z_train Z_train', and
+    predicts with its test x train block: y_test = Z_test Z_train' alpha.
+    """
+    if Z.shape[1] <= m:
+        y_hat = krr_predict(krr_train(Z[:m], y[:m], ridge_lambda), Z[m:])
+    else:
+        y_hat = G[m:, :m] @ _ridge_solve(G[:m, :m], y[:m], ridge_lambda)
+    return regression_error(y_hat, y[m:])
 
 
 def _split_indices(n, split, seed):
@@ -347,11 +400,14 @@ def run_pipeline(cfg, ds, workers=1):
     work, density, box, gram = _prologue(cfg, ds)
     ridge = None
     if work.y is not None:
-        ridge = (work.y, *_split_indices(work.n, cfg.split, cfg.seed))
+        ridge = (work.y, len(_split_indices(work.n, cfg.split, cfg.seed)[0]))
+    local = threading.local()  # one workspace per worker thread
 
     def run_cell(args):
         seq, s = args
-        return _gram_cell(cfg, density, box, work.X, gram, seq, s,
+        if not hasattr(local, "workspace"):
+            local.workspace = _Workspace(work.n, max(cfg.s_grid))
+        return _gram_cell(cfg, density, box, work.X, gram, local.workspace, seq, s,
                           with_discrepancy=True, ridge=ridge)
 
     grid = [(seq, s) for seq in cfg.sequences for s in cfg.s_grid]

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._blas import symv_lower, syrk_lower
+from ._blas import symv_lower
 from .densities import GAUSSIAN, FrequencySet
 
 _GRAM_CAP = 20000  # rows gram_exact and gram_approx accept
@@ -58,33 +58,40 @@ def real_feature_vector(fmap, x):
     return real_feature_matrix(fmap, np.asarray(x, dtype=float)[None])[0]
 
 
-def real_feature_matrix(fmap, X):
+def real_feature_matrix(fmap, X, out=None):
     """Row i is real_feature_vector(fmap, X[i]); shape (n, 2s).
 
     cos and sin of the phase theta = x.w_l come from the half-angle tangent
-    t = tan(theta / 2): cos theta = (1 - t^2) / (1 + t^2) and sin theta =
-    2t / (1 + t^2), with sqrt(xi_l) folded into the one division.  numpy
-    evaluates tan with SIMD but sin and cos one element at a time, so this
-    takes less than half the time of calling them.  For any finite phase,
-    each entry is within 2 eps sqrt(xi_l) of the double sqrt(xi_l) times
-    the exact cos or sin of the rounded phase.  No double lies within 4e-19
-    of an odd multiple of pi/2, so |t| < 3e18 and t^2 cannot overflow.
+    t = tan(theta / 2).  With r = sqrt(xi_l) / (1 + t^2), sqrt(xi_l) cos theta
+    = 2r - sqrt(xi_l) and sqrt(xi_l) sin theta = 2t r.  numpy evaluates tan
+    with SIMD but sin and cos one element at a time, so this takes less than
+    half the time of calling them.  For any finite phase, each entry is
+    within 2 eps sqrt(xi_l) of the double sqrt(xi_l) times the exact cos or
+    sin of the rounded phase.  No double lies within 4e-19 of an odd
+    multiple of pi/2, so |t| < 3e18 and t^2 cannot overflow.
+
+    Z is Fortran-ordered: its cos and sin halves are each one contiguous
+    block, so every step below runs on contiguous memory and t is formed in
+    the sine half, which leaves Z the only array of its size.  When ``out``
+    is given, a flat float64 buffer of at least 2ns entries, Z is a view of
+    its leading part and nothing of size n is allocated.
     """
+    X = np.asarray(X, dtype=float)
+    n, s = X.shape[0], fmap.s
+    Zt = np.empty((2 * s, n)) if out is None else out[:2 * n * s].reshape(2 * s, n)
+    cos, sin = Zt[:s], Zt[s:]
     # Halving the frequencies is exact, so the product is the halved phase.
-    t = np.asarray(X, dtype=float) @ (0.5 * fmap.freqs.points.T)
-    np.tan(t, out=t)
-    s = fmap.s
-    Z = np.empty((t.shape[0], 2 * s))
-    cos, sin = Z[:, :s], Z[:, s:]
-    np.multiply(t, t, out=sin)
-    sin += 1.0
-    np.divide(np.sqrt(fmap.weights), sin, out=sin)
-    np.multiply(t, t, out=cos)
-    np.subtract(1.0, cos, out=cos)
-    cos *= sin
-    t += t
-    sin *= t
-    return Z
+    np.matmul(0.5 * fmap.freqs.points, X.T, out=sin)
+    np.tan(sin, out=sin)
+    np.multiply(sin, sin, out=cos)
+    cos += 1.0
+    root_xi = np.sqrt(fmap.weights)[:, None]
+    np.divide(root_xi, cos, out=cos)
+    sin *= cos
+    sin += sin
+    cos += cos
+    cos -= root_xi
+    return Zt.T
 
 
 def approx_kernel(fmap, x, z):
@@ -221,17 +228,19 @@ class ExactGram:
             K[i, i + 1:] = 0.0
         self.lower = K
 
-    def errors(self, Z):
-        """``relative_errors(K, Z @ Z.T)`` for the real feature matrix Z.
+    def errors(self, G):
+        """``relative_errors(K, Z @ Z.T)`` for the map whose Gram matrix ZZ'
+        has its lower triangle in G, an n x n C-contiguous float64 array
+        with zeros above the diagonal, such as ``syrk_lower(G, Z, 1.0, 0.0)``
+        leaves in a zeroed buffer.
 
-        The norms are nonzero since K has a unit diagonal.  The error
-        E = K - ZZ' is one symmetric rank-k update of a copy of ``lower``,
-        which writes E's lower triangle and leaves the zeros above it, so no
-        ZZ' is formed and E is the only n x n array made.  ||E||_F^2 is twice
-        the buffer's sum of squares less the diagonal's.
+        G is overwritten with E = K - ZZ': the subtraction writes E's lower
+        triangle and keeps the zeros above it, so a caller can reuse G for
+        the next map and no other n x n array is made.  The norms are
+        nonzero since K has a unit diagonal.  ||E||_F^2 is twice the
+        buffer's sum of squares less the diagonal's.
         """
-        E = self.lower.copy()
-        syrk_lower(E, Z, -1.0, 1.0)
+        E = np.subtract(self.lower, G, out=G)
         flat, diag = E.reshape(-1), np.diagonal(E)
         denom_2, denom_f = self.norms
         return spectral_norm(E) / denom_2, math.sqrt(2.0 * (flat @ flat) - diag @ diag) / denom_f

@@ -158,7 +158,12 @@ def halton(s, d, scramble=False, start_index=1):
 
 
 def lattice(s, d, generating_vector):
-    """Rank-1 lattice: point i is frac(i * z / s) componentwise, i = 0..s-1."""
+    """Rank-1 lattice: point i is frac(i * z / s) componentwise, i = 0..s-1.
+
+    For s > 1 every z_j must be coprime to s, so that each coordinate takes
+    all s values k/s; otherwise points coincide in that coordinate, and a
+    zero entry puts every point on a face of the cube.
+    """
     if s < 1:
         raise ValueError(f"lattice requires s >= 1, got {s}")
     if d < 1:
@@ -166,6 +171,9 @@ def lattice(s, d, generating_vector):
     z = np.asarray(generating_vector, dtype=np.int64)
     if z.shape != (d,):
         raise ValueError(f"generating_vector must have length d={d}, got shape {z.shape}")
+    if s > 1 and np.any(np.gcd(z, s) != 1):
+        raise ValueError(f"lattice generating vector {z.tolist()} has an entry not "
+                         f"coprime to s={s}")
     z = np.mod(z, s)
     idx = np.arange(s, dtype=np.int64)
     # Integer modular arithmetic keeps the fractions exact before clamping.

@@ -87,9 +87,28 @@ def test_routes_give_the_same_gram_errors(monkeypatch):
     density = ProductDensity.gaussian(1.5, d=3)
     gram = ExactGram(density, X)
     Z = real_feature_matrix(WeightedFeatureMap(freqs=transform(halton(48, 3), density)), X)
-    fast = gram.errors(Z)
+
+    def errors():
+        G = np.zeros((200, 200))
+        blas.syrk_lower(G, Z, 1.0, 0.0)
+        return gram.errors(G)
+
+    fast = errors()
     monkeypatch.setattr(blas, "_kernels", blas._scipy_kernels)
-    assert gram.errors(Z) == pytest.approx(fast, rel=1e-12, abs=0.0)
+    assert errors() == pytest.approx(fast, rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("n, k", [(1, 3), (5, 1), (64, 8), (300, 200)])
+def test_syrk_reads_fortran_ordered_factors(route, n, k):
+    # The pipeline's feature matrices are Fortran-ordered; the ctypes route
+    # reads them in place as their row-major transpose.
+    rng = np.random.default_rng(n * k)
+    K, Z = _symmetric(n, n), np.asfortranarray(rng.normal(size=(n, k)))
+    C = _nan_above(K)
+    blas.syrk_lower(C, Z, -1.0, 1.0)
+    lower = np.tril_indices(n)
+    assert np.allclose(C[lower], (K - Z @ Z.T)[lower], rtol=0.0, atol=1e-12)
+    assert np.isnan(C[np.triu_indices(n, 1)]).all()
 
 
 class TestGuards:
@@ -126,9 +145,10 @@ class TestGuards:
             blas.symv_lower(np.eye(4), x)
 
     def test_factors_and_vectors_of_other_layouts_are_copied(self):
-        # Only the output and the matrix must be float64 and C-ordered; the
-        # n x k factor and the vector are small and are converted.
-        Z = np.asfortranarray(np.arange(8.0).reshape(4, 2))
+        # Only the output and the matrix must be float64 and C-ordered; a
+        # factor that is neither C- nor Fortran-contiguous, and the vector,
+        # are converted.
+        Z = np.arange(16.0).reshape(4, 4)[:, ::2]
         C = np.zeros((4, 4))
         blas.syrk_lower(C, Z, 1.0, 0.0)
         assert np.allclose(np.tril(C), np.tril(Z @ Z.T))

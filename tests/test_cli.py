@@ -2,12 +2,13 @@ import json
 import os
 import subprocess
 import sys
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 
 import qmcrff
+from qmcrff._blas import syrk_lower
 from qmcrff.adaptive import OptimizerOptions, optimize_greedy
 from qmcrff.cli import _experiment_from_args, build_parser, main
 from qmcrff.experiment import (
@@ -16,6 +17,7 @@ from qmcrff.experiment import (
     ExperimentConfig,
     _frequency_maps_for_cell,
     _mean_std,
+    _ridge_solve,
     _split_indices,
     estimate_box,
     korobov_vector,
@@ -56,6 +58,13 @@ def _xy_csv(tmp_path, rows):
 
 def _primal_ridge(Z, y, lam):
     return np.linalg.solve(Z.T @ Z + lam * np.eye(Z.shape[1]), Z.T @ y)
+
+
+def _lower_gram(Z):
+    """The lower triangle of ZZ' over zeros, as the pipeline's workspace holds it."""
+    G = np.zeros((Z.shape[0], Z.shape[0]))
+    syrk_lower(G, Z, 1.0, 0.0)
+    return G
 
 
 def _spearman(a, b):
@@ -158,6 +167,13 @@ class TestSequenceFactory:
         with pytest.raises(ValueError, match=rf"requires {name} >= 1, got {min(s, d)}"):
             korobov_vector(s, d)
 
+    def test_korobov_lattice_at_a_multiple_of_a_is_rejected(self):
+        # a = 1571 is prime, so at s = 1571 the Korobov vector is (1, 0, 0),
+        # which would put every point on the cube's first axis.
+        assert korobov_vector(1571, 3).tolist() == [1, 0, 0]
+        with pytest.raises(ValueError, match=r"\[1, 0, 0\].*s=1571"):
+            make_pointset("lattice", 1571, 3)
+
     def test_all_base_names(self):
         for name in ("halton", "halton-scrambled", "lattice", "mc"):
             pts = make_pointset(name, 8, 2, seed=1)
@@ -192,6 +208,19 @@ class TestKrr:
         beta = krr_train(Z, y, 1e-2)
         assert beta.shape == (cols,)
         assert beta == pytest.approx(_primal_ridge(Z, y, 1e-2), rel=1e-9, abs=0.0)
+
+    @pytest.mark.parametrize("rows, cols", [(20, 50), (50, 20)])
+    def test_solve_reads_the_lower_triangle_and_restores_it(self, rows, cols):
+        # The pipeline's dual ridge factors a block of its Gram buffer, whose
+        # upper triangle holds zeros and which it reuses afterwards.
+        Z = np.random.default_rng(rows).normal(size=(rows, cols))
+        y = np.random.default_rng(cols).normal(size=rows)
+        A = np.tril(Z @ Z.T)
+        A[np.triu_indices(rows, 1)] = np.nan
+        before = A.copy()
+        alpha = _ridge_solve(A, y, 1e-2)
+        assert np.array_equal(A, before, equal_nan=True)
+        assert np.allclose((Z @ Z.T + 1e-2 * np.eye(rows)) @ alpha, y, rtol=0.0, atol=1e-10)
 
     def test_rejects_nonpositive_lambda(self):
         with pytest.raises(ValueError):
@@ -320,26 +349,28 @@ class TestPipeline:
 
     def test_cells_match_per_map_references(self, regression_data):
         # n_train = 40, so s = 16 solves the primal ridge system and s = 32
-        # and 64 (2s > n_train) the dual one.
+        # and 64 (2s > n_train) the dual one.  The pipeline orders the rows
+        # train first and scores each map from the lower triangle of ZZ'.
         cfg = ExperimentConfig(sigma=(1.0,), sequences=("halton", "halton-scrambled", "lattice"),
                                s_grid=(16, 32, 64), trials=1, seed=4, ridge_lambda=1e-3)
         report = run_pipeline(cfg, regression_data)
         X, y = regression_data.X, regression_data.y
-        density = ProductDensity.for_kernel("gaussian", (1.0,), X.shape[1])
-        K, gram = gram_exact(density, X), ExactGram(density, X)
         train, test = _split_indices(len(y), cfg.split, cfg.seed)
         assert len(train) == 40
+        X_ordered = X[np.concatenate([train, test])]
+        density = ProductDensity.for_kernel("gaussian", (1.0,), X.shape[1])
+        K, gram = gram_exact(density, X), ExactGram(density, X_ordered)
         for cell in report["cells"]:
             fmap = WeightedFeatureMap(
                 freqs=transform(make_pointset(cell["label"], cell["s"], X.shape[1]), density))
-            Z = real_feature_matrix(fmap, X)
-            spectral, frobenius = gram.errors(Z)
+            spectral, frobenius = gram.errors(_lower_gram(real_feature_matrix(fmap, X_ordered)))
             assert cell["relative_spectral"]["mean"] == spectral
             assert cell["relative_frobenius"]["mean"] == frobenius
-            # The per-map function agrees with the dense K - ZZ' path to the
-            # tolerance of the spectral_norm oracle tests.
+            # The per-map function agrees with the dense K - ZZ' path on the
+            # rows as given, to the tolerance of the spectral_norm oracle tests.
             dense = relative_errors(K, gram_approx(fmap, X))
             assert (spectral, frobenius) == pytest.approx(dense, rel=1e-12, abs=0.0)
+            Z = real_feature_matrix(fmap, X)
             beta = _primal_ridge(Z[train], y[train], cfg.ridge_lambda)
             err = regression_error(Z[test] @ beta, y[test])
             assert cell["regression_error"]["mean"] == pytest.approx(err, rel=1e-9, abs=0.0)
@@ -350,13 +381,15 @@ class TestPipeline:
                                trials=3, seed=6)
         report = run_pipeline(cfg, regression_data)
         X = regression_data.X
+        X_ordered = X[np.concatenate(_split_indices(len(X), cfg.split, cfg.seed))]
         density = ProductDensity.for_kernel("gaussian", (1.0,), X.shape[1])
         box = Box(b=report["box"])
-        K, gram = gram_exact(density, X), ExactGram(density, X)
+        K, gram = gram_exact(density, X), ExactGram(density, X_ordered)
         for cell in report["cells"]:
             maps = _frequency_maps_for_cell(cfg, density, box, "mc", cell["s"], X.shape[1])
             fmaps = [WeightedFeatureMap(freqs=freqs) for freqs, _ in maps]
-            errors = [gram.errors(real_feature_matrix(fmap, X)) for fmap in fmaps]
+            errors = [gram.errors(_lower_gram(real_feature_matrix(fmap, X_ordered)))
+                      for fmap in fmaps]
             assert cell["trials"] == len(errors) == 3
             spectral, frobenius = zip(*errors)
             assert cell["relative_spectral"] == _mean_std(spectral)
@@ -364,6 +397,22 @@ class TestPipeline:
             dense = [relative_errors(K, gram_approx(fmap, X)) for fmap in fmaps]
             for pair, reference in zip(errors, dense):
                 assert pair == pytest.approx(reference, rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("s_small", [16, 32])
+    def test_cells_after_a_larger_map_match_fresh_runs(self, regression_data, s_small):
+        # n_train = 40: s = 16 solves the primal ridge system, s = 32 the dual
+        # one.  In one worker's workspace the mc cell at s_small, three
+        # trials, runs right after halton's s = 64 map; a fresh run holds it
+        # alone in buffers sized for it.
+        cfg = ExperimentConfig(sigma=(1.0,), sequences=("halton", "mc"),
+                               s_grid=(s_small, 64), trials=3, seed=8, ridge_lambda=1e-3)
+        report = run_pipeline(cfg, regression_data, workers=1)
+        assert [(c["label"], c["s"]) for c in report["cells"]] == [
+            ("halton", s_small), ("halton", 64), ("mc", s_small), ("mc", 64)]
+        fresh = run_pipeline(replace(cfg, sequences=("mc",), s_grid=(s_small,)), regression_data)
+        assert fresh["cells"] == [report["cells"][2]]
+        parallel = run_pipeline(cfg, regression_data, workers=3)
+        assert parallel["cells"] == report["cells"]
 
     def test_laplacian_kernel_supported(self, regression_data):
         cfg = ExperimentConfig(kernel="laplacian", sigma=(2.0,),
@@ -444,6 +493,13 @@ class TestCommandLine:
         code = main(["generate", "--seq", "lattice", "--s", s, "--d", d])
         assert code == 2
         assert f"requires {name} >= 1" in capsys.readouterr().err
+
+    def test_generate_lattice_vector_not_coprime_exit_code(self, capsys):
+        code = main(["generate", "--seq", "lattice", "--s", "4", "--d", "2", "--z", "2,0"])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "[2, 0]" in captured.err and "s=4" in captured.err
 
     def test_unknown_sequence_is_usage_error(self):
         with pytest.raises(SystemExit) as err:

@@ -108,6 +108,17 @@ class TestRealFeatures:
         for i, x in enumerate(X):
             assert np.array_equal(R[i], real_feature_vector(m, x))
 
+    def test_matrix_in_a_reused_buffer_is_bitwise_the_fresh_one(self):
+        # The pipeline builds every map's Z in one buffer sized for its
+        # largest map; nothing an earlier map left there may leak in.
+        X = np.random.default_rng(13).normal(size=(40, 3))
+        buf = np.full(2 * 40 * 32, np.nan)
+        for s in (32, 5, 17):
+            m = _random_map(s, 3, seed=s)
+            Z = real_feature_matrix(m, X, out=buf)
+            assert np.shares_memory(Z, buf)
+            assert np.array_equal(Z, real_feature_matrix(m, X))
+
     @pytest.mark.skipif(np.finfo(np.longdouble).nmant < 63,
                         reason="needs an extended-precision long double")
     def test_entries_against_long_double_reference(self):
@@ -370,8 +381,8 @@ def _traced_peak(f):
 
 class TestGramMemory:
     # gram_exact holds K and one row block; the pipeline holds K's lower
-    # triangle and one error matrix per worker.  A first run traces one-off
-    # scipy imports (about 27 MB), so the peak is taken on a second one.
+    # triangle and one workspace per worker.  A first run traces one-off
+    # scipy imports (about 27 MB), so peaks are taken after one.
     N = 600
 
     def _assert_gram_exact_peak(self, kernel):
@@ -390,14 +401,23 @@ class TestGramMemory:
     def test_pipeline_peak(self):
         from qmcrff.experiment import Dataset, ExperimentConfig, run_pipeline
 
+        # A pipeline run holds K (n^2) and, per worker, its workspace: the
+        # n x n Gram buffer (n^2) and the buffer for Z at the largest s
+        # (2 n s_max).  On top of that, one map at a time per worker builds
+        # its discrepancy pass's blocks (at most 0.07 n^2 here) or its ridge
+        # system (at most (2 s_max)^2 or n_train^2, 0.04 n^2 here); 0.1 n^2
+        # covers either.  The first config solves primal ridge systems only;
+        # the second, with n_train = 300, takes the dual one at s = 160.
+        # Measured peaks: 2.12/3.22 and 2.27/3.50 x n^2 * 8 B at 1/2 workers.
+        n = 1500
         rng = np.random.default_rng(1)
-        ds = Dataset(X=rng.normal(size=(self.N, 3)), y=rng.normal(size=self.N))
-        cfg = ExperimentConfig(sequences=("halton", "mc"), s_grid=(4, 64), trials=2)
-        n, s_max = self.N, max(cfg.s_grid)
-        for workers in (1, 2):
-            _traced_peak(lambda: run_pipeline(cfg, ds, workers=workers))
-            peak = _traced_peak(lambda: run_pipeline(cfg, ds, workers=workers))
-            # K (n^2) and, per worker at once, its error matrix E (n^2), its Z
-            # (2ns), the half-angle temporary (ns) and the ridge split's row
-            # copies of Z (2ns): 2.53 and 4.07 x n^2 * 8 B here.
-            assert peak <= (1 + workers * (1 + 5 * s_max / n)) * n ** 2 * 8
+        ds = Dataset(X=rng.normal(size=(n, 2)), y=rng.normal(size=n))
+        configs = [ExperimentConfig(sequences=("halton", "mc"), s_grid=(4, 64), trials=2),
+                   ExperimentConfig(sequences=("halton", "mc"), s_grid=(4, 160), trials=2,
+                                    split=0.2)]
+        _traced_peak(lambda: run_pipeline(configs[1], ds))
+        for cfg in configs:
+            s_max = max(cfg.s_grid)
+            for workers in (1, 2):
+                peak = _traced_peak(lambda: run_pipeline(cfg, ds, workers=workers))
+                assert peak <= (1 + workers * (1.1 + 2 * s_max / n)) * n ** 2 * 8

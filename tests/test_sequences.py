@@ -147,9 +147,14 @@ class TestLattice:
         expect[expect == 0.0] = UNIT_EPS
         assert np.allclose(pts.points, expect, atol=1e-16)
 
-    def test_zero_vector_collapses_to_corner(self):
-        pts = lattice(3, 2, [0, 0])
-        assert np.all(pts.points == UNIT_EPS)
+    @pytest.mark.parametrize("s, z", [(3, [0, 0]), (4, [2, 0]), (4, [1, 6]), (6, [1, -3])])
+    def test_rejects_a_vector_not_coprime_to_s(self, s, z):
+        # A shared factor repeats coordinates; a zero entry pins a face.
+        with pytest.raises(ValueError, match=rf"\[{z[0]}, {z[1]}\].*s={s}"):
+            lattice(s, 2, z)
+
+    def test_one_point_takes_any_vector(self):
+        assert np.all(lattice(1, 2, [0, 4]).points == UNIT_EPS)
 
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
