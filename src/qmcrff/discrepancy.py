@@ -354,11 +354,17 @@ def _pair_blocks(W, b, slope):
         point_rows[2, :, :, 2] = cos_w.T
         point_rows[2, :, :, 3] = sin_w.T
     near = (_NEAR_LAG / b)[:, None, None]
+    # One buffer holds each block's grids in turn, so a call allocates them
+    # once, not once per block.  A block has at most max(s, _BLOCK_ENTRIES)
+    # pairs per dimension, and never more than s^2.
+    k = point_rows.shape[0]
+    buffer = np.empty(k * d * min(s * s, max(s, _BLOCK_ENTRIES)))
     r0 = 0
     while r0 < s:
         r1 = min(s, r0 + max(1, _BLOCK_ENTRIES // (s - r0)))
         # d x rows x (s - r0) grids of lags, sinc factors and their slopes.
-        grids = point_rows[:, :, r0:r1] @ columns[:, :, r0:]
+        grids = buffer[:k * d * (r1 - r0) * (s - r0)].reshape(k, d, r1 - r0, s - r0)
+        np.matmul(point_rows[:, :, r0:r1], columns[:, :, r0:], out=grids)
         t, f = grids[0], grids[1]
         df = grids[2] if slope else None
         with np.errstate(divide="ignore", invalid="ignore"):

@@ -229,16 +229,19 @@ def _mean_std(values):
 class _Workspace:
     """The buffers one worker reuses for every map of an experiment.
 
-    ``gram`` (n x n) takes the lower triangle of each map's ZZ', which
-    `ExactGram.errors` then overwrites with K - ZZ'; its strict upper
-    triangle stays zero throughout.  ``features`` holds each map's Z, sized
-    for the grid's largest s.  Reusing them keeps the heap steady: fresh
-    arrays per map would be returned to the system and faulted back in.
+    ``gram`` (n x n, from `ExactGram.gram_buffer`) takes the lower triangle
+    of each map's ZZ', which `ExactGram.errors` then overwrites with
+    K - ZZ'; its strict upper triangle is never read or written here.  The
+    first worker's ``gram`` is the array whose upper half holds K, so a run
+    holds ``workers`` n x n arrays in all.  ``features`` holds each map's Z,
+    sized for the grid's largest s.  Reusing them keeps the heap steady:
+    fresh arrays per map would be returned to the system and faulted back
+    in.
     """
 
-    def __init__(self, n, s_max):
-        self.gram = np.zeros((n, n))
-        self.features = np.empty(2 * n * s_max)
+    def __init__(self, gram, s_max):
+        self.gram = gram.gram_buffer()
+        self.features = np.empty(2 * self.gram.shape[0] * s_max)
 
 
 def _gram_cell(cfg, density, box, X, gram, workspace, seq, s, with_discrepancy=False,
@@ -301,7 +304,7 @@ def _prologue(cfg, ds):
 def run_gram_experiment(cfg, ds):
     """Gram-error curves over the (sequence, s) grid; JSON-ready reports."""
     work, density, box, gram = _prologue(cfg, ds)
-    workspace = _Workspace(work.n, max(cfg.s_grid))
+    workspace = _Workspace(gram, max(cfg.s_grid))
     return [_gram_cell(cfg, density, box, work.X, gram, workspace, seq, s)
             for seq in cfg.sequences for s in cfg.s_grid]
 
@@ -406,7 +409,7 @@ def run_pipeline(cfg, ds, workers=1):
     def run_cell(args):
         seq, s = args
         if not hasattr(local, "workspace"):
-            local.workspace = _Workspace(work.n, max(cfg.s_grid))
+            local.workspace = _Workspace(gram, max(cfg.s_grid))
         return _gram_cell(cfg, density, box, work.X, gram, local.workspace, seq, s,
                           with_discrepancy=True, ridge=ridge)
 

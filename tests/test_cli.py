@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import threading
 from dataclasses import fields, replace
 
 import numpy as np
@@ -212,7 +213,7 @@ class TestKrr:
     @pytest.mark.parametrize("rows, cols", [(20, 50), (50, 20)])
     def test_solve_reads_the_lower_triangle_and_restores_it(self, rows, cols):
         # The pipeline's dual ridge factors a block of its Gram buffer, whose
-        # upper triangle holds zeros and which it reuses afterwards.
+        # upper triangle holds K or zeros and which it reuses afterwards.
         Z = np.random.default_rng(rows).normal(size=(rows, cols))
         y = np.random.default_rng(cols).normal(size=rows)
         A = np.tril(Z @ Z.T)
@@ -399,20 +400,35 @@ class TestPipeline:
                 assert pair == pytest.approx(reference, rel=1e-12, abs=0.0)
 
     @pytest.mark.parametrize("s_small", [16, 32])
-    def test_cells_after_a_larger_map_match_fresh_runs(self, regression_data, s_small):
+    def test_cells_after_a_larger_map_match_fresh_runs(self, regression_data, s_small,
+                                                       monkeypatch):
         # n_train = 40: s = 16 solves the primal ridge system, s = 32 the dual
         # one.  In one worker's workspace the mc cell at s_small, three
         # trials, runs right after halton's s = 64 map; a fresh run holds it
-        # alone in buffers sized for it.
+        # alone in buffers sized for it.  Each worker takes one Gram buffer,
+        # and only the first is the array whose upper half holds K.
+        taken = []
+        gram_buffer = ExactGram.gram_buffer
+
+        def recording_gram_buffer(gram):
+            taken.append((threading.get_ident(), gram_buffer(gram)))
+            return taken[-1][1]
+
+        monkeypatch.setattr(ExactGram, "gram_buffer", recording_gram_buffer)
         cfg = ExperimentConfig(sigma=(1.0,), sequences=("halton", "mc"),
                                s_grid=(s_small, 64), trials=3, seed=8, ridge_lambda=1e-3)
         report = run_pipeline(cfg, regression_data, workers=1)
         assert [(c["label"], c["s"]) for c in report["cells"]] == [
             ("halton", s_small), ("halton", 64), ("mc", s_small), ("mc", 64)]
+        assert len(taken) == 1 and np.triu(taken[0][1], 1).any()
         fresh = run_pipeline(replace(cfg, sequences=("mc",), s_grid=(s_small,)), regression_data)
         assert fresh["cells"] == [report["cells"][2]]
+        taken.clear()
         parallel = run_pipeline(cfg, regression_data, workers=3)
         assert parallel["cells"] == report["cells"]
+        assert 1 <= len(taken) <= 3
+        assert len({thread for thread, _ in taken}) == len(taken)
+        assert sum(np.triu(G, 1).any() for _, G in taken) == 1
 
     def test_laplacian_kernel_supported(self, regression_data):
         cfg = ExperimentConfig(kernel="laplacian", sigma=(2.0,),

@@ -4,6 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
+from qmcrff._blas import syrk_lower
 from qmcrff.densities import FrequencySet, ProductDensity, transform
 import qmcrff.featmap as featmap_module
 from qmcrff.featmap import (
@@ -224,12 +225,18 @@ class TestGram:
 
     @pytest.mark.parametrize("kernel", ["gaussian", "laplacian"])
     def test_exact_gram_keeps_the_lower_triangle_and_the_full_norms(self, kernel):
-        # The norms are taken on the full K, before its upper triangle is zeroed.
+        # The norms are taken on the full K, before its lower triangle moves
+        # into the upper half.  Scored against a zero ZZ', E is K's lower
+        # triangle: its spectral norm is K's, bit for bit.
         X = np.random.default_rng(28).normal(size=(150, 3))
         p = ProductDensity.for_kernel(kernel, [1.0, 2.0, 0.5])
         K, gram = gram_exact(p, X), ExactGram(p, X)
         assert gram.norms == (spectral_norm(K), np.linalg.norm(K))
-        assert np.array_equal(gram.lower, np.tril(K))
+        G = np.zeros_like(K)
+        spectral, frobenius = gram.errors(G)
+        assert np.array_equal(G, np.tril(K))
+        assert spectral == 1.0
+        assert frobenius == pytest.approx(1.0, rel=1e-15, abs=0.0)
 
     def test_duplicated_rows_duplicate_entries(self):
         rng = np.random.default_rng(19)
@@ -270,6 +277,65 @@ class TestGram:
             gram_exact(p, np.zeros((11, 1)))
         with pytest.raises(ValueError, match="cap"):
             gram_approx(_random_map(4, 1), np.zeros((11, 1)))
+
+
+def _lower_gram(G, Z):
+    """G with the lower triangle of ZZ' in it, as the pipeline forms it."""
+    syrk_lower(G, Z, 1.0, 0.0)
+    return G
+
+
+class TestExactGramLayout:
+    # K lives in the strict upper half of the array that `gram_buffer` hands
+    # out first; errors reads it from there and writes E below the diagonal.
+
+    @pytest.mark.parametrize("kernel", ["gaussian", "laplacian"])
+    @pytest.mark.parametrize("n", [1, 2, 63, 64, 65, 129])
+    def test_shared_buffer_matches_a_separate_one(self, kernel, n):
+        # Across the 64-row block edges, E on the array that holds K is
+        # bitwise E on a zeroed array, and both match the dense path.
+        rng = np.random.default_rng(n)
+        X = rng.normal(size=(n, 3))
+        p = ProductDensity.for_kernel(kernel, [1.0, 2.0, 0.5])
+        K, gram = gram_exact(p, X), ExactGram(p, X)
+        Z = real_feature_matrix(_random_map(12, 3, seed=n, weights=rng.random(12)), X)
+        shared = _lower_gram(gram.gram_buffer(), Z)
+        separate = _lower_gram(np.zeros((n, n)), Z)
+        errors = gram.errors(shared)
+        assert gram.errors(separate) == errors
+        assert np.array_equal(np.tril(shared), separate)
+        assert errors == pytest.approx(relative_errors(K, Z @ Z.T), rel=1e-12, abs=0.0)
+
+    def test_stored_half_is_unchanged_by_maps(self):
+        # Maps scored on the shared array and on another leave K's half
+        # bitwise as built, and a map scored again gives the same errors.
+        X = np.random.default_rng(30).normal(size=(200, 3))
+        p = ProductDensity.gaussian(1.5, d=3)
+        gram = ExactGram(p, X)
+        shared, other = gram.gram_buffer(), gram.gram_buffer()
+        stored = np.triu(shared, 1)
+        first, *rest = [real_feature_matrix(_random_map(s, 3, seed=s), X) for s in (8, 40, 96)]
+        before = gram.errors(_lower_gram(shared, first))
+        for Z in rest:
+            gram.errors(_lower_gram(shared, Z))
+            gram.errors(_lower_gram(other, Z))
+        assert gram.errors(_lower_gram(shared, first)) == before
+        assert gram.errors(_lower_gram(other, first)) == before
+        assert np.array_equal(np.triu(shared, 1), stored)
+        assert not np.triu(other, 1).any()
+
+    def test_the_array_that_holds_k_is_handed_out_once(self):
+        gram = ExactGram(ProductDensity.gaussian(1.0, d=2),
+                         np.random.default_rng(31).normal(size=(70, 2)))
+        buffers = [gram.gram_buffer() for _ in range(3)]
+        assert [np.triu(b, 1).any() for b in buffers] == [True, False, False]
+        assert not any(b.any() for b in buffers[1:])
+        assert not np.shares_memory(buffers[1], buffers[2])
+
+    def test_errors_rejects_a_buffer_of_another_size(self):
+        gram = ExactGram(ProductDensity.gaussian(1.0, d=2), np.zeros((5, 2)))
+        with pytest.raises(ValueError, match="shape"):
+            gram.errors(np.zeros((6, 6)))
 
 
 class TestRelativeErrors:
@@ -380,9 +446,9 @@ def _traced_peak(f):
 
 
 class TestGramMemory:
-    # gram_exact holds K and one row block; the pipeline holds K's lower
-    # triangle and one workspace per worker.  A first run traces one-off
-    # scipy imports (about 27 MB), so peaks are taken after one.
+    # gram_exact holds K and one row block; the pipeline holds one
+    # workspace per worker, the first of which holds K.  A first run traces
+    # one-off scipy imports (about 27 MB), so peaks are taken after one.
     N = 600
 
     def _assert_gram_exact_peak(self, kernel):
@@ -401,14 +467,17 @@ class TestGramMemory:
     def test_pipeline_peak(self):
         from qmcrff.experiment import Dataset, ExperimentConfig, run_pipeline
 
-        # A pipeline run holds K (n^2) and, per worker, its workspace: the
-        # n x n Gram buffer (n^2) and the buffer for Z at the largest s
-        # (2 n s_max).  On top of that, one map at a time per worker builds
-        # its discrepancy pass's blocks (at most 0.07 n^2 here) or its ridge
-        # system (at most (2 s_max)^2 or n_train^2, 0.04 n^2 here); 0.1 n^2
-        # covers either.  The first config solves primal ridge systems only;
-        # the second, with n_train = 300, takes the dual one at s = 160.
-        # Measured peaks: 2.12/3.22 and 2.27/3.50 x n^2 * 8 B at 1/2 workers.
+        # A pipeline run holds, per worker, its workspace: the n x n Gram
+        # buffer (n^2), the first of which also holds K in its upper half,
+        # and the buffer for Z at the largest s (2 n s_max).  On top of that,
+        # one map at a time per worker builds its discrepancy pass's blocks
+        # (at most 0.07 n^2 here) or its ridge system (at most (2 s_max)^2
+        # or n_train^2, 0.04 n^2 here); 0.1 n^2 covers either.  0.1 n^2 more
+        # covers the squares kept beside K, the row block gram_exact forms
+        # it with, and small arrays.  The first config solves primal ridge
+        # systems only; the second, with n_train = 300, takes the dual one at
+        # s = 160.  Measured peaks: 1.14/2.25 and 1.29/2.53 x n^2 * 8 B at
+        # 1/2 workers.
         n = 1500
         rng = np.random.default_rng(1)
         ds = Dataset(X=rng.normal(size=(n, 2)), y=rng.normal(size=n))
@@ -420,4 +489,4 @@ class TestGramMemory:
             s_max = max(cfg.s_grid)
             for workers in (1, 2):
                 peak = _traced_peak(lambda: run_pipeline(cfg, ds, workers=workers))
-                assert peak <= (1 + workers * (1.1 + 2 * s_max / n)) * n ** 2 * 8
+                assert peak <= (0.1 + workers * (1.1 + 2 * s_max / n)) * n ** 2 * 8
