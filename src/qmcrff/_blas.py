@@ -77,11 +77,11 @@ def _scipy_blas_single_thread():
                 lib.scipy_openblas_set_num_threads(_pool_saved)
 
 
-def _scipy_syrk(C, Z, alpha, beta):
+def _scipy_syrk(C, Z):
     from scipy.linalg.blas import dsyrk
 
     # C.T is Fortran-ordered, and its upper triangle is C's lower one.
-    dsyrk(alpha, Z.T, beta=beta, c=C.T, trans=1, lower=0, overwrite_c=1)
+    dsyrk(1.0, Z.T, beta=0.0, c=C.T, trans=1, lower=0, overwrite_c=1)
 
 
 def _scipy_symv(A, x):
@@ -109,12 +109,12 @@ def _kernels():
     dsyrk.argtypes = (enum, enum, enum, i64, i64, dbl, ptr, i64, dbl, ptr, i64)
     dsymv.argtypes = (enum, enum, i64, dbl, ptr, i64, ptr, i64, dbl, ptr, i64)
 
-    def syrk(C, Z, alpha, beta):
+    def syrk(C, Z):
         n, k = Z.shape
         # A Fortran-ordered Z is its row-major transpose, read with Trans.
         trans, lda = (_NO_TRANS, k) if Z.flags.c_contiguous else (_TRANS, n)
-        dsyrk(_ROW_MAJOR, _LOWER, trans, n, k, alpha, Z.ctypes.data, max(lda, 1),
-              beta, C.ctypes.data, max(n, 1))
+        dsyrk(_ROW_MAJOR, _LOWER, trans, n, k, 1.0, Z.ctypes.data, max(lda, 1),
+              0.0, C.ctypes.data, max(n, 1))
 
     def symv(A, x):
         n = x.shape[0]
@@ -135,11 +135,12 @@ def _check_square(name, A):
         raise ValueError(f"{name} must be C-contiguous")
 
 
-def syrk_lower(C, Z, alpha, beta):
-    """C <- alpha Z Z' + beta C on the lower triangle of C, in place.
+def syrk_lower(C, Z):
+    """C <- Z Z' on the lower triangle of C, in place.
 
-    C is an n x n C-contiguous float64 array; its strict upper triangle is
-    neither read nor written.  Z is read in place when it is C- or
+    C is an n x n C-contiguous float64 array; its lower triangle's old
+    entries are not read, and its strict upper triangle is neither read
+    nor written.  Z is read in place when it is C- or
     Fortran-contiguous float64, and copied otherwise.
     """
     _check_square("C", C)
@@ -148,7 +149,7 @@ def syrk_lower(C, Z, alpha, beta):
         Z = np.ascontiguousarray(Z)
     if Z.ndim != 2 or Z.shape[0] != C.shape[0]:
         raise ValueError(f"Z of shape {Z.shape} does not match C of shape {C.shape}")
-    _kernels()[0](C, Z, float(alpha), float(beta))
+    _kernels()[0](C, Z)
 
 
 def symv_lower(A, x):

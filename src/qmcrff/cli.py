@@ -48,13 +48,20 @@ def _parse_ints(text):
 def _open_outputs(args, stack):
     """Replace each output path in ``args`` by its stream, opened on ``stack``:
     `--out` always (stdout when omitted), `--out-points` and `--features-out`
-    when given.  An output may not name an input, which opening would empty."""
-    inputs = {os.path.realpath(getattr(args, dest)) for dest in ("infile", "freqs", "data")
-              if getattr(args, dest, None) is not None}
+    when given.  No path is opened before all are checked: an output may not
+    name an input, which opening would empty, nor another output, whose
+    contents the second opening would discard."""
+    named = {os.path.realpath(getattr(args, dest)): "an input file"
+             for dest in ("infile", "freqs", "data") if getattr(args, dest, None) is not None}
     for dest in ("out", "out_points", "features_out"):
         path = getattr(args, dest, None)
-        if path not in (None, "-") and os.path.realpath(path) in inputs:
-            raise ValueError(f"output {path} is also an input file")
+        if path not in (None, "-"):
+            real = os.path.realpath(path)
+            if real in named:
+                raise ValueError(f"output {path} is also {named[real]}")
+            named[real] = "another output"
+    for dest in ("out", "out_points", "features_out"):
+        path = getattr(args, dest, None)
         if dest == "out" or path is not None:
             setattr(args, dest, stack.enter_context(open_output(path)))
 

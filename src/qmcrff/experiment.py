@@ -232,8 +232,8 @@ class _Workspace:
     ``gram`` (n x n, from `ExactGram.gram_buffer`) takes the lower triangle
     of each map's ZZ', which `ExactGram.errors` then overwrites with
     K - ZZ'; its strict upper triangle is never read or written here.  The
-    first worker's ``gram`` is the array whose upper half holds K, so a run
-    holds ``workers`` n x n arrays in all.  ``features`` holds each map's Z,
+    first worker's ``gram`` is the array `gram_exact` built, whose strict
+    upper half holds K, so a run holds ``workers`` n x n arrays in all.  ``features`` holds each map's Z,
     sized for the grid's largest s.  Reusing them keeps the heap steady:
     fresh arrays per map would be returned to the system and faulted back
     in.
@@ -262,7 +262,7 @@ def _gram_cell(cfg, density, box, X, gram, workspace, seq, s, with_discrepancy=F
     for freqs, weights in _frequency_maps_for_cell(cfg, density, box, seq, s, X.shape[1]):
         fmap = WeightedFeatureMap(freqs=freqs, weights=weights)
         Z = real_feature_matrix(fmap, X, out=workspace.features)
-        syrk_lower(G, Z, 1.0, 0.0)
+        syrk_lower(G, Z)
         if ridge is not None:
             errs.append(_ridge_error(Z, G, *ridge, cfg.ridge_lambda))
         pairs.append(gram.errors(G))
@@ -285,25 +285,27 @@ def _gram_cell(cfg, density, box, X, gram, workspace, seq, s, with_discrepancy=F
 
 
 def _prologue(cfg, ds):
-    """The subsampled data, its density and box, and its `ExactGram`, which
-    every cell of an experiment shares.
+    """The subsampled data, its density and box, its `ExactGram`, which
+    every cell of an experiment shares, and the ridge split's train count.
 
     When the data has a target, its rows are reordered once, the ridge
     split's train rows first, so a map's train Gram matrix is the leading
     block of ZZ' and its test x train block lies in the lower triangle.
+    Without a target the train count is None.
     """
-    work = _subsample(ds, cfg.max_n, cfg.seed)
+    work, n_train = _subsample(ds, cfg.max_n, cfg.seed), None
     if work.y is not None:
-        order = np.concatenate(_split_indices(work.n, cfg.split, cfg.seed))
+        train, test = _split_indices(work.n, cfg.split, cfg.seed)
+        order, n_train = np.concatenate([train, test]), len(train)
         work = Dataset(X=work.X[order], y=work.y[order])
     density = ProductDensity.for_kernel(cfg.kernel, cfg.sigma, work.d)
     box = estimate_box(work, cfg.box_scale)
-    return work, density, box, ExactGram(density, work.X)
+    return work, density, box, ExactGram(density, work.X), n_train
 
 
 def run_gram_experiment(cfg, ds):
     """Gram-error curves over the (sequence, s) grid; JSON-ready reports."""
-    work, density, box, gram = _prologue(cfg, ds)
+    work, density, box, gram, _ = _prologue(cfg, ds)
     workspace = _Workspace(gram, max(cfg.s_grid))
     return [_gram_cell(cfg, density, box, work.X, gram, workspace, seq, s)
             for seq in cfg.sequences for s in cfg.s_grid]
@@ -400,10 +402,8 @@ def run_pipeline(cfg, ds, workers=1):
     the worker count."""
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
-    work, density, box, gram = _prologue(cfg, ds)
-    ridge = None
-    if work.y is not None:
-        ridge = (work.y, len(_split_indices(work.n, cfg.split, cfg.seed)[0]))
+    work, density, box, gram, n_train = _prologue(cfg, ds)
+    ridge = None if n_train is None else (work.y, n_train)
     local = threading.local()  # one workspace per worker thread
 
     def run_cell(args):

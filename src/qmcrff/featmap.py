@@ -6,7 +6,6 @@ import threading
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.lib.stride_tricks import as_strided
 
 from ._blas import symv_lower
 from .densities import GAUSSIAN, FrequencySet
@@ -214,49 +213,24 @@ def relative_errors(K, K_approx):
     return rel_2, rel_f
 
 
-def _staircase(A, r0, r1):
-    """The view of the n x n array A's strict upper triangle that holds rows
-    r0..r1-1 of a strict lower triangle moved there: entry (i, j), j < r0 <=
-    i < r1, lies at A's flat index n^2 - (n+1) i + j, which is row n-1-i,
-    column n-i+j.  Row i's i entries fill row n-1-i's strict upper part."""
-    n = A.shape[0]
-    step = A.itemsize
-    return as_strided(A.reshape(-1)[n * n - (n + 1) * r0:], shape=(r1 - r0, r0),
-                      strides=(-(n + 1) * step, step))
-
-
 class ExactGram:
-    """The exact Gram matrix K of the rows of X, held in the strict upper
-    half of one n x n array, and the relative errors of feature maps
-    against it.  The array's lower triangle and diagonal are left free as
-    one worker's Gram buffer (`gram_buffer`).
+    """The exact Gram matrix K of the rows of X, as `gram_exact` builds it,
+    and the relative errors of feature maps against it.
 
-    ``norms`` is (spectral, frobenius) of the full K that `gram_exact`
-    builds; then, one block of `_ROW_BLOCK` rows at a time, the block's
-    rectangle K[r0:r1, :r0] moves into the array's strict upper half in a
-    staircase (`_staircase`): row i goes to row n-1-i, right of the
-    diagonal.  One view per block, with row stride -(n+1) and column stride
-    +1, serves the move and every later read, and none of them reads
-    transposed.  The diagonal squares K[r0:r1, r0:r1] do not fit the
-    staircase, so their lower triangles, diagonal included, are kept aside
-    (about 32 n doubles).  The mirror layout, K's lower triangle transposed
-    into the upper one, needs nothing aside, but its transposed reads took
-    0.5-0.8 ms more per map at n = 1000 and 1.3-2.9 ms at n = 1500 on a
-    2-vCPU VM.  Nothing writes K after construction, so any number of
-    workers read it at once.
+    K is exactly symmetric, so its strict upper half holds all of it, and
+    nothing writes that half after construction: any number of workers
+    read K at once.  The array's lower triangle and diagonal are one
+    worker's Gram buffer (`gram_buffer`); K's diagonal is kept aside.
+    ``norms`` is (spectral, frobenius) of the full K.
     """
 
     def __init__(self, density, X):
         K = gram_exact(density, X)
         self.norms = spectral_norm(K), float(np.linalg.norm(K))
-        n = K.shape[0]
-        tri = np.tri(min(n, _ROW_BLOCK), dtype=bool)
-        self._blocks = []
-        for r0 in range(0, n, _ROW_BLOCK):
-            r1 = min(n, r0 + _ROW_BLOCK)
-            rect, lower = _staircase(K, r0, r1), tri[:r1 - r0, :r1 - r0]
-            rect[...] = K[r0:r1, :r0]
-            self._blocks.append((r0, r1, rect, lower, K[r0:r1, r0:r1][lower]))
+        self._diag = np.diagonal(K).copy()
+        self._tri = np.tri(min(K.shape[0], _ROW_BLOCK), dtype=bool)
+        # Where row i's diagonal entry falls in a block's flat lower triangle.
+        self._diag_at = np.cumsum(np.arange(1, len(self._tri) + 1)) - 1
         self._store = K
         self._store_free = True
         self._lock = threading.Lock()
@@ -272,31 +246,36 @@ class ExactGram:
     def errors(self, G):
         """``relative_errors(K, Z @ Z.T)`` for the map whose Gram matrix ZZ'
         has its lower triangle in G, an n x n C-contiguous float64 array,
-        such as ``syrk_lower(G, Z, 1.0, 0.0)`` leaves in a `gram_buffer`.
+        such as ``syrk_lower(G, Z)`` leaves in a `gram_buffer`.
 
-        G's lower triangle is overwritten with E = K - ZZ', block by block
-        from the staircase views, the squares and the diagonal; G's strict
-        upper triangle is neither read nor written, so G may be the array
-        that holds K, and a caller can reuse G for the next map.  The norms
-        are nonzero since K has a unit diagonal.  ||E||_F^2 is twice the
-        lower triangle's sum of squares less the diagonal's.
+        G's lower triangle is overwritten with E = K - ZZ', one block of
+        `_ROW_BLOCK` rows at a time, K read transposed from its upper half
+        (0.15-1.2 ms more per map at n = 800-1500 than untransposed reads,
+        2-vCPU VM) and its diagonal from the saved copy.  G's strict upper triangle is
+        neither read nor written, so G may be the array that holds K.  The
+        norms are nonzero since K has a unit diagonal.  ||E||_F^2 is twice
+        the lower triangle's sum of squares less the diagonal's.
         """
-        if G.shape != self._store.shape:
-            raise ValueError(f"G of shape {G.shape} does not match K of shape "
-                             f"{self._store.shape}")
+        K = self._store
+        if G.shape != K.shape:
+            raise ValueError(f"G of shape {G.shape} does not match K of shape {K.shape}")
+        n = K.shape[0]
         sum_sq = 0.0
         # numpy 2.4 copies strided 2-D operands through its ufunc buffers,
-        # which doubles the time of the rectangles' subtraction; a buffer
+        # which slows the transposed subtraction 1.3-2 times; a buffer
         # shorter than a row (every rectangle row holds at least
         # _ROW_BLOCK entries) lets the loop run on the rows in place.
         saved = np.setbufsize(_ROW_BLOCK // 4)
         try:
-            for r0, r1, rect, lower, square in self._blocks:
+            for r0 in range(0, n, _ROW_BLOCK):
+                r1 = min(n, r0 + _ROW_BLOCK)
                 E = G[r0:r1, :r0]
-                np.subtract(rect, E, out=E)
+                np.subtract(K[:r0, r0:r1].T, E, out=E)
                 sum_sq += np.einsum("ij,ij->", E, E)
-                S = G[r0:r1, r0:r1]
-                e = square - S[lower]
+                S, lower = G[r0:r1, r0:r1], self._tri[:r1 - r0, :r1 - r0]
+                e = K[r0:r1, r0:r1].T[lower]
+                e[self._diag_at[:r1 - r0]] = self._diag[r0:r1]
+                e -= S[lower]
                 S[lower] = e
                 sum_sq += e @ e
         finally:

@@ -65,12 +65,12 @@ def test_import_resolves_no_library():
 
 @pytest.mark.parametrize("n, k", [(1, 3), (5, 1), (64, 8), (300, 200)])
 def test_syrk_writes_the_lower_triangle_only(route, n, k):
-    rng = np.random.default_rng(n + k)
-    K, Z = _symmetric(n, n), rng.normal(size=(n, k))
-    C = _nan_above(K)
-    blas.syrk_lower(C, Z, -1.0, 1.0)
+    # The old lower triangle is not read: NaNs there are overwritten.
+    Z = np.random.default_rng(n + k).normal(size=(n, k))
+    C = np.full((n, n), np.nan)
+    blas.syrk_lower(C, Z)
     lower = np.tril_indices(n)
-    assert np.allclose(C[lower], (K - Z @ Z.T)[lower], rtol=0.0, atol=1e-12)
+    assert np.allclose(C[lower], (Z @ Z.T)[lower], rtol=0.0, atol=1e-12)
     assert np.isnan(C[np.triu_indices(n, 1)]).all()
 
 
@@ -90,7 +90,7 @@ def test_routes_give_the_same_gram_errors(monkeypatch):
 
     def errors():
         G = np.zeros((200, 200))
-        blas.syrk_lower(G, Z, 1.0, 0.0)
+        blas.syrk_lower(G, Z)
         return gram.errors(G)
 
     fast = errors()
@@ -102,12 +102,11 @@ def test_routes_give_the_same_gram_errors(monkeypatch):
 def test_syrk_reads_fortran_ordered_factors(route, n, k):
     # The pipeline's feature matrices are Fortran-ordered; the ctypes route
     # reads them in place as their row-major transpose.
-    rng = np.random.default_rng(n * k)
-    K, Z = _symmetric(n, n), np.asfortranarray(rng.normal(size=(n, k)))
-    C = _nan_above(K)
-    blas.syrk_lower(C, Z, -1.0, 1.0)
+    Z = np.asfortranarray(np.random.default_rng(n * k).normal(size=(n, k)))
+    C = np.full((n, n), np.nan)
+    blas.syrk_lower(C, Z)
     lower = np.tril_indices(n)
-    assert np.allclose(C[lower], (K - Z @ Z.T)[lower], rtol=0.0, atol=1e-12)
+    assert np.allclose(C[lower], (Z @ Z.T)[lower], rtol=0.0, atol=1e-12)
     assert np.isnan(C[np.triu_indices(n, 1)]).all()
 
 
@@ -125,13 +124,13 @@ class TestGuards:
     ])
     def test_syrk_rejects_bad_outputs(self, C):
         with pytest.raises(ValueError):
-            blas.syrk_lower(C, np.ones((len(C), 2)), 1.0, 0.0)
+            blas.syrk_lower(C, np.ones((len(C), 2)))
 
     @pytest.mark.parametrize("Z", [np.ones((3, 2)), np.ones(4), np.ones((4, 2, 1))])
     def test_syrk_rejects_mismatched_factors(self, Z):
         C = np.zeros((4, 4))
         with pytest.raises(ValueError, match="shape"):
-            blas.syrk_lower(C, Z, 1.0, 0.0)
+            blas.syrk_lower(C, Z)
         assert not C.any()
 
     @pytest.mark.parametrize("A", [np.zeros(4), np.zeros((4, 3)), np.zeros((4, 4), order="F")])
@@ -150,7 +149,7 @@ class TestGuards:
         # are converted.
         Z = np.arange(16.0).reshape(4, 4)[:, ::2]
         C = np.zeros((4, 4))
-        blas.syrk_lower(C, Z, 1.0, 0.0)
+        blas.syrk_lower(C, Z)
         assert np.allclose(np.tril(C), np.tril(Z @ Z.T))
         assert np.allclose(blas.symv_lower(np.eye(4), np.arange(8)[::2]), [0, 2, 4, 6])
 

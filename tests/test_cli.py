@@ -64,7 +64,7 @@ def _primal_ridge(Z, y, lam):
 def _lower_gram(Z):
     """The lower triangle of ZZ' over zeros, as the pipeline's workspace holds it."""
     G = np.zeros((Z.shape[0], Z.shape[0]))
-    syrk_lower(G, Z, 1.0, 0.0)
+    syrk_lower(G, Z)
     return G
 
 
@@ -406,7 +406,8 @@ class TestPipeline:
         # one.  In one worker's workspace the mc cell at s_small, three
         # trials, runs right after halton's s = 64 map; a fresh run holds it
         # alone in buffers sized for it.  Each worker takes one Gram buffer,
-        # and only the first is the array whose upper half holds K.
+        # and only the first is the array gram_exact built, whose strict
+        # upper half holds K.
         taken = []
         gram_buffer = ExactGram.gram_buffer
 
@@ -830,6 +831,22 @@ class TestCommandLine:
         assert main(command + [inflag, str(path), outflag, alias]) == 2
         assert "also an input" in capsys.readouterr().err
         assert path.read_text() == "0.25,0.5\n"
+
+    @pytest.mark.parametrize("command,second", [
+        (["optimize", "--mode", "global", "--s", "3", "--d", "2", "--max-iters", "2"],
+         "--out-points"),
+        (["krr", "--s", "4"], "--features-out"),
+    ])
+    def test_two_outputs_naming_one_file_is_usage_error(self, tmp_path, capsys, monkeypatch,
+                                                        command, second):
+        # The second opening would discard what the first output wrote.
+        # Nothing is opened: the file is not created.
+        monkeypatch.chdir(tmp_path)
+        if command[0] == "krr":
+            command = command + ["--data", _xy_csv(tmp_path, np.eye(4) + 0.5)]
+        assert main(command + ["--out", "f", second, str(tmp_path / "." / "f")]) == 2
+        assert "also another output" in capsys.readouterr().err
+        assert not (tmp_path / "f").exists()
 
     @pytest.mark.parametrize("command", [
         ["generate", "--seq", "halton-scrambled", "--s", "5", "--d", "3"],

@@ -79,7 +79,7 @@ class TestSingleFrequency:
                                s_grid=(1,), trials=2, seed=seed, adapt_iters=5)
         report = run_pipeline(cfg, ds)
         assert all(math.isfinite(v) for v in _numbers(report["cells"]))
-        _, density, box, _ = _prologue(cfg, ds)
+        _, density, box, _, _ = _prologue(cfg, ds)
         for cell in report["cells"]:
             d2 = []
             for freqs, xi in _frequency_maps_for_cell(cfg, density, box, cell["label"], 1, d):
@@ -188,7 +188,7 @@ class TestClampBounds:
                                seed=seed, adapt_iters=5)
         report = run_pipeline(cfg, ds)
         assert all(math.isfinite(v) for v in _numbers(report["cells"]))
-        _, density, box, _ = _prologue(cfg, ds)
+        _, density, box, _, _ = _prologue(cfg, ds)
         for cell in report["cells"]:
             assert "discrepancy" in cell
             for freqs, xi in _frequency_maps_for_cell(cfg, density, box, cell["label"],

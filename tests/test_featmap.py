@@ -225,9 +225,9 @@ class TestGram:
 
     @pytest.mark.parametrize("kernel", ["gaussian", "laplacian"])
     def test_exact_gram_keeps_the_lower_triangle_and_the_full_norms(self, kernel):
-        # The norms are taken on the full K, before its lower triangle moves
-        # into the upper half.  Scored against a zero ZZ', E is K's lower
-        # triangle: its spectral norm is K's, bit for bit.
+        # The norms are taken on the full K as gram_exact builds it.  Scored
+        # against a zero ZZ', E is K's lower triangle, read transposed from
+        # K's upper half: its spectral norm is K's, bit for bit.
         X = np.random.default_rng(28).normal(size=(150, 3))
         p = ProductDensity.for_kernel(kernel, [1.0, 2.0, 0.5])
         K, gram = gram_exact(p, X), ExactGram(p, X)
@@ -281,13 +281,14 @@ class TestGram:
 
 def _lower_gram(G, Z):
     """G with the lower triangle of ZZ' in it, as the pipeline forms it."""
-    syrk_lower(G, Z, 1.0, 0.0)
+    syrk_lower(G, Z)
     return G
 
 
 class TestExactGramLayout:
-    # K lives in the strict upper half of the array that `gram_buffer` hands
-    # out first; errors reads it from there and writes E below the diagonal.
+    # K stays in the array gram_exact built, which `gram_buffer` hands out
+    # first; errors reads K transposed from its strict upper half and writes
+    # E below the diagonal.
 
     @pytest.mark.parametrize("kernel", ["gaussian", "laplacian"])
     @pytest.mark.parametrize("n", [1, 2, 63, 64, 65, 129])
@@ -305,6 +306,21 @@ class TestExactGramLayout:
         assert gram.errors(separate) == errors
         assert np.array_equal(np.tril(shared), separate)
         assert errors == pytest.approx(relative_errors(K, Z @ Z.T), rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("kernel", ["gaussian", "laplacian"])
+    @pytest.mark.parametrize("n", [65, 129])
+    def test_upper_half_is_k_as_built(self, kernel, n):
+        # K is not moved: the shared buffer's strict upper half is
+        # gram_exact's own, before and after maps are scored on it.
+        X = np.random.default_rng(n).normal(size=(n, 3))
+        p = ProductDensity.for_kernel(kernel, [1.0, 2.0, 0.5])
+        upper = np.triu(gram_exact(p, X), 1)
+        gram = ExactGram(p, X)
+        shared = gram.gram_buffer()
+        assert np.array_equal(np.triu(shared, 1), upper)
+        for s in (4, 40):
+            gram.errors(_lower_gram(shared, real_feature_matrix(_random_map(s, 3, seed=s), X)))
+        assert np.array_equal(np.triu(shared, 1), upper)
 
     def test_stored_half_is_unchanged_by_maps(self):
         # Maps scored on the shared array and on another leave K's half
@@ -473,10 +489,10 @@ class TestGramMemory:
         # one map at a time per worker builds its discrepancy pass's blocks
         # (at most 0.07 n^2 here) or its ridge system (at most (2 s_max)^2
         # or n_train^2, 0.04 n^2 here); 0.1 n^2 covers either.  0.1 n^2 more
-        # covers the squares kept beside K, the row block gram_exact forms
-        # it with, and small arrays.  The first config solves primal ridge
+        # covers the row block gram_exact forms K with, K's diagonal kept
+        # aside, and small arrays.  The first config solves primal ridge
         # systems only; the second, with n_train = 300, takes the dual one at
-        # s = 160.  Measured peaks: 1.14/2.25 and 1.29/2.53 x n^2 * 8 B at
+        # s = 160.  Measured peaks: 1.12/2.23 and 1.27/2.50 x n^2 * 8 B at
         # 1/2 workers.
         n = 1500
         rng = np.random.default_rng(1)
