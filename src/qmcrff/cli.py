@@ -50,20 +50,25 @@ def _open_outputs(args, stack):
     `--out` always (stdout when omitted), `--out-points` and `--features-out`
     when given.  No path is opened before all are checked: an output may not
     name an input, which opening would empty, nor another output, whose
-    contents the second opening would discard."""
+    contents the second opening would discard; and at most one output may
+    be stdout (an omitted `--out` or "-"), where two would interleave."""
     named = {os.path.realpath(getattr(args, dest)): "an input file"
              for dest in ("infile", "freqs", "data") if getattr(args, dest, None) is not None}
-    for dest in ("out", "out_points", "features_out"):
-        path = getattr(args, dest, None)
+    outputs = [dest for dest in ("out", "out_points", "features_out")
+               if dest == "out" or getattr(args, dest, None) is not None]
+    to_stdout = [dest for dest in outputs if getattr(args, dest) in (None, "-")]
+    if len(to_stdout) > 1:
+        flags = " and ".join("--" + dest.replace("_", "-") for dest in to_stdout)
+        raise ValueError(f"{flags} both write to stdout; name a file for all but one")
+    for dest in outputs:
+        path = getattr(args, dest)
         if path not in (None, "-"):
             real = os.path.realpath(path)
             if real in named:
                 raise ValueError(f"output {path} is also {named[real]}")
             named[real] = "another output"
-    for dest in ("out", "out_points", "features_out"):
-        path = getattr(args, dest, None)
-        if dest == "out" or path is not None:
-            setattr(args, dest, stack.enter_context(open_output(path)))
+    for dest in outputs:
+        setattr(args, dest, stack.enter_context(open_output(getattr(args, dest))))
 
 
 def _emit(payload, fh):

@@ -16,9 +16,9 @@ from datetime import datetime, timezone
 
 import numpy as np
 
-from ._blas import syrk_lower
+from ._blas import potrf_lower, potrs_lower, syrk_lower
 from .adaptive import OptimizerOptions, optimize_global, optimize_greedy, optimize_weights
-from .densities import KERNELS, ProductDensity, transform
+from .densities import KERNELS, FrequencySet, ProductDensity, transform
 from .discrepancy import Box, box_discrepancy_gaussian, weighted_discrepancy
 from .featmap import ExactGram, WeightedFeatureMap, real_feature_matrix
 from .ioutil import DataError, NumericalError, read_matrix_csv
@@ -28,6 +28,12 @@ BASE_SEQUENCES = ("halton", "halton-scrambled", "lattice", "mc")
 PIPELINE_SEQUENCES = BASE_SEQUENCES + ("adaptive-global", "adaptive-greedy", "weighted")
 
 DEFAULT_KOROBOV_A = 1571
+
+# Frequencies per chunk of a feature matrix that `_gram_cell` adds into ZZ':
+# 256 columns of Z.  At n = 1000 and 2s = 1024 the four chunked rank-k
+# updates take as long as one (8.56 against 8.53 ms, 2 vCPUs); 128-column
+# chunks took 8.85 ms.
+_CHUNK_FREQS = 128
 
 
 @dataclass
@@ -233,15 +239,38 @@ class _Workspace:
     of each map's ZZ', which `ExactGram.errors` then overwrites with
     K - ZZ'; its strict upper triangle is never read or written here.  The
     first worker's ``gram`` is the array `gram_exact` built, whose strict
-    upper half holds K, so a run holds ``workers`` n x n arrays in all.  ``features`` holds each map's Z,
-    sized for the grid's largest s.  Reusing them keeps the heap steady:
-    fresh arrays per map would be returned to the system and faulted back
-    in.
+    upper half holds K, so a run holds ``workers`` n x n arrays in all.
+
+    ``buffer`` holds, in turn, each chunk of a map's Z (n x 256 at most), the
+    whole Z where the primal ridge reads it (2s <= n_train), and the dual
+    ridge's Cholesky factor (n_train x n_train) where some s takes that
+    route: max(n min(2 s_max, 256), n max{2s : 2s <= n_train}, n_train^2)
+    doubles, whatever s_max: at n = 2000 and s = 4096, Z alone would be
+    131 MB, and a run at d = 8 and s in {1024, 4096} peaks at 151 MB
+    resident.  Reusing the buffers keeps the heap steady: fresh arrays per
+    map would be returned to the system and faulted back in.
     """
 
-    def __init__(self, gram, s_max):
+    def __init__(self, gram, s_grid, n_train):
         self.gram = gram.gram_buffer()
-        self.features = np.empty(2 * self.gram.shape[0] * s_max)
+        n, s_max = self.gram.shape[0], max(s_grid)
+        size = n * 2 * min(s_max, _CHUNK_FREQS)
+        if n_train is not None:
+            size = max(size, n * max((2 * s for s in s_grid if 2 * s <= n_train), default=0))
+            if 2 * s_max > n_train:
+                size = max(size, n_train * n_train)
+        self.buffer = np.empty(size)
+
+
+def _feature_chunks(fmap, width):
+    """``fmap`` as maps of at most ``width`` consecutive frequencies, each
+    with its own weights, so that their ZZ' sum to that of ``fmap``."""
+    if fmap.s <= width:
+        return [fmap]
+    points = fmap.freqs.points
+    return [WeightedFeatureMap(freqs=FrequencySet(points=points[c:c + width]),
+                               weights=fmap.weights[c:c + width])
+            for c in range(0, fmap.s, width)]
 
 
 def _gram_cell(cfg, density, box, X, gram, workspace, seq, s, with_discrepancy=False,
@@ -249,22 +278,28 @@ def _gram_cell(cfg, density, box, X, gram, workspace, seq, s, with_discrepancy=F
     """Gram errors, optional discrepancies and optional ridge errors for one
     (sequence, s) cell, against the shared `ExactGram` ``gram`` of X.
 
-    Each map's real feature matrix Z and the lower triangle of its ZZ' (one
-    symmetric rank-k update) are built once, in ``workspace``.  When
-    ``ridge`` is ``(y, m)``, with the train rows first in X, a ridge model
-    is trained on the first m rows and scored on the rest (`_ridge_error`)
-    before ``gram.errors`` turns ZZ' into K - ZZ'.
+    The lower triangle of each map's ZZ' is summed in ``workspace.gram``
+    from chunks of its real feature matrix Z, `_CHUNK_FREQS` frequencies
+    (256 columns) each, every chunk built in ``workspace.buffer`` and added
+    by one symmetric rank-k update.  Z is built whole only where the
+    primal ridge reads it.  When ``ridge`` is ``(y, m)``, with the train
+    rows first in X, a ridge model is trained on the first m rows and
+    scored on the rest (`_ridge_error`) before ``gram.errors`` turns ZZ'
+    into K - ZZ'.
     """
     pairs = []
     discrepancies = []
     errs = []
     G = workspace.gram
+    whole = ridge is not None and 2 * s <= ridge[1]
     for freqs, weights in _frequency_maps_for_cell(cfg, density, box, seq, s, X.shape[1]):
         fmap = WeightedFeatureMap(freqs=freqs, weights=weights)
-        Z = real_feature_matrix(fmap, X, out=workspace.features)
-        syrk_lower(G, Z)
+        for i, chunk in enumerate(_feature_chunks(fmap, s if whole else _CHUNK_FREQS)):
+            Z = real_feature_matrix(chunk, X, out=workspace.buffer)
+            syrk_lower(G, Z, accumulate=i > 0)
         if ridge is not None:
-            errs.append(_ridge_error(Z, G, *ridge, cfg.ridge_lambda))
+            errs.append(_ridge_error(Z if whole else None, G, *ridge, cfg.ridge_lambda,
+                                     workspace.buffer))
         pairs.append(gram.errors(G))
         if with_discrepancy:
             if weights is None:
@@ -306,42 +341,41 @@ def _prologue(cfg, ds):
 def run_gram_experiment(cfg, ds):
     """Gram-error curves over the (sequence, s) grid; JSON-ready reports."""
     work, density, box, gram, _ = _prologue(cfg, ds)
-    workspace = _Workspace(gram, max(cfg.s_grid))
+    workspace = _Workspace(gram, cfg.s_grid, None)
     return [_gram_cell(cfg, density, box, work.X, gram, workspace, seq, s)
             for seq in cfg.sequences for s in cfg.s_grid]
 
 
-def _ridge_solve(A, b, ridge_lambda):
+def _ridge_solve(A, b, ridge_lambda, factor=None):
     """x solving (A + lambda I) x = b by Cholesky, for the symmetric A whose
-    lower triangle A holds; A's strict upper triangle is not read, and A is
-    left as it was (its diagonal is restored bitwise).
+    lower triangle A holds; A's strict upper triangle is not read.
 
-    The factorization runs on numpy's LAPACK, in the OpenBLAS that formed
-    the matrix.  scipy bundles a second OpenBLAS; on few cores its threads
+    The factor is formed in ``factor``, an m x m C-contiguous float64 array,
+    or in a new one when it is None: A is copied there, unless ``factor`` is
+    A itself, which is then overwritten.  It runs on numpy's own OpenBLAS
+    (`potrf_lower`, `potrs_lower`), in the thread pool that formed the
+    matrix.  scipy bundles a second OpenBLAS; on few cores its threads
     contend with numpy's, which spin for a while after each call, and a
     scipy Cholesky right after numpy's product stalled for up to ~0.1 s on
-    2 vCPUs.  The triangular solves act on one vector and stay on scipy.
+    2 vCPUs.
     """
-    # Imported here: scipy.linalg is slow to import and the CLI's
-    # sequence commands never solve.
-    from scipy.linalg import solve_triangular
-
-    saved = np.diagonal(A).copy()
-    np.fill_diagonal(A, saved + ridge_lambda)
+    if factor is None:
+        factor = np.empty(A.shape)
+    if factor is not A:
+        np.copyto(factor, A)
+    np.fill_diagonal(factor, np.diagonal(factor) + ridge_lambda)
     try:
-        L = np.linalg.cholesky(A)
+        potrf_lower(factor)
     except np.linalg.LinAlgError as exc:
         raise NumericalError(
             "ridge system could not be factorized; try a larger --lambda"
         ) from exc
-    finally:
-        np.fill_diagonal(A, saved)
-    x = solve_triangular(L, b, lower=True)
-    return solve_triangular(L, x, lower=True, trans="T")
+    return potrs_lower(factor, b)
 
 
 def krr_train(Z, y, ridge_lambda):
-    """Ridge solution of (Z'Z + lambda I) beta = Z'y by Cholesky (`_ridge_solve`).
+    """Ridge solution of (Z'Z + lambda I) beta = Z'y by Cholesky
+    (`_ridge_solve`), factored in place of the Z'Z it forms.
 
     A wide Z (fewer rows than columns) solves the smaller dual system
     (ZZ' + lambda I) alpha = y instead and returns beta = Z'alpha, the same
@@ -352,8 +386,10 @@ def krr_train(Z, y, ridge_lambda):
     Z = np.asarray(Z, dtype=float)
     y = np.asarray(y, dtype=float)
     if Z.shape[0] < Z.shape[1]:
-        return Z.T @ _ridge_solve(Z @ Z.T, y, ridge_lambda)
-    return _ridge_solve(Z.T @ Z, Z.T @ y, ridge_lambda)
+        A = Z @ Z.T
+        return Z.T @ _ridge_solve(A, y, ridge_lambda, factor=A)
+    A = Z.T @ Z
+    return _ridge_solve(A, Z.T @ y, ridge_lambda, factor=A)
 
 
 def krr_predict(beta, Z):
@@ -367,19 +403,23 @@ def regression_error(y_hat, y):
     return err / norm if norm > 0.0 else err
 
 
-def _ridge_error(Z, G, y, m, ridge_lambda):
-    """Test error of the ridge model trained on the first m rows of Z and
-    scored on the others, for G holding the lower triangle of ZZ'.
+def _ridge_error(Z, G, y, m, ridge_lambda, work):
+    """Test error of the ridge model trained on the first m rows and scored
+    on the others, for the map whose ZZ' has its lower triangle in G.
 
-    Z's row blocks are views, so no rows are copied.  A narrow train block
-    (2s <= m) solves the primal system (`krr_train`).  A wide one solves the
-    dual system on G's leading m x m block, which is Z_train Z_train', and
+    A narrow train block (2s <= m) solves the primal system on the map's
+    whole feature matrix Z (`krr_train`); Z's row blocks are views, so no
+    rows are copied.  A wide one, for which Z is None, solves the dual
+    system on G's leading m x m block, which is Z_train Z_train', and
     predicts with its test x train block: y_test = Z_test Z_train' alpha.
+    The dual factor is formed in ``work``, a flat float64 buffer of at least
+    m^2 entries that held Z's chunks, so G stays as it was.
     """
-    if Z.shape[1] <= m:
+    if Z is not None:
         y_hat = krr_predict(krr_train(Z[:m], y[:m], ridge_lambda), Z[m:])
     else:
-        y_hat = G[m:, :m] @ _ridge_solve(G[:m, :m], y[:m], ridge_lambda)
+        factor = work[:m * m].reshape(m, m)
+        y_hat = G[m:, :m] @ _ridge_solve(G[:m, :m], y[:m], ridge_lambda, factor)
     return regression_error(y_hat, y[m:])
 
 
@@ -409,7 +449,7 @@ def run_pipeline(cfg, ds, workers=1):
     def run_cell(args):
         seq, s = args
         if not hasattr(local, "workspace"):
-            local.workspace = _Workspace(gram, max(cfg.s_grid))
+            local.workspace = _Workspace(gram, cfg.s_grid, n_train)
         return _gram_cell(cfg, density, box, work.X, gram, local.workspace, seq, s,
                           with_discrepancy=True, ridge=ridge)
 

@@ -1,6 +1,7 @@
-"""The symmetric BLAS binding behind the Gram-error stage: which library it
-binds, its two routes, the lower-triangle contract and its input guards; and
-the guard that holds scipy's bundled OpenBLAS at one thread."""
+"""The symmetric BLAS and LAPACK binding behind the Gram-error and ridge
+stages: which library it binds, its two routes, the lower-triangle contract
+and its input guards; and the guard that holds scipy's bundled OpenBLAS at
+one thread."""
 
 import json
 import os
@@ -16,7 +17,10 @@ import qmcrff._blas as blas
 from qmcrff.adaptive import OptimizerOptions, optimize_global
 from qmcrff.densities import ProductDensity, transform
 from qmcrff.discrepancy import Box
+from qmcrff.cli import main
+from qmcrff.experiment import _ridge_solve
 from qmcrff.featmap import ExactGram, WeightedFeatureMap, real_feature_matrix
+from qmcrff.ioutil import NumericalError
 from qmcrff.sequences import halton
 
 
@@ -110,6 +114,74 @@ def test_syrk_reads_fortran_ordered_factors(route, n, k):
     assert np.isnan(C[np.triu_indices(n, 1)]).all()
 
 
+@pytest.mark.parametrize("n, k", [(1, 3), (5, 1), (64, 8), (300, 200)])
+def test_syrk_accumulates_column_blocks(route, n, k):
+    # ZZ' summed from column blocks of a Fortran-ordered Z, as the Gram
+    # stage adds its feature chunks; the strict upper triangle stays NaN.
+    Z = np.asfortranarray(np.random.default_rng(n + 2 * k).normal(size=(n, k)))
+    C = np.full((n, n), np.nan)
+    for i, c in enumerate(range(0, k, 3)):
+        blas.syrk_lower(C, Z[:, c:c + 3], accumulate=i > 0)
+    lower = np.tril_indices(n)
+    assert np.allclose(C[lower], (Z @ Z.T)[lower], rtol=0.0, atol=1e-12)
+    assert np.isnan(C[np.triu_indices(n, 1)]).all()
+
+
+def _positive_definite(n, seed):
+    M = np.random.default_rng(seed).normal(size=(n, n + 3))
+    return M @ M.T + 0.1 * np.eye(n)
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 300])
+def test_cholesky_reads_and_writes_the_lower_triangle_only(route, n):
+    # A NaN upper triangle is never read, and stays NaN; the factor and the
+    # solution match dense references to 1e-12 relative.
+    A = _positive_definite(n, n)
+    b = np.random.default_rng(n + 1).normal(size=n)
+    L = _nan_above(A)
+    blas.potrf_lower(L)
+    assert np.isnan(L[np.triu_indices(n, 1)]).all()
+    ref = np.linalg.cholesky(A)
+    assert np.abs(np.tril(L) - ref).max() <= 1e-12 * np.abs(ref).max()
+    b_before = b.copy()
+    x = blas.potrs_lower(L, b)
+    assert np.array_equal(b, b_before)
+    ref = np.linalg.solve(A, b)
+    assert np.abs(x - ref).max() <= 1e-12 * np.abs(ref).max()
+
+
+def test_routes_give_the_same_ridge_solution(monkeypatch):
+    A = _positive_definite(120, 5)
+    b = np.random.default_rng(6).normal(size=120)
+    fast = _ridge_solve(A, b, 1e-3)
+    monkeypatch.setattr(blas, "_kernels", blas._scipy_kernels)
+    assert _ridge_solve(A, b, 1e-3) == pytest.approx(fast, rel=1e-12, abs=1e-12)
+
+
+class TestNotPositiveDefinite:
+    def test_potrf_raises_linalg_error(self, route):
+        A = np.diag([1.0, -1.0, 2.0])
+        with pytest.raises(np.linalg.LinAlgError, match="order 2"):
+            blas.potrf_lower(A)
+
+    def test_ridge_solve_raises_numerical_error(self, route):
+        # An indefinite lower triangle that lambda does not repair.
+        A = np.array([[1.0, np.nan], [3.0, 1.0]])
+        with pytest.raises(NumericalError, match="larger --lambda"):
+            _ridge_solve(A, np.ones(2), 1e-6)
+
+    def test_krr_exits_4(self, tmp_path, capsys, monkeypatch):
+        # All-ones features at s = 8 make the dual system 16 times a matrix
+        # of ones, of rank 1: its second pivot is 16 - 4 * 4 = 0 exactly,
+        # and lambda = 1e-300 vanishes beside 16.
+        monkeypatch.setattr("qmcrff.cli.real_feature_matrix",
+                            lambda fmap, X: np.ones((X.shape[0], 2 * fmap.s)))
+        data = tmp_path / "xy.csv"
+        data.write_text("\n".join(f"{i},{i % 3},{i * i % 5}" for i in range(10)) + "\n")
+        assert main(["krr", "--data", str(data), "--s", "8", "--lambda", "1e-300"]) == 4
+        assert "numerical failure" in capsys.readouterr().err
+
+
 class TestGuards:
     # Every argument is checked before the foreign call, so a bad one raises
     # ValueError instead of reading or writing out of bounds.
@@ -142,6 +214,25 @@ class TestGuards:
     def test_symv_rejects_mismatched_vectors(self, x):
         with pytest.raises(ValueError, match="shape"):
             blas.symv_lower(np.eye(4), x)
+
+    @pytest.mark.parametrize("A", [np.zeros(4), np.zeros((4, 3)), np.zeros((4, 4), order="F"),
+                                   np.zeros((4, 4), dtype=np.float32), np.eye(8)[::2, ::2]])
+    def test_potrf_rejects_bad_matrices(self, A):
+        before = A.copy()
+        with pytest.raises(ValueError):
+            blas.potrf_lower(A)
+        assert np.array_equal(A, before)
+
+    @pytest.mark.parametrize("b", [np.ones(3), np.ones((4, 1)), np.ones((2, 2))])
+    def test_potrs_rejects_mismatched_vectors(self, b):
+        L, before = np.eye(4), b.copy()
+        with pytest.raises(ValueError, match="shape"):
+            blas.potrs_lower(L, b)
+        assert np.array_equal(L, np.eye(4)) and np.array_equal(b, before)
+
+    def test_potrs_rejects_bad_factors(self):
+        with pytest.raises(ValueError):
+            blas.potrs_lower(np.eye(4, dtype=np.float32), np.ones(4))
 
     def test_factors_and_vectors_of_other_layouts_are_copied(self):
         # Only the output and the matrix must be float64 and C-ordered; a

@@ -849,6 +849,27 @@ class TestCommandLine:
         assert not (tmp_path / "f").exists()
 
     @pytest.mark.parametrize("command", [
+        ["optimize", "--mode", "global", "--s", "3", "--d", "2", "--max-iters", "2",
+         "--out", "-", "--out-points", "-"],
+        ["optimize", "--mode", "global", "--s", "3", "--d", "2", "--max-iters", "2",
+         "--out-points", "-"],
+        ["krr", "--s", "4", "--features-out", "-"],
+    ])
+    def test_two_outputs_on_stdout_is_usage_error(self, tmp_path, capsys, monkeypatch,
+                                                  command):
+        # An omitted --out is stdout too.  Two outputs there would interleave
+        # the CSV and the JSON report on one stream; the command never runs.
+        calls = []
+        monkeypatch.setattr("qmcrff.cli.optimize_global", lambda *a, **k: calls.append(a))
+        monkeypatch.setattr("qmcrff.cli.real_feature_matrix", lambda *a, **k: calls.append(a))
+        if command[0] == "krr":
+            command = command + ["--data", _xy_csv(tmp_path, np.eye(4) + 0.5)]
+        assert main(command) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "both write to stdout" in captured.err
+        assert calls == []
+
+    @pytest.mark.parametrize("command", [
         ["generate", "--seq", "halton-scrambled", "--s", "5", "--d", "3"],
         ["transform", "--kernel", "laplacian", "--sigma", "0.5,2"],
     ])

@@ -103,6 +103,34 @@ class TestSincKernel:
                     assert fk == pytest.approx(ref_f, rel=4.0 * eps, abs=0.0)
                     assert abs(dk - ref_d) <= 8.0 * eps * b * b / np.pi
 
+    def test_value_sweep_just_above_its_cutoff_matches_mpmath(self):
+        # The value-only sweep uses angle addition from |b t| =
+        # _NEAR_LAG_VALUE up: sin(b t) is off by about eps absolute there,
+        # so the factor is bounded relative to eps / |b t| (measured at
+        # most 1.04 eps / |b t|, 104 eps at the cutoff).  Entries below the
+        # cutoff come from the series, which the tests above cover.
+        cut = discrepancy_module._NEAR_LAG_VALUE
+        assert cut < discrepancy_module._NEAR_LAG
+        eps = np.finfo(float).eps
+        rng = np.random.default_rng(70)
+        z = np.concatenate([[np.nextafter(cut, 1.0), 1.001 * cut, 1.1 * cut],
+                            np.geomspace(cut, 0.3, 25)[1:]])
+        checked = 0
+        for b in (0.3, 1.0, 2.7, 40.0):
+            for reach in (0.5, 300.0):
+                base = rng.uniform(-reach, reach, z.size) / b
+                W = np.concatenate([base, base + rng.choice([-1.0, 1.0], z.size) * z / b])
+                for r0, r1, f, df in discrepancy_module._pair_blocks(W[:, None], np.array([b]),
+                                                                     slope=False):
+                    assert df is None
+                    t = W[r0:r1, None] - W[None, r0:]
+                    bt = np.abs(b * t)
+                    for i, k in zip(*np.nonzero((bt >= cut) & (bt <= 0.3))):
+                        ref, _ = sinc_reference(b, t[i, k])
+                        assert abs(f[0, i, k] - ref) <= 4.0 * eps / bt[i, k] * abs(ref)
+                        checked += 1
+        assert checked >= 8 * z.size
+
     def test_gram_matches_scalar(self):
         box = Box(b=[1.5, 0.5])
         W = np.random.default_rng(1).normal(size=(5, 2))

@@ -485,15 +485,16 @@ class TestGramMemory:
 
         # A pipeline run holds, per worker, its workspace: the n x n Gram
         # buffer (n^2), the first of which also holds K in its upper half,
-        # and the buffer for Z at the largest s (2 n s_max).  On top of that,
-        # one map at a time per worker builds its discrepancy pass's blocks
-        # (at most 0.07 n^2 here) or its ridge system (at most (2 s_max)^2
-        # or n_train^2, 0.04 n^2 here); 0.1 n^2 covers either.  0.1 n^2 more
-        # covers the row block gram_exact forms K with, K's diagonal kept
-        # aside, and small arrays.  The first config solves primal ridge
-        # systems only; the second, with n_train = 300, takes the dual one at
-        # s = 160.  Measured peaks: 1.12/2.23 and 1.27/2.50 x n^2 * 8 B at
-        # 1/2 workers.
+        # and one buffer for Z's chunks, Z whole where the primal ridge
+        # reads it, and the dual ridge factor (at most 2 n s_max here).  On
+        # top of that, one map at a time per worker builds its discrepancy
+        # pass's blocks or its primal ridge system (at most (2 s_max)^2,
+        # 0.01 n^2 here); 0.1 n^2 covers either.  0.1 n^2 more covers the
+        # row block gram_exact forms K with, K's diagonal kept aside, and
+        # small arrays.  The first config solves primal ridge systems only;
+        # the second, with n_train = 300, takes the dual one at s = 160.
+        # Measured peaks: 1.12/2.22 and 1.21/2.40 x n^2 * 8 B at 1/2
+        # workers.
         n = 1500
         rng = np.random.default_rng(1)
         ds = Dataset(X=rng.normal(size=(n, 2)), y=rng.normal(size=n))
@@ -506,3 +507,23 @@ class TestGramMemory:
             for workers in (1, 2):
                 peak = _traced_peak(lambda: run_pipeline(cfg, ds, workers=workers))
                 assert peak <= (0.1 + workers * (1.1 + 2 * s_max / n)) * n ** 2 * 8
+
+    def test_pipeline_peak_does_not_grow_with_s(self):
+        from qmcrff.experiment import Dataset, ExperimentConfig, run_pipeline
+
+        # At s = 1024 > n the whole Z would be 2 s n = 3.4 n^2 doubles.  Per
+        # worker the pipeline holds its Gram buffer (n^2) and a workspace of
+        # max(256 n, n_train^2) = 0.43 n^2 doubles, which takes Z's
+        # 256-column chunks and the dual ridge factor in turn; 0.17 n^2
+        # more per worker covers its discrepancy pass and small arrays, and
+        # 0.3 n^2 the rest.  Measured peaks: 1.64/3.26 n^2 * 8 B at 1/2
+        # workers; a workspace holding Z whole reads 4.86/9.39.
+        n = self.N
+        rng = np.random.default_rng(2)
+        ds = Dataset(X=rng.normal(size=(n, 2)), y=rng.normal(size=n))
+        cfg = ExperimentConfig(sequences=("halton", "mc"), s_grid=(4, 1024), trials=2,
+                               split=0.5)
+        _traced_peak(lambda: run_pipeline(cfg, ds))
+        for workers in (1, 2):
+            peak = _traced_peak(lambda: run_pipeline(cfg, ds, workers=workers))
+            assert peak <= (0.3 + 1.6 * workers) * n ** 2 * 8
