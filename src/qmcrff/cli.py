@@ -19,13 +19,11 @@ from .adaptive import OptimizerOptions, optimize_global, optimize_greedy, optimi
 from .densities import KERNELS, FrequencySet, ProductDensity, per_dimension, transform
 from .discrepancy import Box, average_case_mc_check, box_discrepancy_gaussian, weighted_discrepancy
 from .experiment import (
-    BASE_SEQUENCES,
     ExperimentConfig,
     _split_indices,
     krr_predict,
     krr_train,
     load_csv,
-    make_pointset,
     regression_error,
     run_gram_experiment,
     run_pipeline,
@@ -34,7 +32,7 @@ from .experiment import (
 from .experiment import Dataset, estimate_box  # noqa: F401
 from .featmap import WeightedFeatureMap, real_feature_matrix
 from .ioutil import DataError, NumericalError, open_output, read_matrix_csv, write_matrix_csv
-from .sequences import UnitPointSet, _clamp_unit, halton
+from .sequences import UNIT_SEQUENCES, UnitPointSet, _clamp_unit, halton, make_pointset
 
 
 def _parse_floats(text):
@@ -92,10 +90,8 @@ def _box_from_args(args, d):
 
 
 def _cmd_generate(args):
-    pts = make_pointset(args.seq, args.s, args.d, seed=args.seed,
-                        start_index=args.start,
-                        generating_vector=np.asarray(args.z, dtype=np.int64)
-                        if args.z else None)
+    pts = make_pointset(args.seq, args.s, args.d, seed=args.seed, start_index=args.start,
+                        generating_vector=args.z)
     if args.json:
         _emit(pts.to_json_dict(), args.out)
     else:
@@ -250,11 +246,11 @@ def build_parser():
         return p
 
     p = sub.add_parser("generate", help="emit a unit-cube point set as CSV")
-    p.add_argument("--seq", choices=BASE_SEQUENCES, required=True)
+    p.add_argument("--seq", choices=tuple(UNIT_SEQUENCES), required=True)
     p.add_argument("--s", type=int, required=True)
     p.add_argument("--d", type=int, required=True)
     p.add_argument("--seed", type=int, default=ExperimentConfig.seed)
-    p.add_argument("--start", type=int, default=1, help="halton start index")
+    p.add_argument("--start", type=int, default=None, help="halton start index (default 1)")
     p.add_argument("--z", type=_parse_ints, default=None, help="lattice generating vector")
     p.add_argument("--json", action="store_true", help="emit the JSON envelope instead")
     p.add_argument("--out", default=None)
@@ -296,7 +292,7 @@ def build_parser():
     p.add_argument("--header", action="store_true")
     add_kernel_flags(p)
     p.add_argument("--s", type=int, required=True)
-    p.add_argument("--seq", choices=BASE_SEQUENCES, default="halton")
+    p.add_argument("--seq", choices=tuple(UNIT_SEQUENCES), default="halton")
     p.add_argument("--lambda", dest="ridge_lambda", type=float,
                    default=ExperimentConfig.ridge_lambda)
     p.add_argument("--split", type=float, default=ExperimentConfig.split)
@@ -311,7 +307,7 @@ def build_parser():
     p.add_argument("--d", type=int, required=True)
     add_kernel_flags(p)
     add_box_flags(p)
-    p.add_argument("--seq", choices=BASE_SEQUENCES, default="halton")
+    p.add_argument("--seq", choices=tuple(UNIT_SEQUENCES), default="halton")
     p.add_argument("--samples", type=int, default=200000)
     p.add_argument("--seed", type=int, default=ExperimentConfig.seed)
     p.add_argument("--out", default=None)

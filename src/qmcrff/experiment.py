@@ -22,12 +22,18 @@ from .densities import KERNELS, FrequencySet, ProductDensity, transform
 from .discrepancy import Box, box_discrepancy_gaussian, weighted_discrepancy
 from .featmap import ExactGram, WeightedFeatureMap, real_feature_matrix
 from .ioutil import DataError, NumericalError, read_matrix_csv
-from .sequences import halton, lattice, mc_uniform
+from .sequences import UNIT_SEQUENCES, halton
 
-BASE_SEQUENCES = ("halton", "halton-scrambled", "lattice", "mc")
-PIPELINE_SEQUENCES = BASE_SEQUENCES + ("adaptive-global", "adaptive-greedy", "weighted")
-
-DEFAULT_KOROBOV_A = 1571
+# The pipeline's sequences beside `UNIT_SEQUENCES`: each maps the Halton
+# frequencies ``base`` of its s, density, box and opts to one trial's
+# (frequencies, weights), looking its optimizer up in this module at call time.
+ADAPTIVE_SEQUENCES = {
+    "adaptive-global": lambda base, density, box, opts: (
+        optimize_global(base, density, box, opts).freqs, None),
+    "adaptive-greedy": lambda base, density, box, opts: (
+        optimize_greedy(base.s, density, box, base, opts).freqs, None),
+    "weighted": lambda base, density, box, opts: (base, optimize_weights(base, density, box)[0]),
+}
 
 # Frequencies per chunk of a feature matrix that `_gram_cell` adds into ZZ':
 # 256 columns of Z.  At n = 1000 and 2s = 1024 the four chunked rank-k
@@ -95,33 +101,6 @@ def estimate_box(ds, box_scale=1.0):
     return Box(b=b).scaled(box_scale)
 
 
-def korobov_vector(s, d):
-    """Default rank-1 generating vector (1, a, a^2, ...) mod s, a = DEFAULT_KOROBOV_A."""
-    if s < 1:
-        raise ValueError(f"korobov_vector requires s >= 1, got {s}")
-    if d < 1:
-        raise ValueError(f"korobov_vector requires d >= 1, got {d}")
-    z = np.empty(d, dtype=np.int64)
-    z[0] = 1 % s if s > 1 else 0
-    for j in range(1, d):
-        z[j] = (z[j - 1] * DEFAULT_KOROBOV_A) % s
-    return z
-
-
-def make_pointset(seq, s, d, seed=0, start_index=1, generating_vector=None):
-    """Unit-cube point set for one of the base sequence names."""
-    if seq == "halton":
-        return halton(s, d, scramble=False, start_index=start_index)
-    if seq == "halton-scrambled":
-        return halton(s, d, scramble=True, start_index=start_index)
-    if seq == "lattice":
-        z = korobov_vector(s, d) if generating_vector is None else generating_vector
-        return lattice(s, d, z)
-    if seq == "mc":
-        return mc_uniform(s, d, seed)
-    raise ValueError(f"unknown sequence {seq!r}; valid names: {', '.join(BASE_SEQUENCES)}")
-
-
 def _cell_seed(*parts):
     return np.random.SeedSequence(tuple(int(p) for p in parts)).generate_state(1)[0]
 
@@ -151,11 +130,10 @@ class ExperimentConfig:
         self.s_grid = tuple(int(v) for v in self.s_grid)
         if self.kernel not in KERNELS:
             raise ValueError(f"unknown kernel {self.kernel!r}; valid: {', '.join(KERNELS)}")
-        bad = [q for q in self.sequences if q not in PIPELINE_SEQUENCES]
+        valid = (*UNIT_SEQUENCES, *ADAPTIVE_SEQUENCES)
+        bad = [q for q in self.sequences if q not in valid]
         if bad:
-            raise ValueError(
-                f"unknown sequence name(s) {bad}; valid names: {', '.join(PIPELINE_SEQUENCES)}"
-            )
+            raise ValueError(f"unknown sequence name(s) {bad}; valid names: {', '.join(valid)}")
         if not self.sequences:
             raise ValueError("sequences must name at least one sequence")
         if len(set(self.sequences)) < len(self.sequences):
@@ -200,31 +178,19 @@ def _subsample(ds, max_n, seed):
 def _frequency_maps_for_cell(cfg, density, box, seq, s, d):
     """All (FrequencySet, weights) trials for one grid cell.
 
-    Deterministic sequences produce a single trial; mc produces
-    cfg.trials independently seeded ones.  Seeds depend only on the
-    configuration and cell coordinates, never on execution order.  Both
-    adaptive optimizers start from Halton under one ``cfg.adapt_iters`` cap.
+    A unit-cube sequence that reads a seed produces cfg.trials independently
+    seeded trials, any other a single one.  Seeds depend only on the
+    configuration and cell coordinates, never on execution order.  Each
+    `ADAPTIVE_SEQUENCES` entry starts from Halton under ``cfg.adapt_iters``.
     """
-    if seq == "mc":
-        out = []
-        for t in range(cfg.trials):
-            seed = _cell_seed(cfg.seed, zlib.crc32(seq.encode()), s, t)
-            pts = mc_uniform(s, d, seed)
-            out.append((transform(pts, density), None))
-        return out
-    if seq in ("halton", "halton-scrambled", "lattice"):
-        return [(transform(make_pointset(seq, s, d), density), None)]
-
-    base = transform(halton(s, d), density)
-    opts = OptimizerOptions(max_iters=cfg.adapt_iters)
-    if seq == "adaptive-global":
-        return [(optimize_global(base, density, box, opts).freqs, None)]
-    if seq == "adaptive-greedy":
-        return [(optimize_greedy(s, density, box, base, opts).freqs, None)]
-    if seq == "weighted":
-        xi, _ = optimize_weights(base, density, box)
-        return [(base, xi)]
-    raise ValueError(f"unknown sequence {seq!r}")
+    if seq in ADAPTIVE_SEQUENCES:
+        base = transform(halton(s, d), density)
+        opts = OptimizerOptions(max_iters=cfg.adapt_iters)
+        return [ADAPTIVE_SEQUENCES[seq](base, density, box, opts)]
+    build, reads = UNIT_SEQUENCES[seq]
+    seeds = ([_cell_seed(cfg.seed, zlib.crc32(seq.encode()), s, t) for t in range(cfg.trials)]
+             if "seed" in reads else [0])
+    return [(transform(build(s, d, seed), density), None) for seed in seeds]
 
 
 def _mean_std(values):

@@ -1,5 +1,5 @@
 """Unit-cube point sets: Halton (plain and deterministically scrambled),
-rank-1 lattices and seeded Monte Carlo.
+rank-1 lattices and seeded Monte Carlo, named in `UNIT_SEQUENCES`.
 
 Every generated coordinate is clamped into [eps, 1-eps] with eps = 2**-52 so
 that downstream inverse-CDF transforms stay finite.  Each point is a pure
@@ -13,9 +13,7 @@ from functools import cache
 import numpy as np
 
 UNIT_EPS = 2.0 ** -52
-
-# "file" marks externally supplied points ingested through the CLI.
-GENERATORS = ("halton", "halton_scrambled", "lattice", "mc", "file")
+DEFAULT_KOROBOV_A = 1571
 
 _PRIME_TABLE_SIZE = 1000
 
@@ -92,8 +90,8 @@ def _clamp_unit(points):
 
 @dataclass
 class UnitPointSet:
-    """s points in the open unit cube (0,1)^d plus generator provenance.
-
+    """s points in the open unit cube (0,1)^d plus provenance: ``generator``
+    names a `UNIT_SEQUENCES` entry, or is "file" for points read from outside.
     ``seed_or_start`` is the RNG seed for ``mc``, the start index for the
     Halton variants, and ignored for ``lattice``.
     """
@@ -106,8 +104,9 @@ class UnitPointSet:
         self.points = np.ascontiguousarray(np.asarray(self.points, dtype=float))
         if self.points.ndim != 2 or self.points.shape[0] < 1 or self.points.shape[1] < 1:
             raise ValueError("points must be an s x d matrix with s >= 1, d >= 1")
-        if self.generator not in GENERATORS:
-            raise ValueError(f"unknown generator {self.generator!r}; valid: {GENERATORS}")
+        valid = (*UNIT_SEQUENCES, "file")
+        if self.generator not in valid:
+            raise ValueError(f"unknown generator {self.generator!r}; valid: {', '.join(valid)}")
         if not np.all(np.isfinite(self.points)):
             raise ValueError("coordinates must be finite")
         if np.any(self.points <= 0.0) or np.any(self.points >= 1.0):
@@ -152,13 +151,14 @@ def halton(s, d, scramble=False, start_index=1):
         base = PRIMES[j]
         perm = digit_reversal_permutation(base) if scramble else None
         points[:, j] = radical_inverse(index, base, perm)
-    generator = "halton_scrambled" if scramble else "halton"
+    generator = "halton-scrambled" if scramble else "halton"
     return UnitPointSet(points=_clamp_unit(points), generator=generator,
                         seed_or_start=start_index)
 
 
-def lattice(s, d, generating_vector):
-    """Rank-1 lattice: point i is frac(i * z / s) componentwise, i = 0..s-1.
+def lattice(s, d, generating_vector=None):
+    """Rank-1 lattice: point i is frac(i * z / s) componentwise, i = 0..s-1,
+    with z the generating vector, `korobov_vector` (s, d) when it is None.
 
     For s > 1 every z_j must be coprime to s, so that each coordinate takes
     all s values k/s; otherwise points coincide in that coordinate, and a
@@ -168,7 +168,8 @@ def lattice(s, d, generating_vector):
         raise ValueError(f"lattice requires s >= 1, got {s}")
     if d < 1:
         raise ValueError(f"lattice requires d >= 1, got {d}")
-    z = np.asarray(generating_vector, dtype=np.int64)
+    z = np.asarray(korobov_vector(s, d) if generating_vector is None else generating_vector,
+                   dtype=np.int64)
     if z.shape != (d,):
         raise ValueError(f"generating_vector must have length d={d}, got shape {z.shape}")
     if s > 1 and np.any(np.gcd(z, s) != 1):
@@ -190,3 +191,39 @@ def mc_uniform(s, d, seed):
     rng = np.random.Generator(np.random.PCG64(seed))
     points = rng.random((s, d))
     return UnitPointSet(points=_clamp_unit(points), generator="mc", seed_or_start=int(seed))
+
+
+def korobov_vector(s, d):
+    """Default rank-1 generating vector (1, a, a^2, ...) mod s, a = DEFAULT_KOROBOV_A."""
+    if s < 1:
+        raise ValueError(f"korobov_vector requires s >= 1, got {s}")
+    if d < 1:
+        raise ValueError(f"korobov_vector requires d >= 1, got {d}")
+    return np.array([pow(DEFAULT_KOROBOV_A, j, s) for j in range(d)], dtype=np.int64)
+
+
+# Name -> (build, reads): ``build(s, d, seed, **params)`` returns the points,
+# given only the keyword ``params`` that ``reads`` names.  A sequence that
+# reads "seed" gives one trial per seed; the others ignore the seed.  Each
+# build calls its generator through this module's name at call time, so a
+# generator rebound on the module (as a tracer does) sees every call.
+UNIT_SEQUENCES = {
+    "halton": (lambda s, d, seed, **kw: halton(s, d, **kw), ("start_index",)),
+    "halton-scrambled": (lambda s, d, seed, **kw: halton(s, d, True, **kw), ("start_index",)),
+    "lattice": (lambda s, d, seed, **kw: lattice(s, d, **kw), ("generating_vector",)),
+    "mc": (lambda s, d, seed: mc_uniform(s, d, seed), ("seed",)),
+}
+
+
+def make_pointset(seq, s, d, seed=0, **params):
+    """s points in d dimensions of the unit-cube sequence named ``seq``.  Each
+    of ``params`` (start_index, generating_vector) that is not None must be
+    one the sequence reads; ``seed`` is always accepted."""
+    if seq not in UNIT_SEQUENCES:
+        raise ValueError(f"unknown sequence {seq!r}; valid names: {', '.join(UNIT_SEQUENCES)}")
+    build, reads = UNIT_SEQUENCES[seq]
+    params = {k: v for k, v in params.items() if v is not None}
+    unread = sorted(params.keys() - set(reads))
+    if unread:
+        raise ValueError(f"sequence {seq!r} does not read {' or '.join(unread)}")
+    return build(s, d, seed, **params)

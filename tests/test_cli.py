@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import subprocess
@@ -9,11 +10,12 @@ import numpy as np
 import pytest
 
 import qmcrff
+from qmcrff import adaptive, sequences
 from qmcrff._blas import syrk_lower
 from qmcrff.adaptive import OptimizerOptions, optimize_greedy
 from qmcrff.cli import _experiment_from_args, build_parser, main
 from qmcrff.experiment import (
-    PIPELINE_SEQUENCES,
+    ADAPTIVE_SEQUENCES,
     Dataset,
     ExperimentConfig,
     _frequency_maps_for_cell,
@@ -21,11 +23,9 @@ from qmcrff.experiment import (
     _ridge_solve,
     _split_indices,
     estimate_box,
-    korobov_vector,
     krr_predict,
     krr_train,
     load_csv,
-    make_pointset,
     regression_error,
     run_gram_experiment,
     run_pipeline,
@@ -41,9 +41,18 @@ from qmcrff.featmap import (
     relative_errors,
 )
 from qmcrff.ioutil import DataError, read_matrix_csv, write_matrix_csv
-from qmcrff.sequences import halton
+from qmcrff.sequences import (
+    UNIT_SEQUENCES,
+    UnitPointSet,
+    halton,
+    korobov_vector,
+    lattice,
+    make_pointset,
+)
 
 from oracles import box_discrepancy_quadrature
+
+PIPELINE_SEQUENCES = (*UNIT_SEQUENCES, *ADAPTIVE_SEQUENCES)
 
 
 def _write(tmp_path, name, text):
@@ -176,13 +185,103 @@ class TestSequenceFactory:
             make_pointset("lattice", 1571, 3)
 
     def test_all_base_names(self):
-        for name in ("halton", "halton-scrambled", "lattice", "mc"):
+        for name in UNIT_SEQUENCES:
             pts = make_pointset(name, 8, 2, seed=1)
             assert pts.points.shape == (8, 2)
 
     def test_unknown_name_lists_valid(self):
         with pytest.raises(ValueError, match="halton"):
             make_pointset("sobol", 8, 2)
+
+    @pytest.mark.parametrize("seq,params,unread", [
+        ("mc", {"start_index": 7}, "start_index"),
+        ("lattice", {"start_index": 1}, "start_index"),
+        ("halton", {"generating_vector": (1, 2)}, "generating_vector"),
+        ("halton-scrambled", {"generating_vector": (1, 2)}, "generating_vector"),
+    ])
+    def test_a_parameter_the_sequence_does_not_read_is_rejected(self, seq, params, unread):
+        with pytest.raises(ValueError, match=rf"sequence '{seq}' does not read {unread}"):
+            make_pointset(seq, 3, 2, **params)
+
+    def test_parameters_the_sequence_reads_are_passed_on(self):
+        assert make_pointset("halton", 3, 2, start_index=5).seed_or_start == 5
+        assert np.array_equal(make_pointset("lattice", 5, 2, generating_vector=(1, 2)).points,
+                              lattice(5, 2, [1, 2]).points)
+        # None stands for an omitted parameter, as an omitted CLI flag passes it.
+        assert make_pointset("mc", 3, 2, seed=4, start_index=None).seed_or_start == 4
+
+
+def _seq_choices(command):
+    """The ``--seq`` choices of a CLI subcommand."""
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    return next(a.choices for a in sub.choices[command]._actions if a.dest == "seq")
+
+
+class TestSequenceRegistry:
+    """Each sequence is one entry of `UNIT_SEQUENCES` or `ADAPTIVE_SEQUENCES`,
+    and every list of names is read from them."""
+
+    def test_names_are_the_registry_names(self):
+        for command in ("generate", "krr", "avgcase-check"):
+            assert tuple(_seq_choices(command)) == tuple(UNIT_SEQUENCES)
+        for name in PIPELINE_SEQUENCES:
+            ExperimentConfig(sequences=(name,))
+        with pytest.raises(ValueError) as err:
+            ExperimentConfig(sequences=("sobol",))
+        assert str(err.value).endswith("valid names: " + ", ".join(PIPELINE_SEQUENCES))
+        assert not set(UNIT_SEQUENCES) & set(ADAPTIVE_SEQUENCES)
+
+    def test_a_new_unit_sequence_reaches_everything_from_its_entry(
+            self, monkeypatch, regression_data, capsys):
+        # monkeypatch puts the registry back as it was after the test.
+        monkeypatch.setitem(UNIT_SEQUENCES, "toy", (
+            lambda s, d, seed: UnitPointSet(points=halton(s, d, start_index=9).points,
+                                            generator="toy"), ()))
+        for command in ("generate", "krr", "avgcase-check"):
+            assert "toy" in _seq_choices(command)
+        assert main(["generate", "--seq", "toy", "--s", "3", "--d", "2", "--json"]) == 0
+        assert json.loads(capsys.readouterr().out)["generator"] == "toy"
+        cfg = ExperimentConfig(sigma=(1.0,), sequences=("halton", "toy"), s_grid=(4, 8),
+                               trials=2)
+        cells = {(c["label"], c["s"]): c for c in run_pipeline(cfg, regression_data)["cells"]}
+        assert set(cells) == {(q, s) for q in ("halton", "toy") for s in (4, 8)}
+        assert cells[("toy", 8)]["trials"] == 1
+        toy, plain = cells[("toy", 8)], cells[("halton", 8)]
+        assert toy["relative_frobenius"] != plain["relative_frobenius"]
+
+    def test_a_new_adaptive_sequence_reaches_the_pipeline_from_its_entry(
+            self, monkeypatch, regression_data):
+        monkeypatch.setitem(ADAPTIVE_SEQUENCES, "toy-adaptive",
+                            lambda base, density, box, opts: (base, None))
+        assert "toy-adaptive" not in _seq_choices("generate")
+        cfg = ExperimentConfig(sigma=(1.0,), sequences=("halton", "toy-adaptive"),
+                               s_grid=(8,))
+        halton_cell, toy_cell = run_pipeline(cfg, regression_data)["cells"]
+        # The toy keeps its Halton start, so its cell is Halton's under its own label.
+        assert toy_cell["label"] == "toy-adaptive"
+        assert toy_cell == dict(halton_cell, label="toy-adaptive")
+
+    def test_rebound_generators_and_optimizers_see_every_call(self, monkeypatch, regression_data):
+        # A tracer rebinds a function in every qmcrff namespace that binds it;
+        # a registry entry holding the original would bypass the rebinding.
+        calls = {"halton": 0, "optimize_global": 0}
+        for module, name in ((sequences, "halton"), (adaptive, "optimize_global")):
+            fn = getattr(module, name)
+
+            def counted(*args, _fn=fn, _name=name, **kwargs):
+                calls[_name] += 1
+                return _fn(*args, **kwargs)
+
+            for mod_name, mod in list(sys.modules.items()):
+                if mod_name == "qmcrff" or mod_name.startswith("qmcrff."):
+                    for key, value in list(vars(mod).items()):
+                        if value is fn:
+                            monkeypatch.setattr(mod, key, counted)
+        halton_cells = ("halton", "halton-scrambled", "adaptive-global", "weighted")
+        cfg = ExperimentConfig(sigma=(1.0,), sequences=halton_cells + ("lattice", "mc"),
+                               s_grid=(4, 8), trials=2, adapt_iters=2)
+        run_pipeline(cfg, regression_data)
+        assert calls == {"halton": 2 * len(halton_cells), "optimize_global": 2}
 
 
 class TestKrr:
@@ -517,6 +616,18 @@ class TestCommandLine:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "[2, 0]" in captured.err and "s=4" in captured.err
+
+    @pytest.mark.parametrize("seq,flags,unread", [
+        ("halton", ["--s", "3", "--z", "2,0"], "generating_vector"),
+        ("mc", ["--s", "3", "--start", "7"], "start_index"),
+        ("lattice", ["--s", "3", "--start", "0"], "start_index"),
+    ])
+    def test_generate_rejects_a_flag_the_sequence_does_not_read(self, seq, flags, unread,
+                                                                capsys):
+        assert main(["generate", "--seq", seq, "--d", "2"] + flags) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"sequence '{seq}' does not read {unread}" in captured.err
 
     def test_unknown_sequence_is_usage_error(self):
         with pytest.raises(SystemExit) as err:

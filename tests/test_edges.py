@@ -24,18 +24,18 @@ from qmcrff.discrepancy import (
     gaussian_value_and_grad,
 )
 from qmcrff.experiment import (
-    PIPELINE_SEQUENCES,
+    ADAPTIVE_SEQUENCES,
     Dataset,
     ExperimentConfig,
     _frequency_maps_for_cell,
     _prologue,
-    make_pointset,
     run_pipeline,
 )
 from qmcrff.featmap import WeightedFeatureMap, real_feature_matrix
-from qmcrff.sequences import UNIT_EPS, UnitPointSet
+from qmcrff.sequences import UNIT_EPS, UNIT_SEQUENCES, UnitPointSet, make_pointset
 
 EPS = np.finfo(float).eps
+PIPELINE_SEQUENCES = (*UNIT_SEQUENCES, *ADAPTIVE_SEQUENCES)
 KKT_TOL = 1e-8
 
 _log_sigma = st.floats(-8.0, 8.0, allow_nan=False)
@@ -97,7 +97,7 @@ class TestSingleFrequency:
 class TestBandwidthExtremes:
     @settings(max_examples=40, deadline=None)
     @given(log_sigma=st.lists(_log_sigma, min_size=1, max_size=3),
-           seq=st.sampled_from(["halton", "halton-scrambled", "lattice", "mc"]),
+           seq=st.sampled_from(list(UNIT_SEQUENCES)),
            s=st.integers(1, 12), seed=st.integers(0, 2 ** 16))
     @example(log_sigma=[8.0, 8.0], seq="halton", s=4, seed=0)
     def test_discrepancy_gradient_and_features(self, log_sigma, seq, s, seed):

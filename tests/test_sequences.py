@@ -5,10 +5,12 @@ from hypothesis import given, strategies as st
 from qmcrff.sequences import (
     PRIMES,
     UNIT_EPS,
+    UNIT_SEQUENCES,
     UnitPointSet,
     digit_reversal_permutation,
     halton,
     lattice,
+    make_pointset,
     mc_uniform,
     radical_inverse,
 )
@@ -132,8 +134,13 @@ class TestHalton:
 
     def test_provenance(self):
         pts = halton(4, 2, scramble=True, start_index=3)
-        assert pts.generator == "halton_scrambled"
+        assert pts.generator == "halton-scrambled"
         assert pts.seed_or_start == 3
+
+
+@pytest.mark.parametrize("name", list(UNIT_SEQUENCES))
+def test_provenance_is_the_registry_name(name):
+    assert make_pointset(name, 8, 2).generator == name
 
 
 class TestLattice:
