@@ -6,7 +6,6 @@ from .adaptive import (
     OptimizerOptions,
     OptTrace,
     discrepancy_gradient,
-    nonlinear_cg,
     optimize_global,
     optimize_greedy,
     optimize_weights,
@@ -24,12 +23,9 @@ from .discrepancy import (
 )
 from .featmap import (
     WeightedFeatureMap,
-    approx_kernel,
-    feature_vector,
     gram_approx,
     gram_exact,
     real_feature_matrix,
-    real_feature_vector,
     relative_errors,
     spectral_norm,
 )
@@ -56,25 +52,21 @@ __all__ = [
     "ProductDensity",
     "UnitPointSet",
     "WeightedFeatureMap",
-    "approx_kernel",
     "assemble_H_v",
     "average_case_mc_check",
     "box_discrepancy_gaussian",
     "discrepancy_gradient",
     "expected_mc_discrepancy",
-    "feature_vector",
     "gram_approx",
     "gram_exact",
     "halton",
     "lattice",
     "mc_uniform",
-    "nonlinear_cg",
     "optimize_global",
     "optimize_greedy",
     "optimize_weights",
     "radical_inverse",
     "real_feature_matrix",
-    "real_feature_vector",
     "relative_errors",
     "spectral_norm",
     "transform",

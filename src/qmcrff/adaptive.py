@@ -90,9 +90,13 @@ def discrepancy_gradient(freqs, density, box):
     return gaussian_value_and_grad(freqs.points, density, box)[1]
 
 
-def nonlinear_cg(objective, gradient, x0, opts):
+def nonlinear_cg(value_and_grad, x0, opts):
     """Polak-Ribiere-plus conjugate gradient with Armijo backtracking.
 
+    ``value_and_grad(x)`` returns the objective and its gradient at x, a
+    float and a new 1-D array, as scipy's ``minimize`` takes with
+    ``jac=True``; it is called once per trial point, and the gradient of
+    the point a step accepts is the one its line search computed.
     Restarts to steepest descent every n iterations, for n variables, and
     whenever the conjugate direction fails to be a descent direction.
     Accepted steps never increase the objective.  A line search that
@@ -100,10 +104,9 @@ def nonlinear_cg(objective, gradient, x0, opts):
     """
     x = np.asarray(x0, dtype=float).copy()
     restart = max(1, x.size)
-    f = float(objective(x))
+    f, g = value_and_grad(x)
     if not math.isfinite(f):
         raise ValueError(f"objective is not finite at the starting point: {f}")
-    g = np.asarray(gradient(x), dtype=float).ravel().copy()
     gnorm = float(np.linalg.norm(g))
     trace = OptTrace(x=x, objective_values=[f], grad_norms=[gnorm])
     if gnorm <= opts.grad_tol:
@@ -122,7 +125,7 @@ def nonlinear_cg(objective, gradient, x0, opts):
         accepted = False
         while alpha >= _MIN_STEP:
             x_new = x + alpha * direction
-            f_new = float(objective(x_new))
+            f_new, g_new = value_and_grad(x_new)
             if math.isfinite(f_new) and f_new <= f + _ARMIJO_C * alpha * gd:
                 accepted = True
                 break
@@ -143,10 +146,9 @@ def nonlinear_cg(objective, gradient, x0, opts):
             cand = -gd * alpha * alpha / denom
             if math.isfinite(cand) and _MIN_STEP <= cand <= 10.0 * alpha:
                 x_cand = x + cand * direction
-                f_cand = float(objective(x_cand))
+                f_cand, g_cand = value_and_grad(x_cand)
                 if f_cand < f_new and f_cand <= f + _ARMIJO_C * cand * gd:
-                    alpha, x_new, f_new = cand, x_cand, f_cand
-        g_new = np.asarray(gradient(x_new), dtype=float).ravel().copy()
+                    alpha, x_new, f_new, g_new = cand, x_cand, f_cand, g_cand
         beta = max(0.0, float(g_new @ (g_new - g)) / float(g @ g))
         if it % restart == 0:
             beta = 0.0
@@ -252,28 +254,21 @@ def optimize_greedy(t_points, density, box, init_freqs, opts):
         fixed = points[:t]
         s = t + 1
 
-        def new_sums(w):
-            # Sinc kernel of w against the fixed points, and w's cross term.
-            pairs = float(np.prod(_sinc_factor(b, w - fixed), axis=1).sum())
-            return pairs, float(np.prod(factors(w[None, :])))
-
-        def objective(w):
-            pairs, cross = new_sums(w)
-            term1 = (pair_sum + 2.0 * pairs + self_pair) / (s * s)
-            term2 = -2.0 / s * (cross_sum + cross)
-            return term1 + term2 + term3
-
-        def gradient(w):
+        def value_and_grad(w):
+            # w's sinc factors against the fixed points, its cross factors.
             f, df = _sinc_factor(b, w - fixed, slope=True)
             W = w[None, :]
             G = factors(W)
-            return ((2.0 / (s * s)) * (df * _exclusive_products(f)).sum(axis=0)
+            term1 = (pair_sum + 2.0 * float(np.prod(f, axis=1).sum()) + self_pair) / (s * s)
+            term2 = -2.0 / s * (cross_sum + float(np.prod(G)))
+            grad = ((2.0 / (s * s)) * (df * _exclusive_products(f)).sum(axis=0)
                     - (2.0 / s) * (slopes(W, G) * _exclusive_products(G))[0])
+            return term1 + term2 + term3, grad
 
-        inner = nonlinear_cg(objective, gradient, init_freqs.points[t], opts)
-        pairs, cross = new_sums(inner.x)
+        inner = nonlinear_cg(value_and_grad, init_freqs.points[t], opts)
+        pairs = float(np.prod(_sinc_factor(b, inner.x - fixed), axis=1).sum())
         pair_sum += 2.0 * pairs + self_pair
-        cross_sum += cross
+        cross_sum += float(np.prod(factors(inner.x[None, :])))
         points[t] = inner.x
         trace.objective_values.append(inner.objective_values[-1])
         trace.grad_norms.append(inner.grad_norms[-1])

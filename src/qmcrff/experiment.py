@@ -312,21 +312,18 @@ def run_gram_experiment(cfg, ds):
             for seq in cfg.sequences for s in cfg.s_grid]
 
 
-def _ridge_solve(A, b, ridge_lambda, factor=None):
+def _ridge_solve(A, b, ridge_lambda, factor):
     """x solving (A + lambda I) x = b by Cholesky, for the symmetric A whose
     lower triangle A holds; A's strict upper triangle is not read.
 
-    The factor is formed in ``factor``, an m x m C-contiguous float64 array,
-    or in a new one when it is None: A is copied there, unless ``factor`` is
-    A itself, which is then overwritten.  It runs on numpy's own OpenBLAS
-    (`potrf_lower`, `potrs_lower`), in the thread pool that formed the
-    matrix.  scipy bundles a second OpenBLAS; on few cores its threads
-    contend with numpy's, which spin for a while after each call, and a
-    scipy Cholesky right after numpy's product stalled for up to ~0.1 s on
-    2 vCPUs.
+    The factor is formed in ``factor``, an m x m C-contiguous float64 array:
+    A is copied there, unless ``factor`` is A itself, which is then
+    overwritten.  It runs on numpy's own OpenBLAS (`potrf_lower`,
+    `potrs_lower`), in the thread pool that formed the matrix.  scipy
+    bundles a second OpenBLAS; on few cores its threads contend with
+    numpy's, which spin for a while after each call, and a scipy Cholesky
+    right after numpy's product stalled for up to ~0.1 s on 2 vCPUs.
     """
-    if factor is None:
-        factor = np.empty(A.shape)
     if factor is not A:
         np.copyto(factor, A)
     np.fill_diagonal(factor, np.diagonal(factor) + ridge_lambda)

@@ -44,23 +44,9 @@ class WeightedFeatureMap:
         return self.freqs.d
 
 
-def feature_vector(fmap, x):
-    """Complex feature vector with component l equal to sqrt(xi_l) e^{-i x.w_l}."""
-    phases = np.asarray(x, dtype=float) @ fmap.freqs.points.T
-    return np.sqrt(fmap.weights) * np.exp(-1j * phases)
-
-
-def real_feature_vector(fmap, x):
-    """cos/sin realization: (sqrt(xi_l) cos(x.w_l), sqrt(xi_l) sin(x.w_l)).
-
-    Its Euclidean inner product reproduces Re approx_kernel exactly.  It is
-    row 0 of `real_feature_matrix` on the one-row input.
-    """
-    return real_feature_matrix(fmap, np.asarray(x, dtype=float)[None])[0]
-
-
 def real_feature_matrix(fmap, X, out=None):
-    """Row i is real_feature_vector(fmap, X[i]); shape (n, 2s).
+    """Row i is the cos/sin realization (sqrt(xi_l) cos(x_i.w_l),
+    sqrt(xi_l) sin(x_i.w_l)) of the feature map at X[i]; shape (n, 2s).
 
     cos and sin of the phase theta = x.w_l come from the half-angle tangent
     t = tan(theta / 2).  With r = sqrt(xi_l) / (1 + t^2), sqrt(xi_l) cos theta
@@ -95,24 +81,19 @@ def real_feature_matrix(fmap, X, out=None):
     return Zt.T
 
 
-def approx_kernel(fmap, x, z):
-    """Feature-map kernel estimate sum_l xi_l e^{-i (x-z).w_l} (Hermitian in x, z)."""
-    delta = np.asarray(x, dtype=float) - np.asarray(z, dtype=float)
-    phases = fmap.freqs.points @ delta
-    return complex(np.sum(fmap.weights * np.exp(-1j * phases)))
-
-
 def gram_exact(density, X):
     """Exact kernel Gram matrix of the rows of X (PSD, unit diagonal).
 
     K is built in place, one block of `_ROW_BLOCK` rows at a time, so the
     only temporary is one block.  The Gaussian exponent G_ij - (h_i + h_j),
-    with G = Xs Xs' and h = |Xs_i|^2 / 2, is bitwise -d2/2 for the squared
-    distance d2 = sq_i + sq_j - 2 G_ij, since halving is exact.  The
-    Laplacian exponent subtracts |Xs_ij - Xs_kj| from zero one dimension at
-    a time, which is bitwise the negated sum, since rounding is symmetric
-    under negation.  K is exactly symmetric: G comes from a symmetric
-    rank-k update, the outer sum is symmetric and |a - b| = |b - a|.
+    with G = Xs Xs' and h = G_ii / 2 read from the product itself, is
+    bitwise -d2/2 for the squared distance d2 = G_ii + G_jj - 2 G_ij, since
+    halving is exact, and exactly 0 at i = j.  The Laplacian exponent
+    subtracts |Xs_ij - Xs_kj| from zero one dimension at a time, which is
+    bitwise the negated sum, since rounding is symmetric under negation, and
+    exactly 0 at i = j.  So the diagonal is exactly 1.  K is exactly
+    symmetric: G comes from a symmetric rank-k update, the outer sum is
+    symmetric and |a - b| = |b - a|.
     """
     X = np.asarray(X, dtype=float)
     n = X.shape[0]
@@ -123,8 +104,8 @@ def gram_exact(density, X):
     Xs = X / density.scale[None, :]
     gaussian = density.kind == GAUSSIAN
     if gaussian:
-        h = 0.5 * np.sum(Xs * Xs, axis=1)
         K = Xs @ Xs.T
+        h = 0.5 * np.diagonal(K).copy()  # a copy: the block loop overwrites K
     else:
         K = np.zeros((n, n))
     T = np.empty((min(n, _ROW_BLOCK), n))
@@ -220,14 +201,13 @@ class ExactGram:
     K is exactly symmetric, so its strict upper half holds all of it, and
     nothing writes that half after construction: any number of workers
     read K at once.  The array's lower triangle and diagonal are one
-    worker's Gram buffer (`gram_buffer`); K's diagonal is kept aside.
+    worker's Gram buffer (`gram_buffer`); K's diagonal is exactly 1.
     ``norms`` is (spectral, frobenius) of the full K.
     """
 
     def __init__(self, density, X):
         K = gram_exact(density, X)
         self.norms = spectral_norm(K), float(np.linalg.norm(K))
-        self._diag = np.diagonal(K).copy()
         self._tri = np.tri(min(K.shape[0], _ROW_BLOCK), dtype=bool)
         # Where row i's diagonal entry falls in a block's flat lower triangle.
         self._diag_at = np.cumsum(np.arange(1, len(self._tri) + 1)) - 1
@@ -251,9 +231,9 @@ class ExactGram:
         G's lower triangle is overwritten with E = K - ZZ', one block of
         `_ROW_BLOCK` rows at a time, K read transposed from its upper half
         (0.15-1.2 ms more per map at n = 800-1500 than untransposed reads,
-        2-vCPU VM) and its diagonal from the saved copy.  G's strict upper triangle is
-        neither read nor written, so G may be the array that holds K.  The
-        norms are nonzero since K has a unit diagonal.  ||E||_F^2 is twice
+        2-vCPU VM) and its unit diagonal written in.  G's strict upper
+        triangle is neither read nor written, so G may be the array that
+        holds K.  The norms are nonzero since K has a unit diagonal.  ||E||_F^2 is twice
         the lower triangle's sum of squares less the diagonal's.
         """
         K = self._store
@@ -274,7 +254,7 @@ class ExactGram:
                 sum_sq += np.einsum("ij,ij->", E, E)
                 S, lower = G[r0:r1, r0:r1], self._tri[:r1 - r0, :r1 - r0]
                 e = K[r0:r1, r0:r1].T[lower]
-                e[self._diag_at[:r1 - r0]] = self._diag[r0:r1]
+                e[self._diag_at[:r1 - r0]] = 1.0
                 e -= S[lower]
                 S[lower] = e
                 sum_sq += e @ e

@@ -1,5 +1,6 @@
 """Independent reference implementations the tests check the package
-against.  None of them shares code with what it checks."""
+against.  None of them shares code with what it checks, except
+`real_feature_vector`, which is one row of `real_feature_matrix`."""
 
 import math
 
@@ -7,6 +8,7 @@ import numpy as np
 import pytest
 
 from qmcrff.densities import GAUSSIAN
+from qmcrff.featmap import real_feature_matrix
 
 
 def sinc_kernel(box, u, v):
@@ -46,15 +48,39 @@ def exact_kernel(density, x, z):
     return float(np.exp(-np.sum(np.abs(delta) / density.scale)))
 
 
+def feature_vector(fmap, x):
+    """Complex feature vector with component l equal to sqrt(xi_l) e^{-i x.w_l}."""
+    phases = np.asarray(x, dtype=float) @ fmap.freqs.points.T
+    return np.sqrt(fmap.weights) * np.exp(-1j * phases)
+
+
+def real_feature_vector(fmap, x):
+    """cos/sin realization: (sqrt(xi_l) cos(x.w_l), sqrt(xi_l) sin(x.w_l)).
+
+    Its Euclidean inner product reproduces Re approx_kernel exactly.  It is
+    row 0 of `real_feature_matrix` on the one-row input.
+    """
+    return real_feature_matrix(fmap, np.asarray(x, dtype=float)[None])[0]
+
+
+def approx_kernel(fmap, x, z):
+    """Feature-map kernel estimate sum_l xi_l e^{-i (x-z).w_l} (Hermitian in x, z)."""
+    delta = np.asarray(x, dtype=float) - np.asarray(z, dtype=float)
+    phases = fmap.freqs.points @ delta
+    return complex(np.sum(fmap.weights * np.exp(-1j * phases)))
+
+
 def gram_exact_reference(density, X):
     """The exact Gram matrix by the direct expressions: exp(-d2/2) with
     d2 = max(sq_i + sq_j - 2 <x_i, x_j>, 0) on the scaled rows for the
-    Gaussian kernel, exp(-sum_j |x_ij - x_kj| / sigma_j) summed one
+    Gaussian kernel, sq taken from the same product's diagonal so that
+    d2 = 0 at i = j, and exp(-sum_j |x_ij - x_kj| / sigma_j) summed one
     dimension at a time for the Laplacian one."""
     Xs = np.asarray(X, dtype=float) / density.scale[None, :]
     if density.kind == GAUSSIAN:
-        sq = np.sum(Xs * Xs, axis=1)
-        d2 = sq[:, None] + sq[None, :] - 2.0 * (Xs @ Xs.T)
+        G = Xs @ Xs.T
+        sq = np.diagonal(G)
+        d2 = sq[:, None] + sq[None, :] - 2.0 * G
         np.maximum(d2, 0.0, out=d2)
         return np.exp(-0.5 * d2)
     acc = np.zeros((Xs.shape[0], Xs.shape[0]))

@@ -28,10 +28,15 @@ from qmcrff.discrepancy import (
     gaussian_discrepancy_terms,
     weighted_discrepancy,
 )
-from qmcrff.featmap import WeightedFeatureMap, approx_kernel, real_feature_vector
+from qmcrff.featmap import WeightedFeatureMap
 from qmcrff.sequences import halton, mc_uniform
 
-from oracles import box_discrepancy_quadrature
+from oracles import (
+    approx_kernel,
+    box_discrepancy_quadrature,
+    feature_vector,
+    real_feature_vector,
+)
 
 
 def _check(num, description, passed):
@@ -269,8 +274,6 @@ def test_criterion_10_feature_map_identities():
     fmap = WeightedFeatureMap(freqs=freqs)
     worst_norm = 0.0
     worst_ip = 0.0
-    from qmcrff.featmap import feature_vector
-
     for _ in range(1000):
         x, z = rng.normal(size=3), rng.normal(size=3)
         psi = feature_vector(fmap, x)

@@ -440,7 +440,7 @@ class TestNonlinearCg:
     def test_convex_quadratic_converges(self):
         A, rhs, obj, grad = self._quadratic()
         opts = OptimizerOptions(max_iters=200, grad_tol=1e-8)
-        trace = nonlinear_cg(obj, grad, np.zeros(5), opts)
+        trace = nonlinear_cg(lambda x: (obj(x), grad(x)), np.zeros(5), opts)
         assert trace.converged
         assert trace.grad_norms[-1] < 1e-8
         assert np.allclose(trace.x, np.linalg.solve(A, rhs), atol=1e-6)
@@ -451,21 +451,40 @@ class TestNonlinearCg:
             -2 * (1 - x[0]) - 400 * x[0] * (x[1] - x[0] ** 2),
             200 * (x[1] - x[0] ** 2)])
         opts = OptimizerOptions(max_iters=150, grad_tol=1e-12)
-        trace = nonlinear_cg(rosen, rosen_grad, np.array([-1.2, 1.0]), opts)
+        trace = nonlinear_cg(lambda x: (rosen(x), rosen_grad(x)), np.array([-1.2, 1.0]), opts)
         diffs = np.diff(trace.objective_values)
         assert np.all(diffs <= 1e-15)
+
+    def test_each_point_is_evaluated_once(self):
+        # One call returns value and gradient, so no trial point (start,
+        # backtrack or interpolation refinement) is evaluated twice.
+        seen = []
+
+        def rosen(x):
+            seen.append(x.tobytes())
+            return ((1 - x[0]) ** 2 + 100 * (x[1] - x[0] ** 2) ** 2,
+                    np.array([-2 * (1 - x[0]) - 400 * x[0] * (x[1] - x[0] ** 2),
+                              200 * (x[1] - x[0] ** 2)]))
+
+        trace = nonlinear_cg(rosen, np.array([-1.2, 1.0]),
+                             OptimizerOptions(max_iters=150, grad_tol=1e-12))
+        assert trace.n_iters > 0
+        assert len(seen) > trace.n_iters
+        assert len(set(seen)) == len(seen)
 
     def test_stationary_start_returns_immediately(self):
         A, rhs, obj, grad = self._quadratic(seed=1)
         x_star = np.linalg.solve(A, rhs)
-        trace = nonlinear_cg(obj, grad, x_star, OptimizerOptions(grad_tol=1e-6))
+        trace = nonlinear_cg(lambda x: (obj(x), grad(x)), x_star,
+                             OptimizerOptions(grad_tol=1e-6))
         assert trace.n_iters == 0
         assert trace.converged
         assert np.array_equal(trace.x, x_star)
 
     def test_max_iters_zero_keeps_start(self):
         A, rhs, obj, grad = self._quadratic(seed=2)
-        trace = nonlinear_cg(obj, grad, np.ones(5), OptimizerOptions(max_iters=0))
+        trace = nonlinear_cg(lambda x: (obj(x), grad(x)), np.ones(5),
+                             OptimizerOptions(max_iters=0))
         assert trace.n_iters == 0
         assert np.array_equal(trace.x, np.ones(5))
 

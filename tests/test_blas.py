@@ -153,9 +153,9 @@ def test_cholesky_reads_and_writes_the_lower_triangle_only(route, n):
 def test_routes_give_the_same_ridge_solution(monkeypatch):
     A = _positive_definite(120, 5)
     b = np.random.default_rng(6).normal(size=120)
-    fast = _ridge_solve(A, b, 1e-3)
+    fast = _ridge_solve(A, b, 1e-3, np.empty_like(A))
     monkeypatch.setattr(blas, "_kernels", blas._scipy_kernels)
-    assert _ridge_solve(A, b, 1e-3) == pytest.approx(fast, rel=1e-12, abs=1e-12)
+    assert _ridge_solve(A, b, 1e-3, np.empty_like(A)) == pytest.approx(fast, rel=1e-12, abs=1e-12)
 
 
 class TestNotPositiveDefinite:
@@ -168,7 +168,7 @@ class TestNotPositiveDefinite:
         # An indefinite lower triangle that lambda does not repair.
         A = np.array([[1.0, np.nan], [3.0, 1.0]])
         with pytest.raises(NumericalError, match="larger --lambda"):
-            _ridge_solve(A, np.ones(2), 1e-6)
+            _ridge_solve(A, np.ones(2), 1e-6, np.empty_like(A))
 
     def test_krr_exits_4(self, tmp_path, capsys, monkeypatch):
         # All-ones features at s = 8 make the dual system 16 times a matrix

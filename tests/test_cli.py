@@ -318,7 +318,7 @@ class TestKrr:
         A = np.tril(Z @ Z.T)
         A[np.triu_indices(rows, 1)] = np.nan
         before = A.copy()
-        alpha = _ridge_solve(A, y, 1e-2)
+        alpha = _ridge_solve(A, y, 1e-2, np.empty_like(A))
         assert np.array_equal(A, before, equal_nan=True)
         assert np.allclose((Z @ Z.T + 1e-2 * np.eye(rows)) @ alpha, y, rtol=0.0, atol=1e-10)
 
@@ -707,6 +707,18 @@ class TestCommandLine:
                 "--seq", ",".join(PIPELINE_SEQUENCES), "--trials", "1",
                 "--max-iters", "2", "--out", str(tmp_path / "rep.json")]
         assert "scipy.stats" not in _scipy_modules_after(argv)
+
+    def test_greedy_pipeline_leaves_scipy_optimize_unimported(self, tmp_path):
+        # Greedy's inner solves run on the package's own conjugate gradient;
+        # importing scipy.optimize would add about a tenth of a second to
+        # every greedy CLI run.
+        rows = np.random.default_rng(8).normal(size=(24, 3))
+        data = _write(tmp_path, "xy.csv",
+                      "\n".join(",".join("%.17g" % v for v in r) for r in rows) + "\n")
+        argv = ["pipeline", "--data", data, "--target", "--s", "4",
+                "--seq", "halton,adaptive-greedy", "--trials", "1",
+                "--max-iters", "2", "--out", str(tmp_path / "rep.json")]
+        assert "scipy.optimize" not in _scipy_modules_after(argv)
 
     @pytest.mark.parametrize("command", ["generate", "transform", "discrepancy"])
     def test_sequence_commands_leave_scipy_linalg_and_optimize_unimported(
