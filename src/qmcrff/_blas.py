@@ -1,5 +1,6 @@
 """Symmetric BLAS kernels and a Cholesky factor-and-solve on the lower
-triangle of row-major float64 arrays.
+triangle of float64 arrays: row-major ones, and for `syrk_lower` and
+`symv_lower` also column-major ones.
 
 The kernels come from the OpenBLAS bundled in numpy's wheel, so they run in
 the thread pool that numpy's own matrix products use.  Where numpy bundles
@@ -18,7 +19,8 @@ from functools import cache
 import numpy as np
 
 # CBLAS enum values
-_ROW_MAJOR, _LOWER, _NO_TRANS, _TRANS, _NON_UNIT = 101, 122, 111, 112, 131
+_ROW_MAJOR, _COL_MAJOR = 101, 102
+_LOWER, _NO_TRANS, _TRANS, _NON_UNIT = 122, 111, 112, 131
 
 
 @cache
@@ -82,14 +84,20 @@ def _scipy_blas_single_thread():
 def _scipy_syrk(C, Z, beta):
     from scipy.linalg.blas import dsyrk
 
-    # C.T is Fortran-ordered, and its upper triangle is C's lower one.
-    dsyrk(1.0, Z.T, beta=beta, c=C.T, trans=1, lower=0, overwrite_c=1)
+    # A C-ordered C's transpose is Fortran-ordered, and its upper triangle
+    # is C's lower one; a Fortran-ordered C is passed as it is.
+    if C.flags.c_contiguous:
+        dsyrk(1.0, Z.T, beta=beta, c=C.T, trans=1, lower=0, overwrite_c=1)
+    else:
+        dsyrk(1.0, Z.T, beta=beta, c=C, trans=1, lower=1, overwrite_c=1)
 
 
 def _scipy_symv(A, x):
     from scipy.linalg.blas import dsymv
 
-    return dsymv(1.0, A.T, x, lower=0)
+    if A.flags.c_contiguous:
+        return dsymv(1.0, A.T, x, lower=0)
+    return dsymv(1.0, A, x, lower=1)
 
 
 def _scipy_potrf(A):
@@ -130,17 +138,23 @@ def _kernels():
     dpotrf.argtypes = (ctypes.c_char_p, i64_ptr, ptr, i64_ptr, i64_ptr)
     dtrsv.argtypes = (enum, enum, enum, enum, i64, ptr, i64, ptr, i64)
 
+    def order(A):
+        return _ROW_MAJOR if A.flags.c_contiguous else _COL_MAJOR
+
     def syrk(C, Z, beta):
         n, k = Z.shape
-        # A Fortran-ordered Z is its row-major transpose, read with Trans.
-        trans, lda = (_NO_TRANS, k) if Z.flags.c_contiguous else (_TRANS, n)
-        dsyrk(_ROW_MAJOR, _LOWER, trans, n, k, 1.0, Z.ctypes.data, max(lda, 1),
+        # Z in the other order than C is its transpose in C's order, read
+        # with Trans; either way its leading dimension is its row length
+        # if C-ordered and its column length if Fortran-ordered.
+        trans = _NO_TRANS if order(Z) == order(C) else _TRANS
+        lda = k if Z.flags.c_contiguous else n
+        dsyrk(order(C), _LOWER, trans, n, k, 1.0, Z.ctypes.data, max(lda, 1),
               beta, C.ctypes.data, max(n, 1))
 
     def symv(A, x):
         n = x.shape[0]
         y = np.empty(n)
-        dsymv(_ROW_MAJOR, _LOWER, n, 1.0, A.ctypes.data, max(n, 1), x.ctypes.data, 1,
+        dsymv(order(A), _LOWER, n, 1.0, A.ctypes.data, max(n, 1), x.ctypes.data, 1,
               0.0, y.ctypes.data, 1)
         return y
 
@@ -163,25 +177,30 @@ def _kernels():
     return syrk, symv, potrf, potrs
 
 
-def _check_square(name, A):
+def _check_square(name, A, fortran=False):
+    """A must be a square float64 array, C-contiguous or, with ``fortran``,
+    Fortran-contiguous."""
     if not isinstance(A, np.ndarray) or A.dtype != np.float64:
         raise ValueError(f"{name} must be a float64 array")
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise ValueError(f"{name} must be a square matrix, got shape {A.shape}")
-    if not A.flags.c_contiguous:
-        raise ValueError(f"{name} must be C-contiguous")
+    if not (A.flags.c_contiguous or fortran and A.flags.f_contiguous):
+        raise ValueError(f"{name} must be {'C- or Fortran' if fortran else 'C'}-contiguous")
 
 
 def syrk_lower(C, Z, accumulate=False):
     """C <- Z Z' on the lower triangle of C, in place, or C <- C + Z Z' when
     ``accumulate``, so that ZZ' can be summed from column blocks of Z.
 
-    C is an n x n C-contiguous float64 array; its lower triangle's old
-    entries are read only when accumulating, and its strict upper triangle
-    is neither read nor written.  Z is read in place when it is C- or
-    Fortran-contiguous float64, and copied otherwise.
+    C is an n x n C- or Fortran-contiguous float64 array; its lower
+    triangle's old entries are read only when accumulating, and its strict
+    upper triangle is neither read nor written.  The lower triangle of a
+    Fortran-ordered C is the upper triangle of its row-major transpose, so
+    ``syrk_lower(K.T, Z)`` writes ZZ' into the upper triangle of a
+    C-ordered K.  Z is read in place when it is C- or Fortran-contiguous
+    float64, and copied otherwise.
     """
-    _check_square("C", C)
+    _check_square("C", C, fortran=True)
     Z = np.asarray(Z, dtype=np.float64)
     if not Z.flags.f_contiguous:
         Z = np.ascontiguousarray(Z)
@@ -193,10 +212,11 @@ def syrk_lower(C, Z, accumulate=False):
 def symv_lower(A, x):
     """A x for the symmetric matrix whose lower triangle A holds.
 
-    A is an n x n C-contiguous float64 array; its strict upper triangle is
-    not read.
+    A is an n x n C- or Fortran-contiguous float64 array; its strict upper
+    triangle is not read.  So ``symv_lower(K.T, x)`` reads the upper
+    triangle of a C-ordered K, in place.
     """
-    _check_square("A", A)
+    _check_square("A", A, fortran=True)
     x = np.ascontiguousarray(x, dtype=np.float64)
     if x.shape != (A.shape[0],):
         raise ValueError(f"x of shape {x.shape} does not match A of shape {A.shape}")

@@ -28,7 +28,6 @@ Gauss-Legendre integration of the integrals above.
 
 import math
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
@@ -212,7 +211,7 @@ def sinc_gram(box, W):
     return np.triu(H) + np.triu(H, 1).T
 
 
-def _slope_series(slope, W, b, sigma, P, table):
+def _slope_series(slope, W, b, dims, P, table):
     """``slope`` with its entries where b_j max(|w_lj|, 1/sigma_j) < _SLOPE_CUTOFF
     replaced by the Taylor series in b of g_j'(x) = -(1/pi) int_0^b_j beta
     phi_j(beta) sin(x beta) dbeta:
@@ -221,11 +220,9 @@ def _slope_series(slope, W, b, sigma, P, table):
 
     with P_j = -b_j^2 / (2 sigma_j^2) and phi_j(beta) = e^{-beta^2/(2 sigma_j^2)}
     for the Gaussian density, P_j = -b_j / sigma_j and phi_j(beta) =
-    e^{-beta/sigma_j} for the Cauchy one.  ``slope`` is overwritten.
+    e^{-beta/sigma_j} for the Cauchy one.  ``dims`` marks the j with
+    b_j < _SLOPE_CUTOFF sigma_j.  ``slope`` is overwritten.
     """
-    dims = b < _SLOPE_CUTOFF * sigma
-    if not dims.any():
-        return slope
     near = dims & (np.abs(b * W) < _SLOPE_CUTOFF)
     x = W[near]
     bn = np.broadcast_to(b, W.shape)[near]
@@ -235,25 +232,44 @@ def _slope_series(slope, W, b, sigma, P, table):
     return slope
 
 
+def _gaussian_closed_form(density, box):
+    """(factors, slopes) of the Gaussian density over ``box``, with every
+    constant that depends only on the density and the box taken once:
+
+        g_j(x) = c_j exp(-sigma_j^2 x^2 / 2) Re erf(a_j - i sigma_j x / sqrt(2)),
+        g_j'(x) = -sigma_j^2 x g_j(x) + sqrt(2/pi) c_j sigma_j exp(-b_j^2/(2 sigma_j^2)) sin(b_j x),
+
+    with c_j = sigma_j / sqrt(2 pi) and a_j = b_j / (sigma_j sqrt(2)); the
+    slopes come from `_slope_series` where that cancels.  ``slopes(W, G)``
+    takes G = factors(W).
+    """
+    sigma, b = density.scale, box.b
+    c = sigma / _SQRT_2PI
+    a = b / (sigma * _SQRT_2)
+    neg_var = -(sigma * sigma)
+    edge = _SQRT_2_OVER_PI * c * sigma * np.exp(-b * b / (2.0 * sigma * sigma))
+    dims = b < _SLOPE_CUTOFF * sigma
+    series = dims.any()
+    P = -0.5 * (b / sigma) ** 2
+
+    def factors(W):
+        return c * re_erf_damped_grid(a, sigma * W / _SQRT_2)
+
+    def slopes(W, G):
+        slope = neg_var * W * G + edge * np.sin(b * W)
+        return _slope_series(slope, W, b, dims, P, _GAUSSIAN_SLOPE_SERIES) if series else slope
+
+    return factors, slopes
+
+
 def gaussian_point_factors(density, box, W):
     """Per-point, per-dimension cross factors g_j(w_lj) for the Gaussian density."""
-    sigma = density.scale
-    c = sigma / _SQRT_2PI
-    a = box.b / (sigma * _SQRT_2)
-    return c * re_erf_damped_grid(a, sigma * W / _SQRT_2)
+    return _gaussian_closed_form(density, box)[0](W)
 
 
 def gaussian_point_slopes(density, box, W, G):
-    """Derivatives g_j'(w_lj) of the cross factors G = gaussian_point_factors(density, box, W):
-
-        g_j'(x) = -sigma_j^2 x g_j(x) + sqrt(2/pi) c_j sigma_j exp(-b_j^2/(2 sigma_j^2)) sin(b_j x),
-
-    or `_slope_series` where that cancels.
-    """
-    sigma, b = density.scale, box.b
-    edge = _SQRT_2_OVER_PI * (sigma / _SQRT_2PI) * sigma * np.exp(-b * b / (2.0 * sigma * sigma))
-    slope = -(sigma * sigma) * W * G + edge * np.sin(b * W)
-    return _slope_series(slope, W, b, sigma, -0.5 * (b / sigma) ** 2, _GAUSSIAN_SLOPE_SERIES)
+    """Derivatives g_j'(w_lj) of the cross factors G = gaussian_point_factors(density, box, W)."""
+    return _gaussian_closed_form(density, box)[1](W, G)
 
 
 def gaussian_mean_norm_sq(density, box):
@@ -262,38 +278,44 @@ def gaussian_mean_norm_sq(density, box):
                          * np.array([math.erf(v) for v in box.b / density.scale])))
 
 
-def cauchy_point_factors(density, box, W):
-    """Per-point, per-dimension cross factors g_j(w_lj) for the Cauchy
-    density, with a_j = 1/sigma_j:
+def _cauchy_closed_form(density, box):
+    """(factors, slopes) of the Cauchy density over ``box``, with every
+    constant that depends only on the density and the box taken once;
+    a_j = 1/sigma_j:
 
         g_j(x) = [-expm1(-a_j b_j) a_j cos(b_j x) + 2 a_j sin^2(b_j x / 2)
-                  + e^{-a_j b_j} x sin(b_j x)] / (pi (a_j^2 + x^2)).
-
-    Written with expm1 and the half-angle sine, the first two terms do not
-    cancel as b_j -> 0 (a constant feature's half-width is 1e-12).
-    """
-    a, b = 1.0 / density.scale, box.b
-    bw = b * W
-    half = np.sin(0.5 * bw)
-    num = (-np.expm1(-a * b) * a) * np.cos(bw)
-    num += (2.0 * a) * half * half
-    num += np.exp(-a * b) * W * np.sin(bw)
-    return num / (np.pi * (a * a + W * W))
-
-
-def cauchy_point_slopes(density, box, W, G):
-    """Derivatives g_j'(w_lj) of the cross factors G = cauchy_point_factors(density, box, W):
-
+                  + e^{-a_j b_j} x sin(b_j x)] / (pi (a_j^2 + x^2)),
         g_j'(x) = e^{-a_j b_j} ((a_j b_j + 1) sin(b_j x) + b_j x cos(b_j x)) / (pi (a_j^2 + x^2))
-                  - 2 x g_j(x) / (a_j^2 + x^2),
+                  - 2 x g_j(x) / (a_j^2 + x^2).
 
-    or `_slope_series` where that cancels.
+    Written with expm1 and the half-angle sine, the first two terms of g_j
+    do not cancel as b_j -> 0 (a constant feature's half-width is 1e-12);
+    the slopes come from `_slope_series` where they cancel.  ``slopes(W, G)``
+    takes G = factors(W).
     """
     a, b = 1.0 / density.scale, box.b
-    bw = b * W
-    edge = np.exp(-a * b) * ((a * b + 1.0) * np.sin(bw) + bw * np.cos(bw)) / np.pi
-    slope = (edge - 2.0 * W * G) / (a * a + W * W)
-    return _slope_series(slope, W, b, density.scale, -a * b, _CAUCHY_SLOPE_SERIES)
+    damp = np.exp(-a * b)
+    lead = -np.expm1(-a * b) * a
+    two_a, a_sq, ab_1 = 2.0 * a, a * a, a * b + 1.0
+    dims = b < _SLOPE_CUTOFF * density.scale
+    series = dims.any()
+    P = -a * b
+
+    def factors(W):
+        bw = b * W
+        half = np.sin(0.5 * bw)
+        num = lead * np.cos(bw)
+        num += two_a * half * half
+        num += damp * W * np.sin(bw)
+        return num / (np.pi * (a_sq + W * W))
+
+    def slopes(W, G):
+        bw = b * W
+        edge = damp * (ab_1 * np.sin(bw) + bw * np.cos(bw)) / np.pi
+        slope = (edge - 2.0 * W * G) / (a_sq + W * W)
+        return _slope_series(slope, W, b, dims, P, _CAUCHY_SLOPE_SERIES) if series else slope
+
+    return factors, slopes
 
 
 def cauchy_mean_norm_sq(density, box):
@@ -307,15 +329,18 @@ def density_factors(density, box):
     factors W -> G with G[l, j] = g_j(w_lj), their slopes (W, G) -> G', and
     the constant term, the squared norm of the kernel mean.
 
-    This is the one place that reads ``density.kind``; every closed-form
-    function in this module and in `qmcrff.adaptive` goes through it.
+    The constants of both closed forms that depend only on the density and
+    the box are taken here, once; the two functions read them, so a caller
+    that evaluates many W, as `qmcrff.adaptive.optimize_greedy` does, pays
+    for them once per call of this function.  This is the one place that
+    reads ``density.kind``; every closed-form function in this module and in
+    `qmcrff.adaptive` goes through it.
     """
     if density.kind == GAUSSIAN:
-        parts = (gaussian_point_factors, gaussian_point_slopes, gaussian_mean_norm_sq)
+        closed_form, norm_sq = _gaussian_closed_form, gaussian_mean_norm_sq
     else:
-        parts = (cauchy_point_factors, cauchy_point_slopes, cauchy_mean_norm_sq)
-    factors, slopes, norm_sq = parts
-    return partial(factors, density, box), partial(slopes, density, box), norm_sq(density, box)
+        closed_form, norm_sq = _cauchy_closed_form, cauchy_mean_norm_sq
+    return (*closed_form(density, box), norm_sq(density, box))
 
 
 def _check_dims(freqs_d, density, box):

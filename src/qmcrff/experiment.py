@@ -204,8 +204,9 @@ class _Workspace:
     ``gram`` (n x n, from `ExactGram.gram_buffer`) takes the lower triangle
     of each map's ZZ', which `ExactGram.errors` then overwrites with
     K - ZZ'; its strict upper triangle is never read or written here.  The
-    first worker's ``gram`` is the array `gram_exact` built, whose strict
-    upper half holds K, so a run holds ``workers`` n x n arrays in all.
+    first worker's ``gram`` is the array `ExactGram` built K's upper
+    triangle in, whose strict lower triangle nothing wrote before the first
+    map's ZZ', so a run holds ``workers`` n x n arrays in all.
 
     ``buffer`` holds, in turn, each chunk of a map's Z (n x 256 at most), the
     whole Z where the primal ridge reads it (2s <= n_train), and the dual

@@ -3,15 +3,16 @@ relative-error metrics used to compare them."""
 
 import math
 import threading
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
 
-from ._blas import symv_lower
+from ._blas import symv_lower, syrk_lower
 from .densities import GAUSSIAN, FrequencySet
 
 _GRAM_CAP = 20000  # rows gram_exact and gram_approx accept
-_ROW_BLOCK = 64  # rows per block of gram_exact's exponent
+_ROW_BLOCK = 64  # rows per block of K's build and of ExactGram.errors
 
 
 @dataclass
@@ -81,45 +82,104 @@ def real_feature_matrix(fmap, X, out=None):
     return Zt.T
 
 
-def gram_exact(density, X):
-    """Exact kernel Gram matrix of the rows of X (PSD, unit diagonal).
+@contextmanager
+def _row_buffers():
+    """Hold numpy's ufunc buffer at `_ROW_BLOCK` // 4 elements.
 
-    K is built in place, one block of `_ROW_BLOCK` rows at a time, so the
-    only temporary is one block.  The Gaussian exponent G_ij - (h_i + h_j),
-    with G = Xs Xs' and h = G_ii / 2 read from the product itself, is
-    bitwise -d2/2 for the squared distance d2 = G_ii + G_jj - 2 G_ij, since
-    halving is exact, and exactly 0 at i = j.  The Laplacian exponent
-    subtracts |Xs_ij - Xs_kj| from zero one dimension at a time, which is
-    bitwise the negated sum, since rounding is symmetric under negation, and
-    exactly 0 at i = j.  So the diagonal is exactly 1.  K is exactly
-    symmetric: G comes from a symmetric rank-k update, the outer sum is
-    symmetric and |a - b| = |b - a|.
+    numpy 2.4 copies strided 2-D operands, such as a block's rows of K,
+    through its ufunc buffers, which slows the block loops of `_exact_upper`
+    and `ExactGram.errors` 1.3-3.5 times; a buffer shorter than most rows
+    lets the loops run on the rows in place.
     """
-    X = np.asarray(X, dtype=float)
+    saved = np.setbufsize(_ROW_BLOCK // 4)
+    try:
+        yield
+    finally:
+        np.setbufsize(saved)
+
+
+def _exact_upper(density, X, K):
+    """Write the upper triangle and the diagonal of the exact kernel Gram
+    matrix of the rows of X into K, an n x n C-contiguous float64 array,
+    and return ||K||_F^2.  K's strict lower triangle is neither read nor
+    written.
+
+    The triangle is built in place, one block of `_ROW_BLOCK` rows at a
+    time: the rectangle right of the block's diagonal square in place, and
+    the square whole in a small buffer (the Gaussian's from the upper
+    triangle of G and its transpose), of which the upper triangle is copied
+    in.  The Gaussian exponent G_ij - (h_i + h_j), with G = Xs Xs' from
+    ``syrk_lower(K.T, Xs)`` (the dsyrk call numpy makes for ``Xs @ Xs.T``
+    before mirroring its upper triangle) and h = G_ii / 2 read from the
+    product itself, is bitwise -d2/2 for the squared distance d2 = G_ii +
+    G_jj - 2 G_ij, since halving is exact, and exactly 0 at i = j.  The
+    Laplacian exponent subtracts |Xs_ij - Xs_kj| from zero one dimension at
+    a time, which is bitwise the negated sum, since rounding is symmetric
+    under negation, and exactly 0 at i = j.  So the diagonal is exactly 1,
+    and ||K||_F^2 is twice the rectangles' sums of squares plus the
+    squares', which are exactly symmetric.
+    """
     n = X.shape[0]
-    if n < 1:
-        raise ValueError("gram_exact requires at least one row")
-    if n > _GRAM_CAP:
-        raise ValueError(f"n={n} exceeds the Gram cap {_GRAM_CAP}")
     Xs = X / density.scale[None, :]
     gaussian = density.kind == GAUSSIAN
     if gaussian:
-        K = Xs @ Xs.T
-        h = 0.5 * np.diagonal(K).copy()  # a copy: the block loop overwrites K
-    else:
-        K = np.zeros((n, n))
-    T = np.empty((min(n, _ROW_BLOCK), n))
+        syrk_lower(K.T, Xs)
+        h = 0.5 * np.diagonal(K)
+    size = min(n, _ROW_BLOCK)
+    T, U = np.empty(size * n), np.empty((size, size))
+    upper = ~np.tri(size, k=-1, dtype=bool)  # with the diagonal
+    sum_sq = 0.0
+    with _row_buffers():
+        for r0 in range(0, n, _ROW_BLOCK):
+            r1 = min(n, r0 + _ROW_BLOCK)
+            rows = slice(r0, r1)
+            rect, square = K[rows, r1:], K[rows, rows]
+            u, tri = U[:r1 - r0, :r1 - r0], upper[:r1 - r0, :r1 - r0]
+            if gaussian:
+                np.copyto(u, square.T)
+                np.copyto(u, square, where=tri)
+            for A, cols in ((u, rows), (rect, slice(r1, n))):
+                t = T[:A.size].reshape(A.shape)
+                if gaussian:
+                    A -= np.add.outer(h[rows], h[cols], out=t)
+                    np.minimum(A, 0.0, out=A)
+                else:
+                    A[...] = 0.0
+                    for c in Xs.T:
+                        A -= np.abs(np.subtract.outer(c[rows], c[cols], out=t), out=t)
+                np.exp(A, out=A)
+            np.copyto(square, u, where=tri)
+            sum_sq += 2.0 * np.einsum("ij,ij->", rect, rect) + np.einsum("ij,ij->", u, u)
+    return sum_sq
+
+
+def _gram_rows(X, name):
+    X = np.asarray(X, dtype=float)
+    if X.shape[0] < 1:
+        raise ValueError(f"{name} requires at least one row")
+    if X.shape[0] > _GRAM_CAP:
+        raise ValueError(f"n={X.shape[0]} exceeds the Gram cap {_GRAM_CAP}")
+    return X
+
+
+def gram_exact(density, X):
+    """Exact kernel Gram matrix of the rows of X (PSD, unit diagonal).
+
+    `_exact_upper` builds the upper triangle and the diagonal in place, and
+    the upper triangle is then mirrored into the strict lower one, one block
+    of `_ROW_BLOCK` columns at a time, so K is exactly symmetric, bitwise
+    the direct expressions' matrix, and the only temporary is one block.
+    """
+    X = _gram_rows(X, "gram_exact")
+    n = X.shape[0]
+    K = np.empty((n, n))
+    _exact_upper(density, X, K)
+    lower = np.tri(min(n, _ROW_BLOCK), k=-1, dtype=bool)
     for r0 in range(0, n, _ROW_BLOCK):
-        block = slice(r0, r0 + _ROW_BLOCK)
-        rows = K[block]
-        t = T[:rows.shape[0]]
-        if gaussian:
-            rows -= np.add.outer(h[block], h, out=t)
-            np.minimum(rows, 0.0, out=rows)
-        else:
-            for c in Xs.T:
-                rows -= np.abs(np.subtract.outer(c[block], c, out=t), out=t)
-        np.exp(rows, out=rows)
+        r1 = min(n, r0 + _ROW_BLOCK)
+        K[r1:, r0:r1] = K[r0:r1, r1:].T
+        square = K[r0:r1, r0:r1]
+        np.copyto(square, square.T, where=lower[:r1 - r0, :r1 - r0])
     return K
 
 
@@ -130,13 +190,7 @@ def gram_approx(fmap, X):
     numpy computes ``Z @ Z.T`` as one symmetric rank-k update and mirrors
     its triangle, so the result is exactly symmetric.
     """
-    X = np.asarray(X, dtype=float)
-    n = X.shape[0]
-    if n < 1:
-        raise ValueError("gram_approx requires at least one row")
-    if n > _GRAM_CAP:
-        raise ValueError(f"n={n} exceeds the Gram cap {_GRAM_CAP}")
-    Z = real_feature_matrix(fmap, X)
+    Z = real_feature_matrix(fmap, _gram_rows(X, "gram_approx"))
     return Z @ Z.T
 
 
@@ -153,10 +207,15 @@ def spectral_norm(A):
     run to machine precision from a fixed PCG64(0) start vector, so repeated
     calls are bitwise identical.  Each Lanczos matvec is one BLAS ``dsymv``
     on the lower triangle (see `qmcrff._blas`), which reads half the matrix.
+    A C- or Fortran-ordered float64 A is read in place; the lower triangle
+    of a Fortran-ordered A is the upper triangle of its row-major
+    transpose, so ``spectral_norm(K.T)`` reads K's upper triangle.
     """
     from scipy.sparse.linalg import ArpackError, LinearOperator, eigsh
 
-    A = np.ascontiguousarray(A, dtype=float)
+    A = np.asarray(A, dtype=float)
+    if not (A.flags.c_contiguous or A.flags.f_contiguous):
+        A = np.ascontiguousarray(A)
     _check_square(A)
     n = A.shape[0]
     if n < 2:
@@ -195,19 +254,26 @@ def relative_errors(K, K_approx):
 
 
 class ExactGram:
-    """The exact Gram matrix K of the rows of X, as `gram_exact` builds it,
+    """The exact Gram matrix K of the rows of X, as `gram_exact` returns it,
     and the relative errors of feature maps against it.
 
-    K is exactly symmetric, so its strict upper half holds all of it, and
-    nothing writes that half after construction: any number of workers
-    read K at once.  The array's lower triangle and diagonal are one
-    worker's Gram buffer (`gram_buffer`); K's diagonal is exactly 1.
-    ``norms`` is (spectral, frobenius) of the full K.
+    K is exactly symmetric, so its upper triangle holds all of it: only that
+    triangle and the diagonal are built (`_exact_upper`), and nothing writes
+    the strict upper half after construction, so any number of workers read
+    K at once.  The array's strict lower triangle is never written here; it
+    and the diagonal are one worker's Gram buffer (`gram_buffer`).  K's
+    diagonal is exactly 1.  ``norms`` is (spectral, frobenius) of the full
+    K, both from the upper triangle: the spectral norm reads it through
+    ``spectral_norm(K.T)``, and ||K||_F^2 is summed as the triangle is
+    built.  They agree with the norms of `gram_exact`'s mirrored K to an
+    ulp or two.
     """
 
     def __init__(self, density, X):
-        K = gram_exact(density, X)
-        self.norms = spectral_norm(K), float(np.linalg.norm(K))
+        X = _gram_rows(X, "ExactGram")
+        K = np.empty((X.shape[0], X.shape[0]))
+        frobenius_sq = _exact_upper(density, X, K)
+        self.norms = spectral_norm(K.T), math.sqrt(frobenius_sq)
         self._tri = np.tri(min(K.shape[0], _ROW_BLOCK), dtype=bool)
         # Where row i's diagonal entry falls in a block's flat lower triangle.
         self._diag_at = np.cumsum(np.arange(1, len(self._tri) + 1)) - 1
@@ -217,8 +283,9 @@ class ExactGram:
 
     def gram_buffer(self):
         """An n x n Gram buffer for one worker: on the first call the array
-        that holds K, whose lower triangle and diagonal are free, and on
-        every later call a new zeroed array."""
+        that holds K, whose lower triangle and diagonal are free (the strict
+        lower triangle was never written, so it holds arbitrary values), and
+        on every later call a new zeroed array."""
         with self._lock:
             shared, self._store_free = self._store_free, False
         return self._store if shared else np.zeros_like(self._store)
@@ -241,12 +308,7 @@ class ExactGram:
             raise ValueError(f"G of shape {G.shape} does not match K of shape {K.shape}")
         n = K.shape[0]
         sum_sq = 0.0
-        # numpy 2.4 copies strided 2-D operands through its ufunc buffers,
-        # which slows the transposed subtraction 1.3-2 times; a buffer
-        # shorter than a row (every rectangle row holds at least
-        # _ROW_BLOCK entries) lets the loop run on the rows in place.
-        saved = np.setbufsize(_ROW_BLOCK // 4)
-        try:
+        with _row_buffers():
             for r0 in range(0, n, _ROW_BLOCK):
                 r1 = min(n, r0 + _ROW_BLOCK)
                 E = G[r0:r1, :r0]
@@ -258,8 +320,6 @@ class ExactGram:
                 e -= S[lower]
                 S[lower] = e
                 sum_sq += e @ e
-        finally:
-            np.setbufsize(saved)
         diag = np.diagonal(G)
         denom_2, denom_f = self.norms
         return spectral_norm(G) / denom_2, math.sqrt(2.0 * sum_sq - diag @ diag) / denom_f

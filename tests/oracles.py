@@ -1,6 +1,7 @@
 """Independent reference implementations the tests check the package
 against.  None of them shares code with what it checks, except
-`real_feature_vector`, which is one row of `real_feature_matrix`."""
+`real_feature_vector`, which is one row of `real_feature_matrix` and is
+checked entrywise against `real_feature_reference`."""
 
 import math
 
@@ -52,6 +53,15 @@ def feature_vector(fmap, x):
     """Complex feature vector with component l equal to sqrt(xi_l) e^{-i x.w_l}."""
     phases = np.asarray(x, dtype=float) @ fmap.freqs.points.T
     return np.sqrt(fmap.weights) * np.exp(-1j * phases)
+
+
+def real_feature_reference(fmap, X):
+    """The cos/sin feature matrix from its definition: row i is
+    (sqrt(xi_l) cos(x_i.w_l), sqrt(xi_l) sin(x_i.w_l)), with np.cos and
+    np.sin of the phases X W'."""
+    phases = np.asarray(X, dtype=float) @ fmap.freqs.points.T
+    root_xi = np.sqrt(fmap.weights)
+    return np.hstack([root_xi * np.cos(phases), root_xi * np.sin(phases)])
 
 
 def real_feature_vector(fmap, x):

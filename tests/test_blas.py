@@ -127,6 +127,38 @@ def test_syrk_accumulates_column_blocks(route, n, k):
     assert np.isnan(C[np.triu_indices(n, 1)]).all()
 
 
+@pytest.mark.parametrize("n, k", [(1, 3), (5, 1), (64, 8), (300, 200)])
+@pytest.mark.parametrize("z_order", ["C", "F"])
+def test_fortran_ordered_syrk(route, n, k, z_order):
+    # The lower triangle of a Fortran-ordered C is the upper triangle of
+    # the C-ordered array in its memory, C.T.  syrk on C matches syrk on a
+    # C-ordered copy to rounding (BLAS walks the other triangle's memory),
+    # for a factor in either order, when it accumulates too, and it neither
+    # reads nor writes the other triangle.
+    Z = np.asarray(np.random.default_rng(n + k).normal(size=(n, k)), order=z_order)
+    C = np.full((n, n), np.nan, order="F")
+    copy = np.full((n, n), np.nan)
+    lower = np.tril_indices(n)
+    for accumulate in (False, True):
+        blas.syrk_lower(C, Z, accumulate=accumulate)
+        blas.syrk_lower(copy, Z, accumulate=accumulate)
+        assert np.allclose(C[lower], copy[lower], rtol=0.0, atol=1e-12)
+        assert np.isnan(C[np.triu_indices(n, 1)]).all()
+    assert np.allclose(C[lower], 2.0 * (Z @ Z.T)[lower], rtol=0.0, atol=1e-12)
+
+
+@pytest.mark.parametrize("n", [1, 7, 300])
+def test_fortran_ordered_symv(route, n):
+    # A Fortran-ordered A is read in place, its lower triangle only: it
+    # matches the C-ordered copy to rounding, since BLAS walks the other
+    # triangle's memory, and the NaNs above the diagonal are never read.
+    A = _nan_above(_symmetric(n, n))
+    x = np.random.default_rng(n).normal(size=n)
+    y = blas.symv_lower(np.asfortranarray(A), x)
+    assert np.allclose(y, blas.symv_lower(A, x), rtol=0.0, atol=1e-12)
+    assert np.isfinite(y).all()
+
+
 def _positive_definite(n, seed):
     M = np.random.default_rng(seed).normal(size=(n, n + 3))
     return M @ M.T + 0.1 * np.eye(n)
@@ -184,16 +216,16 @@ class TestNotPositiveDefinite:
 
 class TestGuards:
     # Every argument is checked before the foreign call, so a bad one raises
-    # ValueError instead of reading or writing out of bounds.
+    # ValueError instead of reading or writing out of bounds.  The ids skip
+    # C4, a Fortran-ordered C, which is accepted (test_fortran_ordered_syrk).
     @pytest.mark.parametrize("C", [
         np.zeros(4),
         np.zeros((3, 4)),
         np.zeros((2, 2, 2)),
         np.zeros((4, 4), dtype=np.float32),
-        np.zeros((4, 4), order="F"),
         np.zeros((4, 8))[:, ::2],
         [[0.0, 0.0], [0.0, 0.0]],
-    ])
+    ], ids=[f"C{i}" for i in (0, 1, 2, 3, 5, 6)])
     def test_syrk_rejects_bad_outputs(self, C):
         with pytest.raises(ValueError):
             blas.syrk_lower(C, np.ones((len(C), 2)))
@@ -205,7 +237,10 @@ class TestGuards:
             blas.syrk_lower(C, Z)
         assert not C.any()
 
-    @pytest.mark.parametrize("A", [np.zeros(4), np.zeros((4, 3)), np.zeros((4, 4), order="F")])
+    # A2, a Fortran-ordered A, is accepted (test_fortran_ordered_symv); a
+    # matrix in neither order is still refused.
+    @pytest.mark.parametrize("A", [np.zeros(4), np.zeros((4, 3)), np.zeros((4, 8))[:, ::2]],
+                             ids=["A0", "A1", "strided"])
     def test_symv_rejects_bad_matrices(self, A):
         with pytest.raises(ValueError):
             blas.symv_lower(A, np.ones(4))

@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 import warnings
 
@@ -23,6 +24,7 @@ from oracles import (
     exact_kernel,
     feature_vector,
     gram_exact_reference,
+    real_feature_reference,
     real_feature_vector,
 )
 
@@ -94,23 +96,28 @@ class TestRealFeatures:
             assert phi @ phi == pytest.approx(m.weights.sum(), rel=1e-12)
 
     def test_matrix_rows_match_vectors(self):
+        # The half-angle matrix against the oracle's rows, which call np.cos
+        # and np.sin.  With dyadic inputs every phase is exact in any order,
+        # so each entry is within the docstring's 2 eps sqrt(xi_l) of the
+        # exact value, plus the oracle's own rounding (np.cos or np.sin,
+        # then one product), allowed two ulps of its entry; over 80000 such
+        # rows the excess was at most 0.27 ulp.
+        eps = np.finfo(float).eps
+        for seed in range(50):
+            rng = np.random.default_rng(seed)
+            m = WeightedFeatureMap(
+                freqs=FrequencySet(points=rng.integers(-64, 64, (6, 2)) / 8.0),
+                weights=rng.random(6))
+            X = rng.integers(-64, 64, (40, 2)) / 16.0
+            R, ref = real_feature_matrix(m, X), real_feature_reference(m, X)
+            bound = 2.0 * eps * np.tile(np.sqrt(m.weights), 2)
+            assert np.all(np.abs(R - ref) <= bound + 2.0 * np.spacing(np.abs(ref)))
+        # Otherwise the two products may round a phase x.w differently,
+        # which moves the entries by about eps |x.w| more.
         m = _random_map(6, 2, seed=10)
-        X = np.random.default_rng(11).normal(size=(4, 2))
-        R = real_feature_matrix(m, X)
-        for i, x in enumerate(X):
-            # BLAS may sum a one-row product x.w in another order than a
-            # four-row one, so the phases, and only they, can differ in the
-            # last bit.
-            assert np.allclose(R[i], real_feature_vector(m, x), rtol=0.0, atol=1e-15)
-        # With dyadic inputs every phase is exact in any order, and the
-        # vector is bitwise the matrix row: both are one realization.
-        rng = np.random.default_rng(12)
-        m = WeightedFeatureMap(freqs=FrequencySet(points=rng.integers(-64, 64, (6, 2)) / 8.0),
-                               weights=rng.random(6))
-        X = rng.integers(-64, 64, (4, 2)) / 16.0
-        R = real_feature_matrix(m, X)
-        for i, x in enumerate(X):
-            assert np.array_equal(R[i], real_feature_vector(m, x))
+        X = np.random.default_rng(11).normal(size=(40, 2))
+        assert np.allclose(real_feature_matrix(m, X), real_feature_reference(m, X),
+                           rtol=0.0, atol=1e-15)
 
     def test_matrix_in_a_reused_buffer_is_bitwise_the_fresh_one(self):
         # The pipeline builds every map's Z in one buffer sized for its
@@ -228,17 +235,23 @@ class TestGram:
 
     @pytest.mark.parametrize("kernel", ["gaussian", "laplacian"])
     def test_exact_gram_keeps_the_lower_triangle_and_the_full_norms(self, kernel):
-        # The norms are taken on the full K as gram_exact builds it.  Scored
-        # against a zero ZZ', E is K's lower triangle, read transposed from
-        # K's upper half: its spectral norm is K's, bit for bit.
+        # The norms come from K's upper triangle: the spectral norm reads it
+        # as the lower triangle of K.T, and ||K||_F^2 is the sum the builder
+        # returns.  They are within 2 ulps of the norms of the full K.
+        # Scored against a zero ZZ', E is K's lower triangle, read
+        # transposed from K's upper half: its spectral norm reads the other
+        # triangle's memory, so the ratio is within one ulp of 1.
         X = np.random.default_rng(28).normal(size=(150, 3))
         p = ProductDensity.for_kernel(kernel, [1.0, 2.0, 0.5])
         K, gram = gram_exact(p, X), ExactGram(p, X)
-        assert gram.norms == (spectral_norm(K), np.linalg.norm(K))
+        frobenius_sq = featmap_module._exact_upper(p, X, np.empty_like(K))
+        assert gram.norms == (spectral_norm(K.T), math.sqrt(frobenius_sq))
+        for norm, full in zip(gram.norms, (spectral_norm(K), np.linalg.norm(K))):
+            assert abs(norm - full) <= 2.0 * np.spacing(full)
         G = np.zeros_like(K)
         spectral, frobenius = gram.errors(G)
         assert np.array_equal(G, np.tril(K))
-        assert spectral == 1.0
+        assert abs(spectral - 1.0) <= np.spacing(1.0)
         assert frobenius == pytest.approx(1.0, rel=1e-15, abs=0.0)
 
     def test_duplicated_rows_duplicate_entries(self):
@@ -342,6 +355,31 @@ class TestExactGramLayout:
         assert gram.errors(_lower_gram(other, first)) == before
         assert np.array_equal(np.triu(shared, 1), stored)
         assert not np.triu(other, 1).any()
+
+    @pytest.mark.parametrize("kernel", ["gaussian", "laplacian"])
+    @pytest.mark.parametrize("n", [1, 2, 64, 65, 129])
+    def test_the_strict_lower_triangle_is_never_read(self, kernel, n, monkeypatch):
+        # The builder leaves K's strict lower triangle as it finds it: filled
+        # with NaN there, the norms and a map's errors are bitwise the same,
+        # and the NaNs are still there when the first Gram buffer is handed out.
+        rng = np.random.default_rng(n)
+        X = rng.normal(size=(n, 3))
+        p = ProductDensity.for_kernel(kernel, [1.0, 2.0, 0.5])
+        Z = real_feature_matrix(_random_map(12, 3, seed=n, weights=rng.random(12)), X)
+        clean = ExactGram(p, X)
+        build = featmap_module._exact_upper
+
+        def build_over_nan(density, X, K):
+            K[np.tril_indices(len(K), -1)] = np.nan
+            return build(density, X, K)
+
+        monkeypatch.setattr(featmap_module, "_exact_upper", build_over_nan)
+        poisoned = ExactGram(p, X)
+        assert poisoned.norms == clean.norms
+        shared = poisoned.gram_buffer()
+        assert np.isnan(shared[np.tril_indices(n, -1)]).all()
+        assert poisoned.errors(_lower_gram(shared, Z)) == clean.errors(
+            _lower_gram(clean.gram_buffer(), Z))
 
     def test_the_array_that_holds_k_is_handed_out_once(self):
         gram = ExactGram(ProductDensity.gaussian(1.0, d=2),
