@@ -14,14 +14,7 @@ import numpy as np
 
 from ._blas import _scipy_blas_single_thread
 from .densities import FrequencySet
-from .discrepancy import (
-    _check_dims,
-    _exclusive_products,
-    _sinc_factor,
-    assemble_H_v,
-    density_factors,
-    gaussian_value_and_grad,
-)
+from .discrepancy import BoxObjective, _exclusive_products, _sinc_factor
 from .ioutil import NumericalError
 
 _MIN_STEP = 1e-16
@@ -84,10 +77,10 @@ class OptTrace:
 def discrepancy_gradient(freqs, density, box):
     """Gradient of the squared box discrepancy with respect to every frequency.
 
-    The gradient half of `gaussian_value_and_grad`, which documents the
+    The gradient half of `BoxObjective.value_and_grad`, which documents the
     formula; it serves both densities.
     """
-    return gaussian_value_and_grad(freqs.points, density, box)[1]
+    return BoxObjective(density, box).value_and_grad(freqs.points)[1]
 
 
 def nonlinear_cg(value_and_grad, x0, opts):
@@ -170,18 +163,19 @@ def nonlinear_cg(value_and_grad, x0, opts):
 def optimize_global(freqs0, density, box, opts):
     """Jointly optimize all s*d frequency coordinates to shrink the discrepancy.
 
-    Runs scipy's L-BFGS-B on `gaussian_value_and_grad`, one fused pass per
-    evaluation, with scipy's own stopping tests off (ftol = gtol = 0): it
+    Runs scipy's L-BFGS-B on `BoxObjective.value_and_grad`, one fused pass
+    per evaluation, with scipy's own stopping tests off (ftol = gtol = 0): it
     stops after ``opts.max_iters`` iterations, once ||g||_2 <=
     ``opts.grad_tol``, or when the line search fails.  The trace records
     the start and every iterate.
     """
     s, d = freqs0.points.shape
+    objective = BoxObjective(density, box)
     last = []  # (x, f, g) of the latest pass
 
     def value_and_grad(flat):
         if not last or not np.array_equal(flat, last[0]):
-            f, G = gaussian_value_and_grad(flat.reshape(s, d), density, box)
+            f, G = objective.value_and_grad(flat.reshape(s, d))
             last[:] = [flat.copy(), float(f), G.ravel()]
         return last[1], last[2]
 
@@ -236,7 +230,8 @@ def optimize_greedy(t_points, density, box, init_freqs, opts):
     sinc-kernel sum and their cross-term sum, so one evaluation costs
     O(t d) and evaluates the erf at the candidate's d coordinates only.
     """
-    _check_dims(init_freqs.d, density, box)
+    objective = BoxObjective(density, box)
+    starts = objective.rows(init_freqs.points)
     if t_points < 1:
         raise ValueError(f"optimize_greedy requires t_points >= 1, got {t_points}")
     if init_freqs.s < t_points:
@@ -246,7 +241,7 @@ def optimize_greedy(t_points, density, box, init_freqs, opts):
     d = init_freqs.d
     b = box.b
     self_pair = float(np.prod(b / math.pi))  # sinc kernel at zero lag
-    factors, slopes, term3 = density_factors(density, box)
+    factors, slopes, term3 = objective.factors, objective.slopes, objective.norm_sq
     points = np.empty((t_points, d))
     pair_sum = cross_sum = 0.0
     trace = OptTrace(x=np.empty(0), converged=True)
@@ -265,7 +260,7 @@ def optimize_greedy(t_points, density, box, init_freqs, opts):
                     - (2.0 / s) * (slopes(W, G) * _exclusive_products(G))[0])
             return term1 + term2 + term3, grad
 
-        inner = nonlinear_cg(value_and_grad, init_freqs.points[t], opts)
+        inner = nonlinear_cg(value_and_grad, starts[t], opts)
         pairs = float(np.prod(_sinc_factor(b, inner.x - fixed), axis=1).sum())
         pair_sum += 2.0 * pairs + self_pair
         cross_sum += float(np.prod(factors(inner.x[None, :])))
@@ -303,7 +298,7 @@ def optimize_weights(freqs, density, box):
     """
     if freqs.s < 1:
         raise ValueError(f"optimize_weights requires s >= 1, got {freqs.s}")
-    H, v = assemble_H_v(freqs, density, box)
+    H, v = BoxObjective(density, box).H_v(freqs.points)
     s = H.shape[0]
     jitter = 1e-12 * float(np.trace(H)) / s
     try:

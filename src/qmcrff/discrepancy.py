@@ -12,7 +12,7 @@ mean over S in the sinc-kernel space.  It splits into three terms:
 with g_j(x) = (1/pi) int_0^{b_j} phi_j(beta) cos(x beta) dbeta for the
 characteristic function phi_j of the j-th marginal.  Only the cross factors,
 their slopes and the constant depend on the density, and both densities
-have them in closed form (`density_factors`):
+have them in closed form:
 
     Gaussian (Gaussian kernel): g_j(x) = c_j exp(-sigma_j^2 x^2 / 2)
         Re erf(b_j/(sigma_j sqrt(2)) - i sigma_j x / sqrt(2)),
@@ -21,9 +21,14 @@ have them in closed form (`density_factors`):
         [a_j (1 - e^{-a_j b_j} cos b_j x) + e^{-a_j b_j} x sin b_j x] / (pi (a_j^2 + x^2));
         term3 = prod_j sigma_j (1 - exp(-2 b_j/sigma_j)) / (2 pi).
 
-The pairwise term is the same for every density.  The closed forms are
-the only evaluation here; the tests check them against per-dimension
-Gauss-Legendre integration of the integrals above.
+The pairwise term is the same for every density.  `BoxObjective(density,
+box)` derives the density's half once and evaluates the terms, the value
+with its gradient, and the quadratic form of weighted sets; every optimizer
+in `qmcrff.adaptive` builds one per run.  The `gaussian_*` functions,
+`assemble_H_v` and `qmcrff.adaptive.discrepancy_gradient` are thin wrappers
+that build the object per call; the benchmark's tracer and probes look them
+up by name.  The closed forms are the only evaluation here; the tests check
+them against per-dimension Gauss-Legendre integration of the integrals above.
 """
 
 import math
@@ -233,15 +238,15 @@ def _slope_series(slope, W, b, dims, P, table):
 
 
 def _gaussian_closed_form(density, box):
-    """(factors, slopes) of the Gaussian density over ``box``, with every
-    constant that depends only on the density and the box taken once:
+    """(factors, slopes, norm_sq) of the Gaussian density over ``box``, with
+    every constant that depends only on the density and the box taken once:
 
         g_j(x) = c_j exp(-sigma_j^2 x^2 / 2) Re erf(a_j - i sigma_j x / sqrt(2)),
         g_j'(x) = -sigma_j^2 x g_j(x) + sqrt(2/pi) c_j sigma_j exp(-b_j^2/(2 sigma_j^2)) sin(b_j x),
 
     with c_j = sigma_j / sqrt(2 pi) and a_j = b_j / (sigma_j sqrt(2)); the
     slopes come from `_slope_series` where that cancels.  ``slopes(W, G)``
-    takes G = factors(W).
+    takes G = factors(W).  norm_sq = prod_j sigma_j/(2 sqrt(pi)) erf(b_j/sigma_j).
     """
     sigma, b = density.scale, box.b
     c = sigma / _SQRT_2PI
@@ -259,28 +264,13 @@ def _gaussian_closed_form(density, box):
         slope = neg_var * W * G + edge * np.sin(b * W)
         return _slope_series(slope, W, b, dims, P, _GAUSSIAN_SLOPE_SERIES) if series else slope
 
-    return factors, slopes
-
-
-def gaussian_point_factors(density, box, W):
-    """Per-point, per-dimension cross factors g_j(w_lj) for the Gaussian density."""
-    return _gaussian_closed_form(density, box)[0](W)
-
-
-def gaussian_point_slopes(density, box, W, G):
-    """Derivatives g_j'(w_lj) of the cross factors G = gaussian_point_factors(density, box, W)."""
-    return _gaussian_closed_form(density, box)[1](W, G)
-
-
-def gaussian_mean_norm_sq(density, box):
-    """Squared norm of the Gaussian kernel mean: prod_j sigma_j/(2 sqrt(pi)) erf(b_j/sigma_j)."""
-    return float(np.prod(density.scale / (2.0 * _SQRT_PI)
-                         * np.array([math.erf(v) for v in box.b / density.scale])))
+    norm_sq = float(np.prod(sigma / (2.0 * _SQRT_PI) * np.array([math.erf(v) for v in b / sigma])))
+    return factors, slopes, norm_sq
 
 
 def _cauchy_closed_form(density, box):
-    """(factors, slopes) of the Cauchy density over ``box``, with every
-    constant that depends only on the density and the box taken once;
+    """(factors, slopes, norm_sq) of the Cauchy density over ``box``, with
+    every constant that depends only on the density and the box taken once;
     a_j = 1/sigma_j:
 
         g_j(x) = [-expm1(-a_j b_j) a_j cos(b_j x) + 2 a_j sin^2(b_j x / 2)
@@ -291,7 +281,7 @@ def _cauchy_closed_form(density, box):
     Written with expm1 and the half-angle sine, the first two terms of g_j
     do not cancel as b_j -> 0 (a constant feature's half-width is 1e-12);
     the slopes come from `_slope_series` where they cancel.  ``slopes(W, G)``
-    takes G = factors(W).
+    takes G = factors(W).  norm_sq = prod_j sigma_j (1 - exp(-2 b_j/sigma_j)) / (2 pi).
     """
     a, b = 1.0 / density.scale, box.b
     damp = np.exp(-a * b)
@@ -315,39 +305,8 @@ def _cauchy_closed_form(density, box):
         slope = (edge - 2.0 * W * G) / (a_sq + W * W)
         return _slope_series(slope, W, b, dims, P, _CAUCHY_SLOPE_SERIES) if series else slope
 
-    return factors, slopes
-
-
-def cauchy_mean_norm_sq(density, box):
-    """Squared norm of the Cauchy kernel mean: prod_j sigma_j (1 - exp(-2 b_j/sigma_j)) / (2 pi)."""
-    sigma = density.scale
-    return float(np.prod(sigma * -np.expm1(-2.0 * box.b / sigma) / (2.0 * math.pi)))
-
-
-def density_factors(density, box):
-    """The parts of the discrepancy that depend on the density: the cross
-    factors W -> G with G[l, j] = g_j(w_lj), their slopes (W, G) -> G', and
-    the constant term, the squared norm of the kernel mean.
-
-    The constants of both closed forms that depend only on the density and
-    the box are taken here, once; the two functions read them, so a caller
-    that evaluates many W, as `qmcrff.adaptive.optimize_greedy` does, pays
-    for them once per call of this function.  This is the one place that
-    reads ``density.kind``; every closed-form function in this module and in
-    `qmcrff.adaptive` goes through it.
-    """
-    if density.kind == GAUSSIAN:
-        closed_form, norm_sq = _gaussian_closed_form, gaussian_mean_norm_sq
-    else:
-        closed_form, norm_sq = _cauchy_closed_form, cauchy_mean_norm_sq
-    return (*closed_form(density, box), norm_sq(density, box))
-
-
-def _check_dims(freqs_d, density, box):
-    if not (freqs_d == density.d == box.d):
-        raise ValueError(
-            f"dimension mismatch: frequencies d={freqs_d}, density d={density.d}, box d={box.d}"
-        )
+    norm_sq = float(np.prod(density.scale * -np.expm1(-2.0 * b / density.scale) / (2.0 * math.pi)))
+    return factors, slopes, norm_sq
 
 
 def _exclusive_products(F):
@@ -426,71 +385,109 @@ def _pair_blocks(W, b, slope):
         r0 = r1
 
 
-def _discrepancy_pass(W, density, box, with_grad):
-    """Closed-form (term1, term2, term3) and, when ``with_grad``, the s x d
-    gradient of their sum, from one `_pair_blocks` sweep.  The rectangle
-    beyond a block's diagonal square counts twice in the pair sum; in the
-    gradient its term goes to row l and, negated, to row m, since sinc' is
-    odd in the lag and the other factors are even.  Prefix and suffix
-    products give the product over q != j in O(d) operations per block."""
-    W = np.asarray(W, dtype=float)
-    s, d = W.shape
-    _check_dims(d, density, box)
-    if s < 1:
-        raise ValueError("the discrepancy requires at least one frequency (s >= 1)")
-    pair_sum = 0.0
-    grad = np.zeros((s, d)) if with_grad else None
-    for r0, r1, f, df in _pair_blocks(W, box.b, slope=with_grad):
-        rows = r1 - r0
+class BoxObjective:
+    """The closed-form squared box discrepancy against one density over one
+    box, for any frequency set of the box's dimension.
+
+    The density's half of the closed form, its cross factors W -> G with
+    G[l, j] = g_j(w_lj), their slopes (W, G) -> G' and the constant term
+    ``norm_sq`` (the squared norm of the kernel mean), is derived once, when
+    the object is built, so an optimizer that evaluates many W builds one
+    object per run.  This is the one place that reads ``density.kind``.
+    """
+
+    def __init__(self, density, box):
+        if density.d != box.d:
+            raise ValueError(f"dimension mismatch: density d={density.d}, box d={box.d}")
+        closed_form = _gaussian_closed_form if density.kind == GAUSSIAN else _cauchy_closed_form
+        self.box = box
+        self.factors, self.slopes, self.norm_sq = closed_form(density, box)
+
+    def rows(self, W):
+        """W as a float array of frequency rows, checked against the box's d."""
+        W = np.asarray(W, dtype=float)
+        s, d = W.shape
+        if d != self.box.d:
+            raise ValueError(
+                f"dimension mismatch: frequencies d={d}, density and box d={self.box.d}")
+        return W
+
+    def _pass(self, W, with_grad):
+        """Closed-form (term1, term2, term3) and, when ``with_grad``, the s x d
+        gradient of their sum, from one `_pair_blocks` sweep.  The rectangle
+        beyond a block's diagonal square counts twice in the pair sum; in the
+        gradient its term goes to row l and, negated, to row m, since sinc' is
+        odd in the lag and the other factors are even.  Prefix and suffix
+        products give the product over q != j in O(d) operations per block."""
+        W = self.rows(W)
+        s, d = W.shape
+        if s < 1:
+            raise ValueError("the discrepancy requires at least one frequency (s >= 1)")
+        pair_sum = 0.0
+        grad = np.zeros((s, d)) if with_grad else None
+        for r0, r1, f, df in _pair_blocks(W, self.box.b, slope=with_grad):
+            rows = r1 - r0
+            if not with_grad:
+                prod = np.prod(f, axis=0)
+            else:
+                # df[j] becomes the slope of factor j times all the other factors;
+                # the suffix product may overwrite f, which is not needed again.
+                prod = f[0].copy()
+                for j in range(1, d):
+                    df[j] *= prod
+                    prod *= f[j]
+                trail = f[d - 1]
+                for j in range(d - 2, -1, -1):
+                    df[j] *= trail
+                    if j:
+                        trail *= f[j]
+                # sinc'(0) = 0 zeroes the diagonal, so the m != l restriction is free.
+                grad[r0:r1] += df.sum(axis=2).T
+                grad[r1:] -= df[:, :, rows:].sum(axis=1).T
+            pair_sum += float(prod[:, :rows].sum()) + 2.0 * float(prod[:, rows:].sum())
+
+        G = self.factors(W)
+        terms = (pair_sum / (s * s), -2.0 / s * float(np.prod(G, axis=1).sum()), self.norm_sq)
         if not with_grad:
-            prod = np.prod(f, axis=0)
-        else:
-            # df[j] becomes the slope of factor j times all the other factors;
-            # the suffix product may overwrite f, which is not needed again.
-            prod = f[0].copy()
-            for j in range(1, d):
-                df[j] *= prod
-                prod *= f[j]
-            trail = f[d - 1]
-            for j in range(d - 2, -1, -1):
-                df[j] *= trail
-                if j:
-                    trail *= f[j]
-            # sinc'(0) = 0 zeroes the diagonal, so the m != l restriction is free.
-            grad[r0:r1] += df.sum(axis=2).T
-            grad[r1:] -= df[:, :, rows:].sum(axis=1).T
-        pair_sum += float(prod[:, :rows].sum()) + 2.0 * float(prod[:, rows:].sum())
+            return terms, None
 
-    factors, slopes, term3 = density_factors(density, box)
-    G = factors(W)
-    term1 = pair_sum / (s * s)
-    term2 = -2.0 / s * float(np.prod(G, axis=1).sum())
-    if not with_grad:
-        return (term1, term2, term3), None
+        grad *= 2.0 / (s * s)
+        grad -= (2.0 / s) * self.slopes(W, G) * _exclusive_products(G)
+        return terms, grad
 
-    grad *= 2.0 / (s * s)
-    grad -= (2.0 / s) * slopes(W, G) * _exclusive_products(G)
-    return (term1, term2, term3), grad
+    def terms(self, W):
+        """Closed-form (term1, term2, term3) for a raw s x d frequency array."""
+        return self._pass(W, with_grad=False)[0]
+
+    def value_and_grad(self, W):
+        """Squared discrepancy of a raw s x d frequency array and its s x d
+        gradient, from the same pass as `terms`.  Entry (l, j) of the
+        gradient is
+
+            (2/s^2) sum_{m != l} b_j^2/pi sinc'(b_j (w_lj - w_mj))
+                                 prod_{q != j} sinc-factor_q(w_lq - w_mq)
+            - (2/s) g_j'(w_lj) prod_{q != j} g_q(w_lq).
+        """
+        terms, grad = self._pass(W, with_grad=True)
+        return sum(terms), grad
+
+    def H_v(self, W):
+        """Quadratic-form data for weight optimization: H is the (PSD)
+        sinc-kernel Gram matrix of the rows of W and v_l the kernel-mean
+        inner product at w_l, so that the weighted squared discrepancy is
+        norm_sq - 2 v.xi + xi.H.xi."""
+        W = self.rows(W)
+        return sinc_gram(self.box, W), np.prod(self.factors(W), axis=1)
 
 
 def gaussian_discrepancy_terms(W, density, box):
-    """Closed-form (term1, term2, term3) for a raw s x d frequency array, for
-    either density."""
-    return _discrepancy_pass(W, density, box, with_grad=False)[0]
+    """`BoxObjective.terms`, for either density."""
+    return BoxObjective(density, box).terms(W)
 
 
 def gaussian_value_and_grad(W, density, box):
-    """Squared discrepancy of a raw s x d frequency array and its s x d
-    gradient, from the same pass that gives `gaussian_discrepancy_terms`.
-
-    Entry (l, j) of the gradient is
-
-        (2/s^2) sum_{m != l} b_j^2/pi sinc'(b_j (w_lj - w_mj))
-                             prod_{q != j} sinc-factor_q(w_lq - w_mq)
-        - (2/s) g_j'(w_lj) prod_{q != j} g_q(w_lq).
-    """
-    terms, grad = _discrepancy_pass(W, density, box, with_grad=True)
-    return sum(terms), grad
+    """`BoxObjective.value_and_grad`, for either density."""
+    return BoxObjective(density, box).value_and_grad(W)
 
 
 def box_discrepancy_gaussian(freqs, density, box):
@@ -506,40 +503,31 @@ def expected_mc_discrepancy(s, density, box):
     """Expected squared discrepancy of s i.i.d. frequencies drawn from the density.
 
     (1/s) * (pi^-d prod_j b_j - term3), with term3 the squared norm of the
-    kernel mean (see `density_factors`).
+    kernel mean (`BoxObjective.norm_sq`).
     """
-    if density.d != box.d:
-        raise ValueError(f"dimension mismatch: density d={density.d}, box d={box.d}")
+    norm_sq = BoxObjective(density, box).norm_sq
     if s < 1:
         raise ValueError(f"expected_mc_discrepancy requires s >= 1, got {s}")
     diag = float(np.prod(box.b)) / math.pi ** box.d
-    return (diag - density_factors(density, box)[2]) / s
+    return (diag - norm_sq) / s
 
 
 def assemble_H_v(freqs, density, box):
-    """Quadratic-form data for weight optimization.
-
-    H is the (PSD) sinc-kernel Gram matrix of the frequencies and v_l the
-    kernel-mean inner product at w_l, so that the weighted squared
-    discrepancy is  const - 2 v.xi + xi.H.xi.
-    """
-    _check_dims(freqs.d, density, box)
-    H = sinc_gram(box, freqs.points)
-    v = np.prod(density_factors(density, box)[0](freqs.points), axis=1)
-    return H, v
+    """`BoxObjective.H_v` of the frequencies."""
+    return BoxObjective(density, box).H_v(freqs.points)
 
 
 def weighted_discrepancy(freqs, weights, density, box):
     """Squared box discrepancy of the weighted empirical mean sum_l xi_l h(w_l, .)."""
-    _check_dims(freqs.d, density, box)
+    objective = BoxObjective(density, box)
+    W = objective.rows(freqs.points)
     xi = np.asarray(weights, dtype=float)
     if xi.shape != (freqs.s,):
         raise ValueError(f"weights must have shape ({freqs.s},)")
     if np.any(xi < 0.0):
         raise ValueError("weights must be nonnegative")
-    H, v = assemble_H_v(freqs, density, box)
-    term1 = density_factors(density, box)[2]
-    return float(term1 - 2.0 * (v @ xi) + xi @ H @ xi)
+    H, v = objective.H_v(W)
+    return float(objective.norm_sq - 2.0 * (v @ xi) + xi @ H @ xi)
 
 
 @dataclass
@@ -568,13 +556,13 @@ def average_case_mc_check(freqs, density, box, n_samples, seed):
     e^{-i u.x} against the density (a product of characteristic-function
     values) minus the plain empirical average over the frequencies.
     """
-    _check_dims(freqs.d, density, box)
+    objective = BoxObjective(density, box)
+    W = objective.rows(freqs.points)
     if freqs.s < 1:
         raise ValueError(f"average_case_mc_check requires s >= 1, got {freqs.s}")
     if n_samples < 1000:
         raise ValueError(f"average_case_mc_check requires n_samples >= 1000, got {n_samples}")
     rng = np.random.Generator(np.random.PCG64(seed))
-    W = freqs.points
     s = freqs.s
     total = 0.0
     total_sq = 0.0
@@ -593,7 +581,7 @@ def average_case_mc_check(freqs, density, box, n_samples, seed):
     mean = total / n_samples
     var = max(total_sq / n_samples - mean * mean, 0.0) * n_samples / (n_samples - 1)
     stderr = math.sqrt(var / n_samples)
-    d2 = box_discrepancy_gaussian(freqs, density, box).d_squared
+    d2 = sum(objective.terms(W))
     predicted = math.pi ** box.d / float(np.prod(box.b)) * d2
     return AverageCaseReport(empirical=mean, predicted=predicted,
                              stderr=stderr, n_samples=n_samples)

@@ -16,14 +16,12 @@ from qmcrff.densities import FrequencySet, ProductDensity, transform
 import qmcrff.discrepancy as discrepancy_module
 from qmcrff.discrepancy import (
     Box,
+    BoxObjective,
     _sinc_factor,
     assemble_H_v,
     average_case_mc_check,
     box_discrepancy_gaussian,
     gaussian_discrepancy_terms,
-    gaussian_mean_norm_sq,
-    gaussian_point_factors,
-    gaussian_point_slopes,
     gaussian_value_and_grad,
     sinc_gram,
     weighted_discrepancy,
@@ -203,7 +201,7 @@ def _reference_value_and_grad(S, p, box):
     W = S.points
     s, d = W.shape
     sigma, b = p.scale, box.b
-    G = gaussian_point_factors(p, box, W)
+    G = BoxObjective(p, box).factors(W)
     delta = W[:, None, :] - W[None, :, :]
     # Plain-sine factors: nothing shared with the pair sweep under test.
     factors = np.moveaxis(b / np.pi * np.sinc(b * delta / np.pi), 2, 0)
@@ -304,11 +302,12 @@ def _fused_tolerances(W, p, box, rtol):
     and weighted for the rounding of its angles."""
     s, d = W.shape
     env, slope_env, weight = _pair_envelope_weights(W, box.b)
-    G = gaussian_point_factors(p, box, W)
-    Gprime = gaussian_point_slopes(p, box, W, G)
+    objective = BoxObjective(p, box)
+    G = objective.factors(W)
+    Gprime = objective.slopes(W, G)
     value_tol = rtol * ((np.prod(env, axis=2) * weight).sum() / (s * s)
                         + (2.0 / s) * np.abs(np.prod(G, axis=1)).sum()
-                        + gaussian_mean_norm_sq(p, box))
+                        + objective.norm_sq)
     grad_tol = np.empty((s, d))
     for j in range(d):
         others = [q for q in range(d) if q != j]
@@ -417,14 +416,82 @@ class TestEmptyFrequencySet:
             call[entry]()
 
 
+_ENTRIES = {
+    "gaussian_value_and_grad": gaussian_value_and_grad,
+    "gaussian_discrepancy_terms": gaussian_discrepancy_terms,
+    "BoxObjective.terms": lambda W, p, box: BoxObjective(p, box).terms(W),
+    "BoxObjective.value_and_grad": lambda W, p, box: BoxObjective(p, box).value_and_grad(W),
+    "BoxObjective.H_v": lambda W, p, box: BoxObjective(p, box).H_v(W),
+}
+
+
 class TestDimensionMismatch:
     @pytest.mark.parametrize("d_W", [1, 3])
-    @pytest.mark.parametrize("entry", [gaussian_value_and_grad, gaussian_discrepancy_terms])
+    @pytest.mark.parametrize("entry", sorted(_ENTRIES))
     def test_fused_pass_rejects_other_frequency_dimensions(self, entry, d_W):
         p = ProductDensity.gaussian(1.0, d=2)
         W = np.random.default_rng(d_W).normal(size=(5, d_W))
         with pytest.raises(ValueError, match="dimension mismatch"):
-            entry(W, p, Box(b=[1.0, 1.0]))
+            _ENTRIES[entry](W, p, Box(b=[1.0, 1.0]))
+
+    @pytest.mark.parametrize("shape", [(5,), (5, 2, 1)])
+    @pytest.mark.parametrize("entry", sorted(_ENTRIES))
+    def test_malformed_frequency_arrays_raise_value_error(self, entry, shape):
+        p = ProductDensity.gaussian(1.0, d=2)
+        with pytest.raises(ValueError):
+            _ENTRIES[entry](np.ones(shape), p, Box(b=[1.0, 1.0]))
+
+    @pytest.mark.parametrize("kind", ["gaussian", "cauchy"])
+    def test_objective_rejects_density_and_box_of_other_dimensions(self, kind):
+        p = getattr(ProductDensity, kind)(1.0, d=2)
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            BoxObjective(p, Box(b=[1.0, 1.0, 1.0]))
+
+
+class TestClosedFormOncePerRun:
+    """Each run derives the density's closed form once, however many times
+    it evaluates the discrepancy."""
+
+    @staticmethod
+    def _count(monkeypatch):
+        calls = []
+        for name in ("_gaussian_closed_form", "_cauchy_closed_form"):
+            original = getattr(discrepancy_module, name)
+
+            def counted(density, box, original=original):
+                calls.append(density.kind)
+                return original(density, box)
+
+            monkeypatch.setattr(discrepancy_module, name, counted)
+        return calls
+
+    @pytest.mark.parametrize("kind", ["gaussian", "cauchy"])
+    def test_global(self, monkeypatch, kind):
+        p = getattr(ProductDensity, kind)([0.8, 1.3])
+        S0 = transform(halton(8, 2), p)
+        calls = self._count(monkeypatch)
+        trace = optimize_global(S0, p, Box(b=[1.0, 1.5]), OptimizerOptions(max_iters=4))
+        assert trace.n_iters >= 3
+        assert calls == [kind]
+
+    @pytest.mark.parametrize("kind", ["gaussian", "cauchy"])
+    def test_greedy(self, monkeypatch, kind):
+        p = getattr(ProductDensity, kind)([0.8, 1.3])
+        init = transform(halton(4, 2), p)
+        calls = self._count(monkeypatch)
+        optimize_greedy(4, p, Box(b=[1.0, 1.5]), init, OptimizerOptions(max_iters=5))
+        assert calls == [kind]
+
+    @pytest.mark.parametrize("kind", ["gaussian", "cauchy"])
+    def test_weights(self, monkeypatch, kind):
+        p = getattr(ProductDensity, kind)([0.8, 1.3])
+        S = transform(halton(12, 2), p)
+        calls = self._count(monkeypatch)
+        xi, _ = optimize_weights(S, p, Box(b=[1.0, 1.5]))
+        assert calls == [kind]
+        calls.clear()
+        weighted_discrepancy(S, xi, p, Box(b=[1.0, 1.5]))
+        assert calls == [kind]
 
 
 class TestNonlinearCg:

@@ -7,13 +7,12 @@ from qmcrff.densities import FrequencySet, ProductDensity, transform
 import qmcrff.discrepancy as discrepancy_module
 from qmcrff.discrepancy import (
     Box,
+    BoxObjective,
     _sinc_factor,
     assemble_H_v,
     average_case_mc_check,
     box_discrepancy_gaussian,
-    density_factors,
     expected_mc_discrepancy,
-    gaussian_mean_norm_sq,
     sinc_gram,
     weighted_discrepancy,
 )
@@ -226,7 +225,8 @@ class TestCauchyClosedForm:
         p = ProductDensity.cauchy(sigma, d=1)
         box = Box(b=[b])
         x = np.array([[0.0], [1e-9], [0.37], [-2.5], [13.0], [-150.0]])
-        factors, slopes, const = density_factors(p, box)
+        objective = BoxObjective(p, box)
+        factors, slopes, const = objective.factors, objective.slopes, objective.norm_sq
         G = factors(x)
         dG = slopes(x, G)
         nodes, weights = np.polynomial.legendre.leggauss(1200)
@@ -253,7 +253,8 @@ class TestCauchyClosedForm:
         # + O(b^2)) and the constant is b/pi (1 - b/sigma + O(b^2)).
         b = 1e-12
         p = ProductDensity.cauchy(1.0, d=1)
-        factors, _, const = density_factors(p, Box(b=[b]))
+        objective = BoxObjective(p, Box(b=[b]))
+        factors, const = objective.factors, objective.norm_sq
         G = factors(np.array([[0.0], [0.5], [3.0], [-40.0]]))
         assert G == pytest.approx(b / math.pi, rel=1e-11)
         assert const == pytest.approx(b / math.pi, rel=1e-11)
@@ -273,7 +274,8 @@ class TestCrossSlopesNearZeroWidth:
     @staticmethod
     def _relative_errors(kind, sigma, b, xs):
         p = getattr(ProductDensity, kind)(sigma, d=1)
-        factors, slopes, _ = density_factors(p, Box(b=[b]))
+        objective = BoxObjective(p, Box(b=[b]))
+        factors, slopes = objective.factors, objective.slopes
         W = np.array(xs, dtype=float)[:, None]
         got = slopes(W, factors(W))[:, 0]
         ref = np.array([cross_slope_reference(kind, sigma, b, x) for x in xs])
@@ -321,7 +323,7 @@ class TestQuadratureOracle:
         box = Box(b=[1.0, 1.5])
         v = box_discrepancy_quadrature(FrequencySet(points=np.empty((0, 2))), p, box)
         assert v > 0.0
-        assert v == pytest.approx(gaussian_mean_norm_sq(p, box), rel=1e-9)
+        assert v == pytest.approx(BoxObjective(p, box).norm_sq, rel=1e-9)
 
     def test_rejects_high_dimension_and_few_nodes(self):
         p = ProductDensity.gaussian(1.0, d=4)
@@ -429,7 +431,7 @@ class TestAssembleHv:
         S, p, box = _gaussian_setup(s=9, d=2, seed=11)
         H, v = assemble_H_v(S, p, box)
         xi = np.full(S.s, 1.0 / S.s)
-        quad_form = gaussian_mean_norm_sq(p, box) - 2.0 * v @ xi + xi @ H @ xi
+        quad_form = BoxObjective(p, box).norm_sq - 2.0 * v @ xi + xi @ H @ xi
         assert quad_form == pytest.approx(
             box_discrepancy_gaussian(S, p, box).d_squared, abs=1e-12)
 
@@ -450,7 +452,7 @@ class TestWeightedDiscrepancy:
     def test_zero_weights_leave_mean_norm(self):
         S, p, box = _gaussian_setup(s=4, d=2, seed=13)
         assert weighted_discrepancy(S, np.zeros(4), p, box) == pytest.approx(
-            gaussian_mean_norm_sq(p, box), rel=1e-14)
+            BoxObjective(p, box).norm_sq, rel=1e-14)
 
     def test_rejects_negative_weights(self):
         S, p, box = _gaussian_setup(s=3, d=1, seed=14)

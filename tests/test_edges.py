@@ -18,9 +18,9 @@ from qmcrff.adaptive import optimize_weights
 from qmcrff.densities import FrequencySet, ProductDensity, transform
 from qmcrff.discrepancy import (
     Box,
+    BoxObjective,
     assemble_H_v,
     box_discrepancy_gaussian,
-    density_factors,
     gaussian_value_and_grad,
 )
 from qmcrff.experiment import (
@@ -58,7 +58,7 @@ def _rounding_floor(*terms):
 
 def _weighted_d2_and_floor(freqs, xi, density, box):
     H, v = assemble_H_v(freqs, density, box)
-    terms = (density_factors(density, box)[2], -2.0 * float(v @ xi), float(xi @ H @ xi))
+    terms = (BoxObjective(density, box).norm_sq, -2.0 * float(v @ xi), float(xi @ H @ xi))
     return sum(terms), _rounding_floor(*terms)
 
 
