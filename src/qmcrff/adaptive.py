@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._blas import _scipy_blas_single_thread
-from .densities import FrequencySet
+from .densities import FrequencySet, positive_vector
 from .discrepancy import BoxObjective, _exclusive_products, _sinc_factor
 from .ioutil import NumericalError
 
@@ -35,8 +35,7 @@ class OptimizerOptions:
     def __post_init__(self):
         if self.max_iters < 0:
             raise ValueError("max_iters must be >= 0")
-        if not self.grad_tol > 0:
-            raise ValueError("grad_tol must be positive")
+        positive_vector(self.grad_tol, "grad_tol")
 
 
 @dataclass

@@ -144,7 +144,7 @@ def _cmd_optimize(args):
     else:
         opts = OptimizerOptions(max_iters=args.max_iters)
         trace = (optimize_global(base, density, box, opts) if args.mode == "global"
-                 else optimize_greedy(args.s, density, box, init, opts))
+                 else optimize_greedy(args.s, density, box, base, opts))
         payload, points = trace.to_json_dict(), trace.freqs
     if args.out_points:
         write_matrix_csv(args.out_points, points.points)
@@ -174,9 +174,9 @@ def _cmd_krr(args):
     pts = make_pointset(args.seq, args.s, ds.d, seed=args.seed)
     fmap = WeightedFeatureMap(freqs=transform(pts, density))
     Z = real_feature_matrix(fmap, ds.X)
+    beta = krr_train(Z[train_idx], ds.y[train_idx], args.ridge_lambda)
     if args.features_out:
         write_matrix_csv(args.features_out, Z)
-    beta = krr_train(Z[train_idx], ds.y[train_idx], args.ridge_lambda)
     payload = {
         "sequence": args.seq,
         "s": args.s,

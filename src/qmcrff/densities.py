@@ -30,10 +30,12 @@ def per_dimension(values, d, name):
 
 
 def positive_vector(values, name):
-    """``values`` as a 1-D float vector whose entries are positive and finite."""
+    """``values``, one number or a nonempty 1-D vector of them, as a 1-D float
+    vector; an entry that is not positive and finite is a ValueError naming
+    ``name``.  This is the package's one positivity rule."""
     arr = np.atleast_1d(np.asarray(values, dtype=float))
     if arr.ndim != 1 or arr.size < 1 or not np.all(np.isfinite(arr) & (arr > 0.0)):
-        raise ValueError(f"{name} must be a nonempty 1-D vector of positive, finite values")
+        raise ValueError(f"{name} must be positive and finite, got {values}")
     return arr
 
 

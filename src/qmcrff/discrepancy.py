@@ -24,11 +24,13 @@ have them in closed form:
 The pairwise term is the same for every density.  `BoxObjective(density,
 box)` derives the density's half once and evaluates the terms, the value
 with its gradient, and the quadratic form of weighted sets; every optimizer
-in `qmcrff.adaptive` builds one per run.  The `gaussian_*` functions,
+in `qmcrff.adaptive` builds one per run.  `gaussian_discrepancy_terms`,
 `assemble_H_v` and `qmcrff.adaptive.discrepancy_gradient` are thin wrappers
-that build the object per call; the benchmark's tracer and probes look them
-up by name.  The closed forms are the only evaluation here; the tests check
-them against per-dimension Gauss-Legendre integration of the integrals above.
+that build the object per call; they stay because the benchmark looks them
+up by name: its tracer wraps those three, and its probes call
+`box_discrepancy_gaussian` and `discrepancy_gradient`.  The closed forms
+are the only evaluation here; the tests check them against per-dimension
+Gauss-Legendre integration of the integrals above.
 """
 
 import math
@@ -109,8 +111,7 @@ class Box:
         return self.b.size
 
     def scaled(self, factor):
-        if factor <= 0.0:
-            raise ValueError(f"box scale must be positive, got {factor}")
+        positive_vector(factor, "box scale")
         return Box(b=self.b * factor)
 
 
@@ -483,11 +484,6 @@ class BoxObjective:
 def gaussian_discrepancy_terms(W, density, box):
     """`BoxObjective.terms`, for either density."""
     return BoxObjective(density, box).terms(W)
-
-
-def gaussian_value_and_grad(W, density, box):
-    """`BoxObjective.value_and_grad`, for either density."""
-    return BoxObjective(density, box).value_and_grad(W)
 
 
 def box_discrepancy_gaussian(freqs, density, box):

@@ -18,7 +18,7 @@ import numpy as np
 
 from ._blas import potrf_lower, potrs_lower, syrk_lower
 from .adaptive import OptimizerOptions, optimize_global, optimize_greedy, optimize_weights
-from .densities import KERNELS, FrequencySet, ProductDensity, transform
+from .densities import KERNELS, FrequencySet, ProductDensity, positive_vector, transform
 from .discrepancy import Box, box_discrepancy_gaussian, weighted_discrepancy
 from .featmap import ExactGram, WeightedFeatureMap, real_feature_matrix
 from .ioutil import DataError, NumericalError, read_matrix_csv
@@ -148,10 +148,8 @@ class ExperimentConfig:
             raise ValueError("trials must be >= 1")
         if not 0.0 < self.split < 1.0:
             raise ValueError("split fraction must lie in (0, 1)")
-        if self.box_scale <= 0.0:
-            raise ValueError("box_scale must be positive")
-        if self.ridge_lambda <= 0.0:
-            raise ValueError("ridge lambda must be positive")
+        positive_vector(self.box_scale, "box scale")
+        positive_vector(self.ridge_lambda, "ridge lambda")
         if self.max_n < 2:
             raise ValueError(f"max_n must be >= 2, got {self.max_n}")
         if self.adapt_iters < 0:
@@ -345,8 +343,7 @@ def krr_train(Z, y, ridge_lambda):
     (ZZ' + lambda I) alpha = y instead and returns beta = Z'alpha, the same
     beta by the push-through identity.
     """
-    if ridge_lambda <= 0.0:
-        raise ValueError("ridge lambda must be positive")
+    positive_vector(ridge_lambda, "ridge lambda")
     Z = np.asarray(Z, dtype=float)
     y = np.asarray(y, dtype=float)
     if Z.shape[0] < Z.shape[1]:

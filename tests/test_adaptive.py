@@ -22,7 +22,6 @@ from qmcrff.discrepancy import (
     average_case_mc_check,
     box_discrepancy_gaussian,
     gaussian_discrepancy_terms,
-    gaussian_value_and_grad,
     sinc_gram,
     weighted_discrepancy,
 )
@@ -140,7 +139,7 @@ class TestSincSeries:
 
         monkeypatch.setattr(np, "sin", counting(np.sin))
         monkeypatch.setattr(np, "cos", counting(np.cos))
-        gaussian_value_and_grad(W, p, box)
+        BoxObjective(p, box).value_and_grad(W)
         gaussian_discrepancy_terms(W, p, box)
         sinc_gram(box, W)
         assert sizes and max(sizes) <= W.size
@@ -234,7 +233,7 @@ def _fused_cases():
 class TestFusedValueAndGradient:
     @pytest.mark.parametrize("S,p,box", _fused_cases())
     def test_value_matches_terms_and_reference(self, S, p, box):
-        value, _ = gaussian_value_and_grad(S.points, p, box)
+        value, _ = BoxObjective(p, box).value_and_grad(S.points)
         assert value == pytest.approx(sum(gaussian_discrepancy_terms(S.points, p, box)),
                                       rel=1e-12, abs=0.0)
         assert value == pytest.approx(_reference_value_and_grad(S, p, box)[0], rel=1e-12,
@@ -242,23 +241,23 @@ class TestFusedValueAndGradient:
 
     @pytest.mark.parametrize("S,p,box", _fused_cases())
     def test_gradient_matches_central_differences(self, S, p, box):
-        _, g = gaussian_value_and_grad(S.points, p, box)
+        _, g = BoxObjective(p, box).value_and_grad(S.points)
         fd = _fd_gradient(S, p, box)
         rel = np.abs(g - fd) / (np.abs(g) + 1e-12)
         assert rel.max() <= 1e-5
 
     @pytest.mark.parametrize("S,p,box", _fused_cases())
     def test_gradient_matches_reference(self, S, p, box):
-        _, g = gaussian_value_and_grad(S.points, p, box)
+        _, g = BoxObjective(p, box).value_and_grad(S.points)
         ref = _reference_value_and_grad(S, p, box)[1]
         assert np.allclose(g, ref, rtol=1e-12, atol=1e-14 * np.abs(ref).max())
 
     def test_row_blocks_are_invisible(self, monkeypatch):
         # Blocks of 2 rows with a ragged last block must give the one-block result.
         S, p, box = _instance(9, 3, 24)
-        value, g = gaussian_value_and_grad(S.points, p, box)
+        value, g = BoxObjective(p, box).value_and_grad(S.points)
         monkeypatch.setattr(discrepancy_module, "_BLOCK_ENTRIES", 2 * 9)
-        value_b, g_b = gaussian_value_and_grad(S.points, p, box)
+        value_b, g_b = BoxObjective(p, box).value_and_grad(S.points)
         assert value_b == pytest.approx(value, rel=1e-13, abs=0.0)
         assert np.allclose(g_b, g, rtol=1e-13, atol=1e-16)
         value_terms = sum(gaussian_discrepancy_terms(S.points, p, box))
@@ -352,7 +351,7 @@ class TestPairGridProperties:
         ref_value, ref_grad = _reference_value_and_grad(FrequencySet(points=W), p, box)
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(discrepancy_module, "_BLOCK_ENTRIES", block_entries)
-            value, grad = gaussian_value_and_grad(W, p, box)
+            value, grad = BoxObjective(p, box).value_and_grad(W)
             terms = gaussian_discrepancy_terms(W, p, box)
         assert abs(value - ref_value) <= value_tol
         assert abs(sum(terms) - ref_value) <= value_tol
@@ -384,7 +383,7 @@ class TestPairGridProperties:
         W[8] = W[3]
         monkeypatch.setattr(discrepancy_module, "_BLOCK_ENTRIES", (1 + seed) * s)
         S = FrequencySet(points=W)
-        _, g = gaussian_value_and_grad(W, p, box)
+        _, g = BoxObjective(p, box).value_and_grad(W)
         fd = _fd_gradient(S, p, box)
         rel = np.abs(g - fd) / (np.abs(g) + 1e-12)
         assert rel.max() <= 1e-5
@@ -395,7 +394,7 @@ class TestEmptyFrequencySet:
         p = ProductDensity.gaussian(1.0, d=2)
         box = Box(b=[1.0, 1.0])
         W = np.empty((0, 2))
-        for call in (lambda: gaussian_value_and_grad(W, p, box),
+        for call in (lambda: BoxObjective(p, box).value_and_grad(W),
                      lambda: gaussian_discrepancy_terms(W, p, box),
                      lambda: discrepancy_gradient(FrequencySet(points=W), p, box)):
             with pytest.raises(ValueError, match="s >= 1"):
@@ -417,7 +416,6 @@ class TestEmptyFrequencySet:
 
 
 _ENTRIES = {
-    "gaussian_value_and_grad": gaussian_value_and_grad,
     "gaussian_discrepancy_terms": gaussian_discrepancy_terms,
     "BoxObjective.terms": lambda W, p, box: BoxObjective(p, box).terms(W),
     "BoxObjective.value_and_grad": lambda W, p, box: BoxObjective(p, box).value_and_grad(W),
@@ -560,6 +558,9 @@ class TestNonlinearCg:
             OptimizerOptions(max_iters=-1)
         with pytest.raises(ValueError):
             OptimizerOptions(grad_tol=-1.0)
+        for grad_tol in (math.inf, math.nan):
+            with pytest.raises(ValueError, match="grad_tol must be positive and finite"):
+                OptimizerOptions(grad_tol=grad_tol)
 
 
 class TestOptimizeGlobal:

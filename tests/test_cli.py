@@ -1,10 +1,12 @@
 import argparse
 import json
 import os
+import re
 import subprocess
 import sys
 import threading
 from dataclasses import fields, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -211,10 +213,15 @@ class TestSequenceFactory:
         assert make_pointset("mc", 3, 2, seed=4, start_index=None).seed_or_start == 4
 
 
+def _subcommands():
+    """The CLI's subcommand parsers, by name."""
+    return next(a for a in build_parser()._actions
+                if isinstance(a, argparse._SubParsersAction)).choices
+
+
 def _seq_choices(command):
     """The ``--seq`` choices of a CLI subcommand."""
-    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
-    return next(a.choices for a in sub.choices[command]._actions if a.dest == "seq")
+    return next(a.choices for a in _subcommands()[command]._actions if a.dest == "seq")
 
 
 class TestSequenceRegistry:
@@ -325,6 +332,9 @@ class TestKrr:
     def test_rejects_nonpositive_lambda(self):
         with pytest.raises(ValueError):
             krr_train(np.eye(3), np.ones(3), 0.0)
+        for lam in (np.nan, np.inf):
+            with pytest.raises(ValueError, match="ridge lambda must be positive and finite"):
+                krr_train(np.eye(3), np.ones(3), lam)
 
     def test_relative_error_definition(self):
         y = np.array([3.0, 4.0])
@@ -353,6 +363,13 @@ class TestExperimentConfig:
             ExperimentConfig(sequences=(), s_grid=(4,))
         with pytest.raises(ValueError, match="s_grid must hold at least one value"):
             ExperimentConfig(sequences=("halton",), s_grid=())
+
+    @pytest.mark.parametrize("value", [0.0, -1.0, np.nan, np.inf])
+    @pytest.mark.parametrize("field,setting", [("box_scale", "box scale"),
+                                               ("ridge_lambda", "ridge lambda")])
+    def test_positive_settings_must_be_finite(self, field, setting, value):
+        with pytest.raises(ValueError, match=f"{setting} must be positive and finite"):
+            ExperimentConfig(**{field: value})
 
     def test_hash_stable_and_sensitive(self):
         a = ExperimentConfig(seed=1)
@@ -589,6 +606,12 @@ class TestConfigFromFlags:
 
 
 class TestCommandLine:
+    def test_readme_table_lists_every_subcommand(self):
+        readme = Path(__file__).resolve().parent.parent.joinpath("README.md").read_text()
+        table = readme.split("\n| subcommand ", 1)[1].split("\n\n", 1)[0]
+        rows = re.findall(r"^\| `([^`]+)` +\|", table, flags=re.MULTILINE)
+        assert sorted(rows) == sorted(_subcommands())
+
     def test_generate_stdout(self, capsys):
         assert main(["generate", "--seq", "halton", "--s", "3", "--d", "2"]) == 0
         rows = [line.split(",") for line in capsys.readouterr().out.strip().splitlines()]
@@ -882,6 +905,32 @@ class TestCommandLine:
                      "--seq", "halton", "--workers", workers])
         assert code == 2
         assert "workers must be >= 1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command,setting", [
+        (["pipeline", "--target", "--s", "8", "--seq", "halton", "--lambda", "nan"],
+         "ridge lambda"),
+        (["pipeline", "--target", "--s", "8", "--seq", "halton", "--lambda", "inf"],
+         "ridge lambda"),
+        (["krr", "--s", "8", "--lambda", "nan", "--features-out", "features.csv"],
+         "ridge lambda"),
+        (["pipeline", "--s", "8", "--seq", "halton", "--box-scale", "nan"], "box scale"),
+        (["optimize", "--mode", "greedy", "--s", "2", "--d", "2", "--box-scale", "nan"],
+         "box scale"),
+        (["discrepancy", "--sigma", "1", "--b", "1", "--box-scale", "nan"], "box scale"),
+        (["discrepancy", "--sigma", "1", "--b", "inf"], "b"),
+        (["krr", "--s", "8", "--sigma", "nan"], "scale"),
+    ])
+    def test_non_finite_setting_is_usage_error(self, tmp_path, capsys, monkeypatch,
+                                               command, setting):
+        # Each setting is checked before any output is written, and the
+        # message names it.
+        monkeypatch.chdir(tmp_path)
+        data = _xy_csv(tmp_path, np.random.default_rng(10).normal(size=(20, 3)))
+        inputs = {"optimize": [], "discrepancy": ["--freqs", data]}
+        code = main(command + inputs.get(command[0], ["--data", data]))
+        assert code == 2
+        assert f"error: {setting} must be positive and finite" in capsys.readouterr().err
+        assert [p.name for p in tmp_path.iterdir() if p.stat().st_size] == ["xy.csv"]
 
     def test_transform_rejects_out_of_cube_points(self, tmp_path, capsys):
         data = _write(tmp_path, "bad.csv", "0.5,0.5\n7.3,0.1\n")

@@ -65,6 +65,8 @@ class TestBox:
         assert Box(b=[2.0, 4.0]).scaled(0.5).b.tolist() == [1.0, 2.0]
         with pytest.raises(ValueError):
             Box(b=[1.0]).scaled(0.0)
+        with pytest.raises(ValueError, match="box scale must be positive and finite"):
+            Box(b=[1.0]).scaled(math.nan)
 
 
 class TestSincKernel:

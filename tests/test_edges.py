@@ -21,7 +21,6 @@ from qmcrff.discrepancy import (
     BoxObjective,
     assemble_H_v,
     box_discrepancy_gaussian,
-    gaussian_value_and_grad,
 )
 from qmcrff.experiment import (
     ADAPTIVE_SEQUENCES,
@@ -109,7 +108,7 @@ class TestBandwidthExtremes:
         r = box_discrepancy_gaussian(freqs, density, box)
         assert all(math.isfinite(v) for v in (r.term1, r.term2, r.term3))
         assert r.d_squared >= _rounding_floor(r.term1, r.term2, r.term3)
-        value, grad = gaussian_value_and_grad(freqs.points, density, box)
+        value, grad = BoxObjective(density, box).value_and_grad(freqs.points)
         assert math.isfinite(value) and np.all(np.isfinite(grad))
         xi, kkt = optimize_weights(freqs, density, box)
         assert np.all(np.isfinite(xi)) and kkt <= KKT_TOL
@@ -166,7 +165,7 @@ class TestClampBounds:
         r = box_discrepancy_gaussian(freqs, density, box)
         assert all(math.isfinite(v) for v in (r.term1, r.term2, r.term3))
         assert r.d_squared >= _rounding_floor(r.term1, r.term2, r.term3)
-        value, grad = gaussian_value_and_grad(freqs.points, density, box)
+        value, grad = BoxObjective(density, box).value_and_grad(freqs.points)
         assert math.isfinite(value) and np.all(np.isfinite(grad))
         xi, kkt = optimize_weights(freqs, density, box)
         assert np.all(np.isfinite(xi)) and kkt <= KKT_TOL
